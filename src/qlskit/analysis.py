@@ -3,8 +3,9 @@
 The central objects are the structured condition number of the solution
 map (A, b, c) -> x of A^T A x = A^T b + c, the linearized minimum-norm
 backward error of an approximate solution, and the forward error
-estimates that combine the two.  Everything here works from the
-problem's cached QR factorization; no solver is invoked.
+estimates that combine the two.  The backward error never forms the
+n x (mn+m+n) Jacobian J of the residual map: an n x (2m+2n+1) factor F
+with F F^T = J J^T carries all it needs.  No solver is invoked.
 """
 
 import numpy as np
@@ -97,26 +98,34 @@ def structured_cond_eps(p, x, eps=DEFAULT_EPS):
 # Linearized backward error
 # ---------------------------------------------------------------------------
 
-def _jacobian_blocks(p, xtilde, theta1, theta2, c_block):
+def _unit(v):
+    nv = np.linalg.norm(v)
+    return v / nv if nv > 0.0 else np.zeros_like(v)
+
+
+def _gram_factor(p, xtilde, r, theta1, theta2, theta_a, c_block):
+    """QR of F^T, where the n x (2m+2n+1) matrix F has F F^T = J J^T.
+
+    J is the Jacobian of the residual map in the weighted perturbation
+    (theta_a vec(E), theta1 f, theta2 g).  Its E part has the Gram matrix
+    ||r||^2 I - x s^T - s x^T + ||x||^2 A^T A with s = A^T r, which the
+    first three blocks of F reproduce.  Hats are unit vectors, and the
+    hat of a zero vector is zero, so x = 0 and r = 0 need no branch.
+    With F^T = Q R, ||J^dagger h|| = ||R^-T h||.
+    """
+    if not (theta1 > 0.0 and theta2 > 0.0 and theta_a > 0.0):
+        raise InvalidParameter("theta weights must be positive")
     a = p.a
-    m, n = p.m, p.n
-    r = p.residual(xtilde)
-    j = np.empty((n, m * n + m + n))
-    at = a.T
-    for col in range(n):
-        blk = j[:, col * m:(col + 1) * m]
-        np.multiply(at, -xtilde[col], out=blk)
-        blk[col, :] += r
-    j[:, m * n:m * n + m] = at / theta1
-    j[:, m * n + m:] = c_block / theta2
-    return j
-
-
-def _min_norm_via_qr(j, h):
-    # For wide full-row-rank J, ||J^dagger h|| = ||R^-T h|| with J^T = QR.
-    f = la.qr_factorize(j.T)
-    y = la.solve_triangular(f.r.T, h, lower=True)
-    return f, y
+    nr, nx = np.linalg.norm(r), np.linalg.norm(xtilde)
+    xh, rh = _unit(xtilde), _unit(r)
+    f = np.hstack([
+        (nr * xh - nx * (a.T @ rh))[:, None] / theta_a,
+        (nr / theta_a) * (np.eye(p.n) - np.outer(xh, xh)),
+        (-nx / theta_a) * (a - np.outer(rh, rh @ a)).T,
+        a.T / theta1,
+        c_block / theta2,
+    ])
+    return la.qr_factorize(f.T)
 
 
 def linearized_backward_error(p, xtilde, theta1=1.0, theta2=1.0,
@@ -129,13 +138,9 @@ def linearized_backward_error(p, xtilde, theta1=1.0, theta2=1.0,
     theta = inf semantics (frozen data) are not supported here.
     """
     xtilde = _check_x(p, xtilde)
-    if not (theta1 > 0.0 and theta2 > 0.0 and theta_a > 0.0):
-        raise InvalidParameter("theta weights must be positive")
-    h = p.a.T @ p.residual(xtilde) + p.c
-    j = _jacobian_blocks(p, xtilde, theta1, theta2, np.eye(p.n))
-    if theta_a != 1.0:
-        j[:, :p.m * p.n] /= theta_a
-    _, y = _min_norm_via_qr(j, h)
+    r = p.residual(xtilde)
+    f = _gram_factor(p, xtilde, r, theta1, theta2, theta_a, np.eye(p.n))
+    y = la.solve_triangular(f.r.T, p.a.T @ r + p.c, lower=True)
     return float(np.linalg.norm(y))
 
 
@@ -148,19 +153,14 @@ def linearized_backward_error_eps(p, xtilde, eps=DEFAULT_EPS,
     the A and b blocks are unchanged.
     """
     xtilde = _check_x(p, xtilde)
-    if not (theta1 > 0.0 and theta2 > 0.0 and theta_a > 0.0):
-        raise InvalidParameter("theta weights must be positive")
-    sys_ = build_eps_system(p, eps)
-    eps = sys_.eps
+    eps = build_eps_system(p, eps).eps
     c = p.c
     ctx = float(c @ xtilde)
-    h = p.a.T @ p.residual(xtilde) + c - (eps * eps * ctx) * c
+    r = p.residual(xtilde)
+    h = p.a.T @ r + c - (eps * eps * ctx) * c
     c_block = (1.0 - eps * eps * ctx) * np.eye(p.n) - (eps * eps) * np.outer(c, xtilde)
-    j = _jacobian_blocks(p, xtilde, theta1, theta2, c_block)
-    if theta_a != 1.0:
-        j[:, :p.m * p.n] /= theta_a
-    _, y = _min_norm_via_qr(j, h)
-    return float(np.linalg.norm(y))
+    f = _gram_factor(p, xtilde, r, theta1, theta2, theta_a, c_block)
+    return float(np.linalg.norm(la.solve_triangular(f.r.T, h, lower=True)))
 
 
 def relative_backward_error(p, xtilde):
@@ -210,18 +210,13 @@ def minimum_norm_perturbation(p, xtilde, theta1=1.0, theta2=1.0):
     to second order in the perturbation.
     """
     xtilde = _check_x(p, xtilde)
-    if not (theta1 > 0.0 and theta2 > 0.0):
-        raise InvalidParameter("theta weights must be positive")
-    m, n = p.m, p.n
-    h = p.a.T @ p.residual(xtilde) + p.c
-    j = _jacobian_blocks(p, xtilde, theta1, theta2, np.eye(n))
-    f = la.qr_factorize(j.T)
-    y = la.qr_gram_solve(f, h)
-    z = -(j.T @ y)
-    e = z[:m * n].reshape((n, m)).T
-    fv = z[m * n:m * n + m] / theta1
-    g = z[m * n + m:] / theta2
-    return PerturbationTriple(e=e, f=fv, g=g)
+    r = p.residual(xtilde)
+    f = _gram_factor(p, xtilde, r, theta1, theta2, 1.0, np.eye(p.n))
+    # y = (J J^T)^-1 h; the triple is -J^T y, mapped back to data units.
+    y = la.qr_gram_solve(f, p.a.T @ r + p.c)
+    ay = p.a @ y
+    return PerturbationTriple(e=np.outer(ay, xtilde) - np.outer(r, y),
+                              f=-ay / theta1 ** 2, g=-y / theta2 ** 2)
 
 
 # ---------------------------------------------------------------------------

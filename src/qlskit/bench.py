@@ -29,6 +29,7 @@ solver), deterministic apart from wall clock times.
 import csv
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,8 @@ _FAMILY_KEYS = {
     "set_p": {"type", "m", "n", "seed"},
     "file": {"type", "path", "verify"},
 }
+# Default (m, n) of the generated families.
+_SHAPE = {"c1": (40, 20), "c2": (40, 20), "set_p": (100, 50)}
 
 
 def _want(obj, key, kinds, where, required=False, positive=False):
@@ -188,6 +191,12 @@ def parse_config(source):
                               f"for type {ftype!r}")
         _want(fam, "m", (int,), where, positive=True)
         _want(fam, "n", (int,), where, positive=True)
+        if ftype in _SHAPE:
+            m, n = fam.get("m", _SHAPE[ftype][0]), fam.get("n", _SHAPE[ftype][1])
+            if m < n:
+                raise ConfigError(f"{where}.m: must be at least n = {n}, got {m}")
+            if ftype == "set_p" and n < 2:
+                raise ConfigError(f"{where}.n: set_p needs n >= 2, got {n}")
         if ftype == "c1":
             _want(fam, "a", (float, int), where, required=True, positive=True)
         elif ftype == "c2":
@@ -199,6 +208,9 @@ def parse_config(source):
                 raise ConfigError(f"{where}.dw: must not exceed up")
         elif ftype == "file":
             _want(fam, "path", (str,), where, required=True)
+            if not isinstance(fam.get("verify", True), bool):
+                raise ConfigError(f"{where}.verify: expected bool, "
+                                  f"got {type(fam['verify']).__name__}")
         if ftype in ("c1", "c2"):
             _want(fam, "alpha", (float, int), where)
             kind = _want(fam, "kind", (int,), where)
@@ -245,18 +257,16 @@ def build_problems(config):
     out = []
     for idx, fam in enumerate(config.families):
         ftype = fam["type"]
-        if ftype == "set_p":
-            out.extend(problems.generate_problem_set_p(
-                seed=fam.get("seed", config.seed),
-                m=fam.get("m", 100), n=fam.get("n", 50),
-            ))
-            continue
         if ftype == "file":
             out.append(problems.load_problem(
                 fam["path"], verify=fam.get("verify", True)))
             continue
-        m = fam.get("m", 40)
-        n = fam.get("n", 20)
+        m = fam.get("m", _SHAPE[ftype][0])
+        n = fam.get("n", _SHAPE[ftype][1])
+        if ftype == "set_p":
+            out.extend(problems.generate_problem_set_p(
+                seed=fam.get("seed", config.seed), m=m, n=n))
+            continue
         if ftype == "c1":
             sigma = problems.sigma_c1(n, float(fam["a"]))
         else:
@@ -411,9 +421,12 @@ def _fmt(value):
 
 
 def emit_records(records, path, format="csv"):
-    """Write records; CSV floats use shortest round-trip decimals."""
-    if format == "csv":
-        with open(path, "w", newline="") as fh:
+    """Write records to a path or a text stream; CSV floats round-trip."""
+    if format not in ("csv", "json"):
+        raise ConfigError(f"unknown output format {format!r}")
+    stream = hasattr(path, "write")
+    with nullcontext(path) if stream else open(path, "w", newline="") as fh:
+        if format == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             for r in records:
@@ -423,7 +436,8 @@ def emit_records(records, path, format="csv"):
                     _fmt(r.estimate), _fmt(r.residual_gap),
                     r.wall_time_ns, r.status,
                 ])
-    elif format == "json":
+            return
+
         def clean(v):
             if isinstance(v, float) and not np.isfinite(v):
                 return None
@@ -436,11 +450,8 @@ def emit_records(records, path, format="csv"):
             "residualGapFinal": clean(r.residual_gap),
             "wallTimeNanos": r.wall_time_ns, "status": r.status,
         } for r in records]
-        with open(path, "w") as fh:
-            json.dump(objs, fh, indent=2, allow_nan=False)
-            fh.write("\n")
-    else:
-        raise ConfigError(f"unknown output format {format!r}")
+        json.dump(objs, fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def load_records(path):

@@ -127,16 +127,7 @@ def _cmd_bench(args):
         bench.emit_records(records, out, fmt)
         print(f"wrote {len(records)} records to {out}")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(bench.CSV_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.problem_id, r.m, r.n, repr(r.kappa), r.solver,
-                r.iterations, repr(r.rel_error), repr(r.eta_bar),
-                repr(r.estimate),
-                "" if r.residual_gap is None else repr(r.residual_gap),
-                r.wall_time_ns, r.status,
-            ])
+        bench.emit_records(records, sys.stdout, fmt)
     if any(r.status == "error" for r in records):
         return _EXIT_NUMERICAL
     return 0

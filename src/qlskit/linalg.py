@@ -306,26 +306,36 @@ def svd(a, tol=1e-15):
 # Symmetric spectral norm
 # ---------------------------------------------------------------------------
 
+def _symmetric_part(m):
+    """Return (M + M^T) / 2; NotSymmetric if ||M - M^T||_F > 10 u ||M||_F.
+
+    The norms are taken of M / max|M| and the halves are added, so huge
+    entries cannot overflow.
+    """
+    m = as_matrix(m, "m")
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch("matrix must be square")
+    scale = np.max(np.abs(m)) if m.size else 0.0
+    if scale > 0.0:
+        s = m / scale
+        if np.sqrt(np.sum((s - s.T) ** 2)) > 10.0 * U * np.sqrt(np.sum(s * s)):
+            raise NotSymmetric("matrix is not symmetric to working precision")
+    return 0.5 * m + 0.5 * m.T
+
+
 def sym_spectral_norm(m):
     """Largest |eigenvalue| of a symmetric matrix.
 
     The eigenvalues come from LAPACK's symmetric eigensolver
     (``np.linalg.eigvalsh``), which is backward stable, so the result
-    carries an absolute error of a small multiple of u ||M||_2.  There is
-    no sweep budget, and NoConvergence is no longer raised.  Asymmetry
+    carries an absolute error of a small multiple of u ||M||_2.  Asymmetry
     beyond 10 u ||M||_F raises NotSymmetric; smaller asymmetry is
     symmetrized away.  The zero matrix returns 0.0.
     """
-    m = as_matrix(m, "m")
-    n = m.shape[0]
-    if m.shape[1] != n:
-        raise DimensionMismatch("matrix must be square")
-    normf = np.sqrt(np.sum(m * m))
-    if normf == 0.0:
+    m = _symmetric_part(m)
+    if not m.any():
         return 0.0
-    if np.sqrt(np.sum((m - m.T) ** 2)) > 10.0 * U * normf:
-        raise NotSymmetric("matrix is not symmetric to working precision")
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
+    w = np.linalg.eigvalsh(m)
     return float(max(-w[0], w[-1]))
 
 
@@ -354,17 +364,12 @@ def ldlt_factorize(m):
     """Bunch-Kaufman LDLT of a symmetric matrix.
 
     The standard partial-pivoting strategy with threshold (1 + sqrt(17))/8
-    selects 1x1 or 2x2 diagonal pivots.  A singular pivot block raises
-    Breakdown.
+    selects 1x1 or 2x2 diagonal pivots.  Each Schur update is exactly
+    symmetric, so the two triangles of the working copy never drift
+    apart.  A singular pivot block raises Breakdown.
     """
-    m = as_matrix(m, "m")
-    n = m.shape[0]
-    if m.shape[1] != n:
-        raise DimensionMismatch("matrix must be square")
-    normf = np.sqrt(np.sum(m * m))
-    if normf > 0.0 and np.sqrt(np.sum((m - m.T) ** 2)) > 10.0 * U * normf:
-        raise NotSymmetric("matrix is not symmetric to working precision")
-    a = 0.5 * (m + m.T)
+    a = _symmetric_part(m)
+    n = a.shape[0]
     lmat = np.eye(n)
     d = np.zeros((n, n))
     perm = np.arange(n)
@@ -413,9 +418,9 @@ def ldlt_factorize(m):
             d[k, k] = piv
             blocks.append(1)
             if k + 1 < n:
-                col = a[k + 1:, k] / piv
-                lmat[k + 1:, k] = col
-                a[k + 1:, k + 1:] -= np.outer(col, a[k + 1:, k])
+                lmat[k + 1:, k] = a[k + 1:, k] / piv
+                upd = np.outer(lmat[k + 1:, k], a[k + 1:, k])
+                a[k + 1:, k + 1:] -= 0.5 * upd + 0.5 * upd.T
             k += 1
         else:
             e = a[k:k + 2, k:k + 2].copy()
@@ -429,7 +434,8 @@ def ldlt_factorize(m):
                 inv = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]]) / det
                 cmat = wmat @ inv
                 lmat[k + 2:, k:k + 2] = cmat
-                a[k + 2:, k + 2:] -= cmat @ wmat.T
+                upd = cmat @ wmat.T
+                a[k + 2:, k + 2:] -= 0.5 * upd + 0.5 * upd.T
             k += 2
     return LdltFactorization(lmat, d, perm, blocks)
 

@@ -302,10 +302,6 @@ def _c_band(style, s):
     return -s, s
 
 
-def _draw_c(n, rng, lo, hi):
-    return lo + (hi - lo) * rng.random(n)
-
-
 def generate_problem_set_p(seed=DEFAULT_SET_SEED, m=100, n=50):
     """Deterministic 40-problem benchmark collection.
 

@@ -1,5 +1,8 @@
 """Condition numbers, backward errors, bounds, perturbation construction."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,13 @@ from qlskit.errors import (
     NoRealRoot,
     ZeroVector,
 )
-from helpers import commutation_matrix
+from helpers import (
+    commutation_matrix,
+    frac_matrix,
+    frac_solve,
+    frac_vector,
+    random_integer_problem,
+)
 
 U = np.finfo(float).eps / 2
 
@@ -151,20 +160,78 @@ def test_eta_one_scale():
 
 def test_minimum_norm_perturbation_matches_eta():
     rng = np.random.default_rng(53)
-    for _ in range(8):
+    for theta1, theta2 in [(1.0, 1.0), (0.5, 2.0), (4.0, 0.25)] * 8:
         n = int(rng.integers(2, 5))
         m = n + int(rng.integers(1, 4))
         a = rng.standard_normal((m, n))
         p = problems.QlsProblem(a=a, b=rng.standard_normal(m),
                                 c=rng.standard_normal(n))
         xt = direct.solve_qr(p) + 1e-7 * rng.standard_normal(n)
-        trip = analysis.minimum_norm_perturbation(p, xt)
-        eta = analysis.linearized_backward_error(p, xt)
-        assert abs(trip.weighted_norm - eta) <= 1e-10 * max(eta, 1e-300)
+        trip = analysis.minimum_norm_perturbation(p, xt, theta1, theta2)
+        eta = analysis.linearized_backward_error(p, xt, theta1, theta2)
+        weighted = np.sqrt(np.sum(trip.e ** 2) + theta1 ** 2 * trip.f @ trip.f
+                           + theta2 ** 2 * trip.g @ trip.g)
+        assert abs(weighted - eta) <= 1e-10 * max(eta, 1e-300)
+        if theta1 == theta2 == 1.0:
+            assert trip.weighted_norm == pytest.approx(eta, rel=1e-10)
         # the triple admits xt up to second order in its own size
         ap = a + trip.e
         res = ap.T @ (p.b + trip.f - ap @ xt) + p.c + trip.g
-        assert np.linalg.norm(res) <= 1e2 * eta ** 2 * (1 + np.linalg.norm(xt)) + 1e2 * U
+        scale = max(1.0, 1.0 / theta1, 1.0 / theta2)
+        assert np.linalg.norm(res) <= 1e2 * (scale * eta) ** 2 * (1 + np.linalg.norm(xt)) + 1e2 * U
+
+
+def exact_backward_error(p, x, theta1, theta2, theta_a, eps=None):
+    """sqrt(h^T (J J^T)^-1 h) with J built entrywise in fractions."""
+    a, b, c = frac_matrix(p.a), frac_vector(p.b), frac_vector(p.c)
+    xf = frac_vector(x)
+    m, n = len(a), len(a[0])
+    t1, t2, ta = Fraction(theta1), Fraction(theta2), Fraction(theta_a)
+    r = [b[i] - sum(a[i][j] * xf[j] for j in range(n)) for i in range(m)]
+    e2 = Fraction(0) if eps is None else Fraction(eps) ** 2
+    ctx = sum(c[j] * xf[j] for j in range(n))
+    h = [sum(a[i][k] * r[i] for i in range(m)) + c[k] - e2 * ctx * c[k]
+         for k in range(n)]
+    rows = []
+    for k in range(n):
+        # d psi_k / d E[i, j] = delta_kj r_i - A[i, k] x_j
+        row = [((r[i] if k == j else 0) - a[i][k] * xf[j]) / ta
+               for i in range(m) for j in range(n)]
+        row += [a[i][k] / t1 for i in range(m)]
+        row += [((1 - e2 * ctx if k == l else 0) - e2 * c[k] * xf[l]) / t2
+                for l in range(n)]
+        rows.append(row)
+    gram = [[sum(u * v for u, v in zip(rows[i], rows[j])) for j in range(n)]
+            for i in range(n)]
+    y = frac_solve(gram, h)
+    return math.sqrt(sum(hk * yk for hk, yk in zip(h, y)))
+
+
+def test_backward_error_matches_exact_jacobian_oracle():
+    rng = np.random.default_rng(np.random.SeedSequence(60))
+    eps = 2.0 ** -3
+    weights = [(1.0, 1.0, 1.0), (0.25, 2.0, 0.5), (2.0, 0.5, 0.25),
+               (0.5, 0.25, 2.0)]
+    cases = []
+    for m, n in ((1, 1), (3, 2), (4, 3), (5, 3), (5, 1), (3, 3)):
+        p = random_integer_problem(rng, m, n)
+        cases.append((p, rng.standard_normal(n)))
+        cases.append((p, np.zeros(n)))
+        # c = A^T (A x - b) makes the integer x an exact solution: h = 0
+        xs = rng.integers(-3, 4, size=n).astype(float)
+        c = p.a.T @ (p.a @ xs - p.b)
+        cases.append((problems.QlsProblem(a=p.a, b=p.b, c=c), xs))
+    exact_solutions = 0
+    for p, x in cases:
+        for t1, t2, ta in weights:
+            want = exact_backward_error(p, x, t1, t2, ta)
+            got = analysis.linearized_backward_error(p, x, t1, t2, ta)
+            assert abs(got - want) <= 1e-10 * want
+            exact_solutions += want == 0.0
+            want = exact_backward_error(p, x, t1, t2, ta, eps)
+            got = analysis.linearized_backward_error_eps(p, x, eps, t1, t2, ta)
+            assert abs(got - want) <= 1e-10 * want
+    assert exact_solutions == 6 * len(weights)
 
 
 def test_sm_proximity_bound_values():

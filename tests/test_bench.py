@@ -69,6 +69,24 @@ def test_parse_config_diagnostics():
         ]})
     with pytest.raises(ConfigError, match="tol"):
         bench.parse_config(small_config(tol="tight"))
+    # fewer rows than columns, given or by default (c1/c2 n = 20, set_p
+    # n = 50), cannot be built; set_p also needs n >= 2
+    for fam in ({"type": "c1", "m": 4, "n": 8, "a": 1.5},
+                {"type": "c1", "m": 10, "a": 1.5},
+                {"type": "c2", "m": 3, "n": 4, "up": 1.0, "dw": 0.1},
+                {"type": "set_p", "m": 49},
+                {"type": "set_p", "n": 101}):
+        with pytest.raises(ConfigError, match=r"families\[0\]\.m"):
+            bench.parse_config({"families": [fam]})
+    with pytest.raises(ConfigError, match=r"families\[0\]\.n"):
+        bench.parse_config({"families": [{"type": "set_p", "m": 4, "n": 1}]})
+    with pytest.raises(ConfigError, match=r"families\[0\]\.verify"):
+        bench.parse_config({"families": [
+            {"type": "file", "path": "p.qls", "verify": "no"}]})
+    cfg = bench.parse_config({"families": [
+        {"type": "c2", "m": 4, "n": 4, "up": 1.0, "dw": 0.1},
+        {"type": "file", "path": "p.qls", "verify": False}]})
+    assert cfg.families[1]["verify"] is False
 
 
 def test_config_control_passes_through():

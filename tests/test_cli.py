@@ -1,5 +1,6 @@
 """Command-line entry points: outputs, overrides, and exit codes."""
 
+import csv
 import json
 import os
 
@@ -82,13 +83,26 @@ def test_bench_writes_csv(tmp_path, capsys):
 
 
 def test_bench_stdout_fallback(tmp_path, capsys):
-    # No --out and no "output" key: the CSV goes to stdout.
+    # No --out and no "output" key: the records go to stdout, written by
+    # the same writer as --out.
     cfg = write_config(tmp_path)
     rc = cli.main(["bench", "--config", cfg])
     lines = capsys.readouterr().out.strip().splitlines()
     assert rc == 0
     assert lines[0] == ",".join(bench.CSV_COLUMNS)
     assert len(lines) == 5
+    out = tmp_path / "records.csv"
+    assert cli.main(["bench", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    wall = bench.CSV_COLUMNS.index("wall_time_ns")
+    stdout_rows = list(csv.reader(lines))
+    file_rows = list(csv.reader(out.read_text().splitlines()))
+    assert len(stdout_rows) == len(file_rows)
+    for got, want in zip(stdout_rows, file_rows):
+        assert got[:wall] + got[wall + 1:] == want[:wall] + want[wall + 1:]
+    assert cli.main(["bench", "--config", cfg, "--format", "json"]) == 0
+    objs = json.loads(capsys.readouterr().out)
+    assert [o["problemId"] for o in objs] == ["t0", "t0", "t1", "t1"]
 
 
 def test_bench_json_format(tmp_path):
@@ -197,6 +211,17 @@ def test_bad_overrides_exit_config(tmp_path, capsys, argv):
     argv = [cfg if a == "CFG" else a for a in argv]
     assert cli.main(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", [
+    {"type": "c1", "m": 4, "n": 8, "a": 1.5},
+    {"type": "c2", "m": 10, "up": 1.0, "dw": 0.1},
+    {"type": "set_p", "m": 40},
+])
+def test_bench_short_wide_family_exit_config(tmp_path, capsys, family):
+    cfg = write_config(tmp_path, families=[family])
+    assert cli.main(["bench", "--config", cfg]) == 1
+    assert "families[0].m" in capsys.readouterr().err
 
 
 def test_missing_config_exit_config(tmp_path, capsys):

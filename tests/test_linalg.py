@@ -1,11 +1,12 @@
 """Dense kernel tests: QR, SVD, spectral norm, LDLT, triangular solve."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qlskit import linalg as la
+from qlskit import linalg as la, problems
 from qlskit.errors import (
     Breakdown,
     DimensionMismatch,
@@ -216,6 +217,11 @@ def test_sym_spectral_norm_hand_cases():
     assert abs(la.sym_spectral_norm(2.0 * np.eye(3)) - 2.0) < 1e-14
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
     assert abs(la.sym_spectral_norm(m) - 3.0) < 1e-13
+    # M + M^T would overflow here; the symmetric part is taken halves first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = la.sym_spectral_norm(np.array([[1e308, 1e308], [1e308, -1e308]]))
+    assert big == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-14)
 
 
 def test_sym_spectral_norm_matches_svd():
@@ -233,6 +239,11 @@ def test_sym_spectral_norm_rejects_asymmetric():
         la.sym_spectral_norm(np.ones((2, 3)))
     with pytest.raises(NotSymmetric):
         la.sym_spectral_norm(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # squaring these entries overflows an unscaled Frobenius norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotSymmetric):
+            la.sym_spectral_norm(np.array([[1e200, 2e200], [0.0, 1e200]]))
 
 
 def test_ldlt_identity():
@@ -262,6 +273,18 @@ def test_ldlt_reconstruction_random():
         assert err.max() <= 100 * U * np.linalg.norm(m)
 
 
+@pytest.mark.parametrize("index", [18, 19])
+def test_ldlt_reconstruction_set_p_augmented(index):
+    # set_p p18 and p19 (kappa 3e9 and 1e10): Schur updates that let the
+    # two triangles of the working copy drift apart miss here by ~1e-3
+    p = problems.generate_problem_set_p(seed=1729)[index]
+    k = problems.build_augmented(p).k
+    f = la.ldlt_factorize(k)
+    back = f.l @ f.d @ f.l.T
+    err = np.linalg.norm(back - k[np.ix_(f.perm, f.perm)]) / np.linalg.norm(k)
+    assert err <= 1e-14
+
+
 def test_ldlt_solve_augmented_residual():
     rng = np.random.default_rng(19)
     for _ in range(10):
@@ -280,5 +303,9 @@ def test_ldlt_errors():
         la.ldlt_factorize(np.ones((2, 3)))
     with pytest.raises(NotSymmetric):
         la.ldlt_factorize(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotSymmetric):
+            la.ldlt_factorize(np.array([[1e200, 2e200], [0.0, 1e200]]))
     with pytest.raises(Breakdown):
         la.ldlt_factorize(np.zeros((3, 3)))
