@@ -43,7 +43,6 @@ from .problems import (
     assemble_problem,
     build_augmented,
     build_eps_system,
-    build_hat_system,
     generate_problem_set_p,
     load_problem,
     orthogonal_factor,
@@ -102,9 +101,8 @@ __all__ = [
     "ldlt_factorize", "ldlt_solve", "qr_factorize", "qr_gram_solve",
     "qr_lstsq", "svd", "sym_spectral_norm",
     "DEFAULT_EPS", "QlsProblem", "assemble_problem", "build_augmented",
-    "build_eps_system", "build_hat_system", "generate_problem_set_p",
-    "load_problem", "orthogonal_factor", "save_problem", "sigma_c1",
-    "sigma_c2",
+    "build_eps_system", "generate_problem_set_p", "load_problem",
+    "orthogonal_factor", "save_problem", "sigma_c1", "sigma_c2",
     "IterationControl", "SolveOutcome", "cg_base", "cgls", "cgls_eps",
     "cgls_i", "minres_augmented",
     "solve_aug", "solve_qr", "solve_qr_eps", "solve_sm",

@@ -28,6 +28,7 @@ solver), deterministic apart from wall clock times.
 
 import csv
 import json
+import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -42,7 +43,59 @@ from .errors import (
     QlskitError,
 )
 
-SOLVERS = ("CG", "CGLSI", "CGLSEPS", "MINRES", "QR", "QREPS", "SM", "AUG")
+
+# ---------------------------------------------------------------------------
+# Solver table
+# ---------------------------------------------------------------------------
+
+def _krylov(o):
+    return o.x, o.iterations, o.status, None
+
+
+def _direct(x):
+    return x, 0, "direct", None
+
+
+def _cgls_i(p, eps, control):
+    o = iterative.cgls_i(p, control=control)
+    gaps = o.true_residual_gap_history
+    # Zero iterations means x0 was returned; its recurred d is the
+    # exactly-computed b - A x0, so the gap is zero.
+    return o.x, o.iterations, o.status, float(gaps[-1]) if len(gaps) else 0.0
+
+
+# The one solver table: name -> (run, estimate key).  run(p, eps, control)
+# returns (x, iterations, status, final CGLSI gap or None); the estimate
+# key names the forward-error estimate of analysis.forward_error_estimates
+# that fits the solver.  Solvers are looked up through their modules at
+# call time.
+SOLVER_TABLE = {
+    "CG": (lambda p, eps, control: _krylov(
+        iterative.cg_base(p, control=control)), "cg"),
+    "CGLSI": (_cgls_i, "cglsi"),
+    "CGLSEPS": (lambda p, eps, control: _krylov(
+        iterative.cgls_eps(p, eps, control=control)), "cglseps"),
+    "MINRES": (lambda p, eps, control: _krylov(
+        iterative.minres_augmented(p, control=control)), None),
+    "QR": (lambda p, eps, control: _direct(direct.solve_qr(p)), None),
+    "QREPS": (lambda p, eps, control: _direct(direct.solve_qr_eps(p, eps)),
+              None),
+    "SM": (lambda p, eps, control: _direct(direct.solve_sm(p, eps)), None),
+    "AUG": (lambda p, eps, control: _direct(direct.solve_aug(p)), None),
+}
+SOLVERS = tuple(SOLVER_TABLE)
+
+
+def check_solvers(names, where):
+    """Return `names` as a tuple; ConfigError naming `where` on an unknown one."""
+    for name in names:
+        if name not in SOLVER_TABLE:
+            raise ConfigError(
+                f"{where}: unknown solver {name!r}; "
+                f"valid names: {', '.join(SOLVERS)}"
+            )
+    return tuple(names)
+
 
 # Above this relative error a run counts as failed (not merely inaccurate).
 FAILURE_THRESHOLD = 1e-2
@@ -144,29 +197,38 @@ def _want(obj, key, kinds, where, required=False, positive=False):
     return val
 
 
+def _read_config(source):
+    # A config document is a JSON object, so a string is JSON text when
+    # its first non-blank character is "{" and a path otherwise.
+    if isinstance(source, dict):
+        return source
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        text = source
+    elif isinstance(source, (str, os.PathLike)):
+        try:
+            with open(source) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"config: cannot read {source}: {exc}")
+    else:
+        raise ConfigError(f"config: expected a dict, JSON text or a path, "
+                          f"got {type(source).__name__}")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"config: invalid JSON at line {exc.lineno} "
+            f"column {exc.colno}: {exc.msg}"
+        )
+
+
 def parse_config(source):
-    """Validate a config document (dict, JSON text, or file path).
+    """Validate a config document (dict, JSON text, or str/PathLike path).
 
     Raises ConfigError naming the offending field path, e.g.
-    "families[2].up: must be positive".
+    "families[2].up: must be positive", and for any other kind of source.
     """
-    if isinstance(source, dict):
-        obj = source
-    else:
-        text = source
-        if "{" not in str(source):
-            try:
-                with open(source) as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise ConfigError(f"config: cannot read {source}: {exc}")
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"config: invalid JSON at line {exc.lineno} "
-                f"column {exc.colno}: {exc.msg}"
-            )
+    obj = _read_config(source)
     if not isinstance(obj, dict):
         raise ConfigError("config: top level must be an object")
     extra = set(obj) - _TOP_KEYS
@@ -228,12 +290,7 @@ def parse_config(source):
     solvers = obj.get("solvers", list(SOLVERS))
     if not isinstance(solvers, list) or not solvers:
         raise ConfigError("config.solvers: must be a non-empty list")
-    for name in solvers:
-        if name not in SOLVERS:
-            raise ConfigError(
-                f"config.solvers: unknown solver {name!r}; "
-                f"valid names: {', '.join(SOLVERS)}"
-            )
+    solvers = check_solvers(solvers, "config.solvers")
     seed = _want(obj, "seed", (int,), "config")
     eps = _want(obj, "eps", (float, int), "config", positive=True)
     tol = _want(obj, "tol", (float, int), "config", positive=True)
@@ -242,7 +299,7 @@ def parse_config(source):
     output = _want(obj, "output", (str,), "config")
     return ExperimentConfig(
         families=fams,
-        solvers=tuple(solvers),
+        solvers=solvers,
         seed=problems.DEFAULT_SET_SEED if seed is None else seed,
         eps=problems.DEFAULT_EPS if eps is None else float(eps),
         tol=None if tol is None else float(tol),
@@ -288,39 +345,7 @@ def build_problems(config):
 # Suite runner
 # ---------------------------------------------------------------------------
 
-def _dispatch(solver, p, config):
-    """Run one solver; returns (x, iterations, final_gap)."""
-    ctrl = config.control()
-    if solver == "CG":
-        o = iterative.cg_base(p, control=ctrl)
-    elif solver == "CGLSI":
-        o = iterative.cgls_i(p, control=ctrl)
-        gaps = o.true_residual_gap_history
-        # Zero iterations means x0 was returned; its recurred d is the
-        # exactly-computed b - A x0, so the gap is zero.
-        return o.x, o.iterations, float(gaps[-1]) if len(gaps) else 0.0
-    elif solver == "CGLSEPS":
-        o = iterative.cgls_eps(p, config.eps, control=ctrl)
-    elif solver == "MINRES":
-        o = iterative.minres_augmented(p, control=ctrl)
-    elif solver == "QR":
-        return direct.solve_qr(p), 0, None
-    elif solver == "QREPS":
-        return direct.solve_qr_eps(p, config.eps), 0, None
-    elif solver == "SM":
-        return direct.solve_sm(p, config.eps), 0, None
-    elif solver == "AUG":
-        return direct.solve_aug(p), 0, None
-    else:
-        raise ConfigError(f"unknown solver {solver!r}")
-    return o.x, o.iterations, None
-
-
-_ESTIMATE_KEY = {"CG": "cg", "CGLSI": "cglsi", "CGLSEPS": "cglseps"}
-
-
-def _estimate_for(solver, p, x, eps):
-    key = _ESTIMATE_KEY.get(solver)
+def _estimate_for(key, p, x, eps):
     if key is None:
         return float("nan")
     try:
@@ -332,17 +357,19 @@ def _estimate_for(solver, p, x, eps):
 
 def run_suite(config):
     """One BenchRecord per (problem, solver), sorted for stable output."""
-    if isinstance(config, (dict, str)):
+    if not isinstance(config, ExperimentConfig):
         config = parse_config(config)
+    solvers = check_solvers(config.solvers, "config.solvers")
     probs = build_problems(config)
     records = []
     for p in probs:
         xref = p.x_exact if p.x_exact is not None else direct.solve_qr(p)
         nref = np.linalg.norm(xref)
-        for solver in config.solvers:
+        for solver in solvers:
+            run, key = SOLVER_TABLE[solver]
             t0 = time.perf_counter_ns()
             try:
-                x, iterations, gap = _dispatch(solver, p, config)
+                x, iterations, _, gap = run(p, config.eps, config.control())
                 rel = float(np.linalg.norm(x - xref) /
                             (nref if nref > 0 else 1.0))
             except QlskitError:
@@ -357,7 +384,7 @@ def run_suite(config):
                     eta = analysis.relative_backward_error(p, x)
                 except QlskitError:
                     eta = float("nan")
-                est = _estimate_for(solver, p, x, config.eps)
+                est = _estimate_for(key, p, x, config.eps)
             records.append(BenchRecord(
                 problem_id=p.label, m=p.m, n=p.n, kappa=float(p.kappa()),
                 solver=solver, iterations=iterations, rel_error=rel,

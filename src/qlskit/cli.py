@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import bench, direct, iterative, problems
+from . import bench, iterative, problems
 from .errors import ConfigError, MissingConfiguration, QlskitError
 
 _EXIT_CONFIG = 1
@@ -45,10 +45,7 @@ def _check_eps(eps):
 def _apply_overrides(config, args):
     if getattr(args, "solver", None):
         names = [s.strip() for s in args.solver.split(",") if s.strip()]
-        for name in names:
-            if name not in bench.SOLVERS:
-                raise ConfigError(f"--solver: unknown solver {name!r}")
-        config.solvers = tuple(names)
+        config.solvers = bench.check_solvers(names, "--solver")
     if getattr(args, "eps", None) is not None:
         config.eps = _check_eps(args.eps)
     if getattr(args, "tol", None) is not None:
@@ -76,36 +73,14 @@ def _cmd_gen(args):
     return 0
 
 
-def _solve_one(solver, p, eps, ctrl):
-    if solver == "CG":
-        return iterative.cg_base(p, control=ctrl)
-    if solver == "CGLSI":
-        return iterative.cgls_i(p, control=ctrl)
-    if solver == "CGLSEPS":
-        return iterative.cgls_eps(p, eps, control=ctrl)
-    if solver == "MINRES":
-        return iterative.minres_augmented(p, control=ctrl)
-    direct_map = {
-        "QR": lambda: direct.solve_qr(p),
-        "QREPS": lambda: direct.solve_qr_eps(p, eps),
-        "SM": lambda: direct.solve_sm(p, eps),
-        "AUG": lambda: direct.solve_aug(p),
-    }
-    if solver not in direct_map:
-        raise ConfigError(f"--solver: unknown solver {solver!r}")
-    return direct_map[solver]()
-
-
 def _cmd_solve(args):
     p = problems.load_problem(args.problem)
     solver = (args.solver or "QR").strip()
     eps = _check_eps(args.eps) or problems.DEFAULT_EPS
     ctrl = iterative.IterationControl(tol=args.tol, max_iterations=args.maxit)
-    outcome = _solve_one(solver, p, eps, ctrl)
-    if isinstance(outcome, iterative.SolveOutcome):
-        x, iterations, status = outcome.x, outcome.iterations, outcome.status
-    else:
-        x, iterations, status = outcome, 0, "direct"
+    bench.check_solvers([solver], "--solver")
+    run, _ = bench.SOLVER_TABLE[solver]
+    x, iterations, status, _ = run(p, eps, ctrl)
     print(f"problem {p.label or args.problem}  m={p.m} n={p.n} "
           f"kappa={p.kappa():.3e}")
     print(f"solver {solver}  iterations={iterations}  status={status}")

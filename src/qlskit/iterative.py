@@ -8,23 +8,31 @@ Four variants with rather different rounding behaviour:
   never repaired later; the solver is included as the baseline.
 * ``cgls``: least-squares CG on (A, b), re-forming r = A^T d every
   iteration instead of recurring it.
+* ``cgls_i``: cgls with the shift re-added every iteration,
+  r = A^T d + c.  This is cgls on [A; c^T] with (b, 1) and the last
+  residual coordinate pinned to one, so it solves the base problem
+  itself; the distance between the recurred and true residuals is
+  tracked per iteration.
 * ``cgls_eps``: cgls applied to the stacked system [A; eps c^T] with
   right-hand side (b, 1/eps).  eps is an exact power of two so the two
   scalings of c are exact; the solution differs from the base problem's
   by O(eps^2).
-* ``cgls_i``: cgls applied to [A; c^T] with (b, 1) where the last
-  residual coordinate is pinned to one instead of being updated.  This
-  solves the base problem itself, and the distance between the recurred
-  and true stacked residuals is tracked per iteration.
 
 ``minres_augmented`` runs MINRES on the symmetric saddle form as an
 orthogonal point of comparison.
 
-All solvers stop on relative reduction of the recurred residual below
-``tol`` (default 100 times the unit roundoff), on ``patience``
-consecutive iterations without a new best residual norm (default 50,
-treated as converged to the attainable level), or at
-``max_iterations`` (default ten times the column count).  Ill
+Each method is a generator of iterates (``_cg_steps``, ``_cgls_steps``,
+``_minres_steps``) that yields (x_k, recurred residual norm) and
+returns on breakdown.  One loop, ``_drive``, runs any of them under
+the same stop rule and keeps the best iterate and the histories.
+
+A run stops with status "converged" when the recurred residual falls
+below ``tol`` (default 100 times the unit roundoff) times its initial
+value, "stalled" after ``patience`` consecutive iterations without a new
+best residual norm (default 50), "diverged" when the norm turns
+nonfinite or exceeds ``DIVERGENCE_FACTOR`` times its initial value,
+"max_iterations" at ``max_iterations`` (default ten times the column
+count), and "breakdown" when a step has zero curvature.  Ill
 conditioned spectra can stagnate for long stretches and then resume
 converging, so experiment configurations raise the patience.
 
@@ -41,7 +49,7 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from .errors import DimensionMismatch, InvalidParameter
-from .problems import DEFAULT_EPS, build_eps_system, build_hat_system
+from .problems import DEFAULT_EPS, build_eps_system
 
 DEFAULT_TOL = 100.0 * la.U
 
@@ -92,8 +100,8 @@ class SolveOutcome:
     entry per iteration (entry k-1 is the recurred norm after k
     iterations; the initial norm is not stored), so its length equals
     ``iterations``; ``true_residual_gap_history`` follows the same
-    convention.  ``status`` is one of "converged", "max_iterations",
-    "breakdown".
+    convention.  ``status`` says why the run stopped: "converged",
+    "stalled", "diverged", "max_iterations" or "breakdown".
     """
 
     x: np.ndarray
@@ -104,225 +112,142 @@ class SolveOutcome:
 
 
 class _StopRule:
-    def __init__(self, initial, tol, maxit, patience=None):
+    def __init__(self, initial, tol, maxit, patience):
         self.threshold = tol * initial
         self.ceiling = DIVERGENCE_FACTOR * initial
         self.maxit = maxit
-        self.patience = STALL_PATIENCE if patience is None else patience
+        self.patience = patience
         self.best = initial
         self.best_k = 0
         self.stalled = 0
-        self.status = None
-
-    def start(self):
-        # Degenerate zero right-hand side or zero iteration budget.
-        if self.best == 0.0:
-            self.status = "converged"
-        elif self.maxit <= 0:
-            self.status = "max_iterations"
-        return self.status
 
     def step(self, k, norm):
         if not np.isfinite(norm) or norm > self.ceiling:
             # Post-floor blow-up; the best iterate stands as the answer.
-            self.status = "converged"
-            return self.status
+            return "diverged"
         if norm < self.best:
             self.best = norm
             self.best_k = k
             self.stalled = 0
         else:
             self.stalled += 1
-        if norm <= self.threshold or self.stalled >= self.patience:
-            self.status = "converged"
-        elif k >= self.maxit:
-            self.status = "max_iterations"
-        return self.status
+        if norm <= self.threshold:
+            return "converged"
+        if self.stalled >= self.patience:
+            return "stalled"
+        if k >= self.maxit:
+            return "max_iterations"
+        return None
 
 
-def _outcome(x, hist, status, gaps=None, upto=None):
-    # Once the recurred residual has reached its floor the iteration is
-    # not self-correcting: directions lose conjugacy and the iterate
-    # random-walks away from the converged point while the stall counter
-    # runs out.  Solvers therefore hand back the iterate with the
-    # smallest recurred residual norm and the histories are cut at that
-    # point.  The lists passed in carry the initial entry at index 0;
-    # it is dropped here so the stored histories have exactly one entry
-    # per iteration.
-    end = len(hist) if upto is None else upto + 1
+def _drive(steps, limits, gaps=None):
+    """Run a step generator under the stop rule; return the best iterate.
+
+    `steps` yields (x_k, recurred residual norm_k) for k = 0, 1, ...
+    and returns on breakdown; `limits` is (tol, maxit, patience).
+    `gaps`, if given, is a list the generator fills with one entry per
+    yielded iterate.
+
+    Once the recurred residual has reached its floor the iteration is
+    not self-correcting: directions lose conjugacy and the iterate
+    random-walks away from the converged point while the stall counter
+    runs out.  The iterate with the smallest recurred residual norm is
+    therefore handed back and the histories are cut at that point; the
+    initial entry is dropped so they hold exactly one entry per
+    iteration.
+    """
+    x, norm = next(steps)
+    hist = [norm]
+    rule = _StopRule(norm, *limits)
+    # A zero initial residual (zero right-hand side or exact x0) is solved.
+    status = "converged" if norm == 0.0 else None
+    x_best = x.copy()
+    k = 0
+    while not status:
+        step = next(steps, None)
+        if step is None:
+            status = "breakdown"
+            break
+        x, norm = step
+        k += 1
+        hist.append(norm)
+        status = rule.step(k, norm)
+        if rule.best_k == k:
+            x_best = x.copy()
+    end = rule.best_k + 1
     return SolveOutcome(
-        x=x,
-        iterations=end - 1,
+        x=x_best,
+        iterations=rule.best_k,
         residual_norm_history=np.array(hist[1:end]),
         true_residual_gap_history=None if gaps is None else np.array(gaps[1:end]),
         status=status,
     )
 
 
-def cg_base(p, control=None):
-    """Conjugate gradients on A^T A x = A^T b + c.
-
-    The right-hand side is formed once as fl(fl(A^T b) + c); everything
-    after that sees only the already-rounded vector.
-    """
-    control = control or IterationControl()
-    tol, maxit, x, patience = control.resolve(p.n)
-    a = p.a
-    rhs = (a.T @ p.b) + p.c
+def _cg_steps(a, rhs, x):
+    """CG on A^T A x = rhs."""
     r = rhs - a.T @ (a @ x)
-    d = r.copy()
+    d = r
     rho = float(r @ r)
-    hist = [np.sqrt(rho)]
-    rule = _StopRule(hist[0], tol, maxit, patience)
-    if rule.start():
-        return _outcome(x, hist, rule.status)
-    x_best = x.copy()
-    k = 0
+    yield x, np.sqrt(rho)
     while True:
         q = a.T @ (a @ d)
         den = float(d @ q)
         if den <= 0.0:
-            return _outcome(x_best, hist, "breakdown", upto=rule.best_k)
+            return
         alpha = rho / den
         x = x + alpha * d
         r = r - alpha * q
         rho_new = float(r @ r)
-        k += 1
-        hist.append(np.sqrt(rho_new))
-        done = rule.step(k, hist[-1])
-        if rule.best_k == k:
-            x_best = x.copy()
-        if done:
-            return _outcome(x_best, hist, rule.status, upto=rule.best_k)
+        yield x, np.sqrt(rho_new)
         d = r + (rho_new / rho) * d
         rho = rho_new
 
 
-def cgls(a, b, control=None):
-    """CGLS for min ||a x - b||, re-forming a^T d each iteration."""
-    a = la.as_matrix(a, "a")
-    b = la.as_vector(b, "b")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatch("b length does not match row count")
-    control = control or IterationControl()
-    tol, maxit, x, patience = control.resolve(a.shape[1])
+def _cgls_steps(a, b, x, shift=None, gaps=None):
+    """CGLS on min ||a x - b||, re-forming r = a^T d (+ shift) every step.
+
+    d is the recurred residual b - a x.  With a `gaps` list the distance
+    ||(b - a x_k) - d_k|| is appended for every yielded iterate.
+    """
     d = b - a @ x
-    r = a.T @ d
-    p_dir = r.copy()
-    rho = float(r @ r)
-    hist = [np.sqrt(rho)]
-    rule = _StopRule(hist[0], tol, maxit, patience)
-    if rule.start():
-        return _outcome(x, hist, rule.status)
-    x_best = x.copy()
-    k = 0
+    p_dir = None
     while True:
+        r = a.T @ d
+        if shift is not None:
+            r += shift
+        rho_new = float(r @ r)
+        if gaps is not None:
+            gaps.append(np.linalg.norm((b - a @ x) - d))
+        yield x, np.sqrt(rho_new)
+        p_dir = r if p_dir is None else r + (rho_new / rho) * p_dir
+        rho = rho_new
         t = a @ p_dir
         tt = float(t @ t)
         if tt <= 0.0:
-            return _outcome(x_best, hist, "breakdown", upto=rule.best_k)
+            return
         alpha = rho / tt
         x = x + alpha * p_dir
         d = d - alpha * t
-        r = a.T @ d
-        rho_new = float(r @ r)
-        k += 1
-        hist.append(np.sqrt(rho_new))
-        done = rule.step(k, hist[-1])
-        if rule.best_k == k:
-            x_best = x.copy()
-        if done:
-            return _outcome(x_best, hist, rule.status, upto=rule.best_k)
-        p_dir = r + (rho_new / rho) * p_dir
-        rho = rho_new
 
 
-def cgls_eps(p, eps=DEFAULT_EPS, control=None):
-    """CGLS on the stacked regularized system [A; eps c^T], (b, 1/eps)."""
-    sys_ = build_eps_system(p, eps)
-    return cgls(sys_.a_eps, sys_.b_eps, control)
+def _minres_steps(a, b, c, x):
+    """MINRES on [[I, A], [A^T, 0]] (r, x) = (b, -c), yielding the x block.
 
-
-def cgls_i(p, control=None):
-    """CGLS on [A; c^T], (b, 1) with the last residual coordinate pinned.
-
-    The stacked residual's final entry stays exactly one because the
-    update never touches it; the shift c therefore re-enters r = A^T d
-    at full accuracy every iteration.  ``true_residual_gap_history``
-    records, per iteration, ||(b - A x_k) - d_k|| over the first m
-    coordinates, scaled by sigma_max(A) times ||x_exact|| (or the
-    returned iterate's norm when the problem carries no reference
-    solution).
+    Paige-Saunders recurrences; r2 carries the unnormalized next Lanczos
+    vector, phibar the recurred residual norm.  A zero Lanczos beta
+    makes sn and so phibar zero, which the stop rule takes as converged.
     """
-    control = control or IterationControl()
-    tol, maxit, x, patience = control.resolve(p.n)
-    hs = build_hat_system(p)
-    a, c = p.a, p.c
-    m = p.m
-    dhat = hs.b_hat - np.append(a @ x, 0.0)
-    r = a.T @ dhat[:m] + c * dhat[m]
-    p_dir = r.copy()
-    rho = float(r @ r)
-    hist = [np.sqrt(rho)]
-    raw_gaps = [np.linalg.norm(p.residual(x) - dhat[:m])]
-    rule = _StopRule(hist[0], tol, maxit, patience)
-    status = rule.start()
-    x_best = x.copy()
-    k = 0
-    while not status:
-        t = a @ p_dir
-        tt = float(t @ t)
-        if tt <= 0.0:
-            status = "breakdown"
-            break
-        alpha = rho / tt
-        x = x + alpha * p_dir
-        dhat[:m] -= alpha * t
-        r = a.T @ dhat[:m] + c * dhat[m]
-        rho_new = float(r @ r)
-        k += 1
-        hist.append(np.sqrt(rho_new))
-        raw_gaps.append(np.linalg.norm(p.residual(x) - dhat[:m]))
-        status = rule.step(k, hist[-1])
-        if rule.best_k == k:
-            x_best = x.copy()
-        if not status:
-            p_dir = r + (rho_new / rho) * p_dir
-            rho = rho_new
-    xref = p.x_exact if p.x_exact is not None else x_best
-    scale = p.sigma_max() * max(np.linalg.norm(xref), np.finfo(float).tiny)
-    gaps = [g / scale for g in raw_gaps]
-    return _outcome(x_best, hist, status, gaps, upto=rule.best_k)
-
-
-def minres_augmented(p, control=None):
-    """MINRES on [[I, A], [A^T, 0]] (r, x) = (b, -c); returns the x block.
-
-    The operator is applied matrix-free.  A zero Lanczos beta means the
-    Krylov space is exhausted with the residual already minimal, so it
-    reports convergence.
-    """
-    control = control or IterationControl()
-    tol, maxit, x0, patience = control.resolve(p.n)
-    a = p.a
-    m, n = p.m, p.n
+    m, n = a.shape
 
     def op(y):
         return np.concatenate([y[:m] + a @ y[m:], a.T @ y[:m]])
 
-    sol = np.concatenate([p.b - a @ x0, x0])
-    rhs = np.concatenate([p.b, -p.c])
-    r1 = rhs - op(sol)
+    sol = np.concatenate([b - a @ x, x])
+    r1 = np.concatenate([b, -c]) - op(sol)
     beta1 = np.linalg.norm(r1)
-    hist = [beta1]
-    rule = _StopRule(beta1, tol, maxit, patience)
-    if rule.start():
-        return _outcome(sol[m:], hist, rule.status)
-
-    # Paige-Saunders recurrences; r2 carries the unnormalized next
-    # Lanczos vector, phibar the recurred residual norm.
-    y = r1.copy()
-    r2 = r1.copy()
+    yield sol[m:], beta1
+    y = r2 = r1
     oldb = 0.0
     beta = beta1
     dbar = 0.0
@@ -332,13 +257,13 @@ def minres_augmented(p, control=None):
     sn = 0.0
     w = np.zeros(m + n)
     w2 = np.zeros(m + n)
-    x_best = sol[m:].copy()
-    k = 0
+    first = True
     while True:
         v = y / beta
         y = op(v)
-        if k >= 1:
+        if not first:
             y = y - (beta / oldb) * r1
+        first = False
         alfa = float(v @ y)
         y = y - (alfa / beta) * r2
         r1 = r2
@@ -352,7 +277,7 @@ def minres_augmented(p, control=None):
         dbar = -cs * beta
         gamma = np.hypot(gbar, beta)
         if gamma == 0.0:
-            return _outcome(x_best, hist, "breakdown", upto=rule.best_k)
+            return
         cs = gbar / gamma
         sn = beta / gamma
         phi = cs * phibar
@@ -361,13 +286,65 @@ def minres_augmented(p, control=None):
         w2 = w
         w = (v - oldeps * w1 - delta * w2) / gamma
         sol = sol + phi * w
-        k += 1
-        hist.append(phibar)
-        if beta == 0.0:
-            # Exact Krylov termination.
-            return _outcome(sol[m:], hist, "converged")
-        done = rule.step(k, hist[-1])
-        if rule.best_k == k:
-            x_best = sol[m:].copy()
-        if done:
-            return _outcome(x_best, hist, rule.status, upto=rule.best_k)
+        yield sol[m:], phibar
+
+
+def _resolve(control, n):
+    tol, maxit, x0, patience = (control or IterationControl()).resolve(n)
+    return x0, (tol, maxit, patience)
+
+
+def cg_base(p, control=None):
+    """Conjugate gradients on A^T A x = A^T b + c.
+
+    The right-hand side is formed once as fl(fl(A^T b) + c); everything
+    after that sees only the already-rounded vector.
+    """
+    x0, limits = _resolve(control, p.n)
+    return _drive(_cg_steps(p.a, (p.a.T @ p.b) + p.c, x0), limits)
+
+
+def cgls(a, b, control=None):
+    """CGLS for min ||a x - b||, re-forming a^T d each iteration."""
+    a = la.as_matrix(a, "a")
+    b = la.as_vector(b, "b")
+    if b.shape[0] != a.shape[0]:
+        raise DimensionMismatch("b length does not match row count")
+    x0, limits = _resolve(control, a.shape[1])
+    return _drive(_cgls_steps(a, b, x0), limits)
+
+
+def cgls_eps(p, eps=DEFAULT_EPS, control=None):
+    """CGLS on the stacked regularized system [A; eps c^T], (b, 1/eps)."""
+    sys_ = build_eps_system(p, eps)
+    return cgls(sys_.a_eps, sys_.b_eps, control)
+
+
+def cgls_i(p, control=None):
+    """CGLS with the shift re-added every iteration: r = A^T d + c.
+
+    This is CGLS on [A; c^T], (b, 1) with the last residual coordinate
+    pinned to one, so c re-enters r at full accuracy every iteration.
+    ``true_residual_gap_history`` records, per iteration,
+    ||(b - A x_k) - d_k||, scaled by sigma_max(A) times ||x_exact|| (or
+    the returned iterate's norm when the problem carries no reference
+    solution).
+    """
+    x0, limits = _resolve(control, p.n)
+    raw = []
+    o = _drive(_cgls_steps(p.a, p.b, x0, shift=p.c, gaps=raw), limits, raw)
+    xref = p.x_exact if p.x_exact is not None else o.x
+    scale = p.sigma_max() * max(np.linalg.norm(xref), np.finfo(float).tiny)
+    # Only the kept entries are scaled: with no iteration kept, a scale
+    # that underflows to zero divides nothing.
+    o.true_residual_gap_history = o.true_residual_gap_history / scale
+    return o
+
+
+def minres_augmented(p, control=None):
+    """MINRES on [[I, A], [A^T, 0]] (r, x) = (b, -c); returns the x block.
+
+    The operator is applied matrix-free.
+    """
+    x0, limits = _resolve(control, p.n)
+    return _drive(_minres_steps(p.a, p.b, p.c, x0), limits)

@@ -404,7 +404,9 @@ def ldlt_factorize(m):
             row = np.abs(a[r, k:])
             row[r - k] = 0.0
             rowmax = float(np.max(row)) if row.size else 0.0
-            if absakk * rowmax >= _BK_ALPHA * colmax * colmax:
+            # rowmax >= colmax > 0; the quotient form of
+            # absakk * rowmax >= alpha * colmax^2 cannot overflow.
+            if absakk >= _BK_ALPHA * colmax * (colmax / rowmax):
                 pass
             elif abs(a[r, r]) >= _BK_ALPHA * rowmax:
                 swap(k, r, k)

@@ -234,14 +234,6 @@ class EpsSystem:
 
 
 @dataclass
-class HatSystem:
-    """Stacked system [A; c^T], (b, 1) whose last residual row is masked."""
-
-    a_hat: np.ndarray
-    b_hat: np.ndarray
-
-
-@dataclass
 class AugmentedSystem:
     """Symmetric saddle system [[scale I, A], [A^T, 0]].
 
@@ -265,10 +257,6 @@ def build_eps_system(p, eps=DEFAULT_EPS):
     a_eps = np.vstack([p.a, eps * p.c])
     b_eps = np.append(p.b, 1.0 / eps)
     return EpsSystem(a_eps, b_eps, eps, adjusted)
-
-
-def build_hat_system(p):
-    return HatSystem(np.vstack([p.a, p.c]), np.append(p.b, 1.0))
 
 
 def build_augmented(p, scale=None):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -46,6 +47,53 @@ def test_parse_config_accepts_dict_text_path(tmp_path):
         assert cfg.seed == 5
         assert len(cfg.families) == 1
         assert cfg.solvers == bench.SOLVERS
+
+
+def test_parse_config_reads_path_with_brace(tmp_path):
+    # A path is a path even when it contains "{"; only text whose first
+    # non-blank character is "{" is JSON.
+    d = small_config()
+    path = tmp_path / "cfg{1}" / "t.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(d))
+    for source in (str(path), path):
+        assert bench.parse_config(source).seed == 5
+    assert bench.parse_config("  \n" + json.dumps(d)).seed == 5
+
+
+def test_parse_config_rejects_file_descriptors():
+    # An int would be opened as a file descriptor: 0 is stdin.
+    rfd, wfd = os.pipe()
+    try:
+        os.write(wfd, json.dumps(small_config()).encode())
+        os.close(wfd)
+        for source in (0, rfd, True):
+            with pytest.raises(ConfigError, match="expected a dict"):
+                bench.parse_config(source)
+    finally:
+        os.close(rfd)
+
+
+def test_parse_config_rejects_other_types():
+    for source in (None, 3.5, b"{}", ["families"]):
+        with pytest.raises(ConfigError, match="expected a dict"):
+            bench.parse_config(source)
+    with pytest.raises(ConfigError, match="expected a dict"):
+        bench.run_suite(None)
+
+
+def test_solver_table_is_the_only_name_list():
+    assert bench.SOLVERS == ("CG", "CGLSI", "CGLSEPS", "MINRES", "QR",
+                             "QREPS", "SM", "AUG")
+    assert bench.SOLVERS == tuple(bench.SOLVER_TABLE)
+    assert bench.check_solvers(["QR", "CG"], "x") == ("QR", "CG")
+    with pytest.raises(ConfigError, match="x: unknown solver 'NOPE'"):
+        bench.check_solvers(["QR", "NOPE"], "x")
+    # A config built in code is checked against the same table.
+    cfg = bench.ExperimentConfig(families=small_config()["families"],
+                                 solvers=("CG", "NOPE"))
+    with pytest.raises(ConfigError, match="config.solvers"):
+        bench.run_suite(cfg)
 
 
 def test_parse_config_diagnostics():

@@ -189,7 +189,8 @@ def test_history_conventions_all_solvers():
                                       kind=4, seed=int(rng.integers(100)))
         for solve in solvers:
             o = solve(p)
-            assert o.status in ("converged", "max_iterations", "breakdown")
+            assert o.status in ("converged", "stalled", "diverged",
+                                "max_iterations", "breakdown")
             hist = o.residual_norm_history
             assert len(hist) == o.iterations
             assert np.all(np.isfinite(hist)) and np.all(hist >= 0.0)
@@ -204,12 +205,49 @@ def test_max_iterations_status():
     assert o.status == "max_iterations" and o.iterations == 3
 
 
+def test_stall_status_under_small_patience():
+    # Past the floor the recurred residual stops improving; a short
+    # patience ends the run there and says so.
+    rng = np.random.default_rng(np.random.SeedSequence([42, 9]))
+    c = 0.1 * rng.random(20)
+    p = problems.assemble_problem(40, 20, problems.sigma_c1(20, 0.5), c,
+                                  kind=1, seed=109)
+    ctrl = iterative.IterationControl(tol=1e-30, max_iterations=4000,
+                                      patience=3)
+    for solve in (iterative.cg_base, iterative.cgls_i):
+        o = solve(p, control=ctrl)
+        assert o.status == "stalled"
+        hist = o.residual_norm_history
+        assert 0 < o.iterations < 4000 and hist[-1] == hist.min()
+
+
+def test_diverged_status_past_the_floor():
+    # Without a stall window CGLSI's recurred residual grows past its
+    # floor until it crosses DIVERGENCE_FACTOR times the initial norm.
+    rng = np.random.default_rng(np.random.SeedSequence([42, 9]))
+    p = problems.assemble_problem(16, 8, problems.sigma_c1(8, 0.5),
+                                  0.1 * rng.random(8), kind=1, seed=109)
+    o = iterative.cgls_i(p, control=iterative.IterationControl(
+        tol=1e-30, max_iterations=3000, patience=3000))
+    assert o.status == "diverged" and 0 < o.iterations < 3000
+    assert np.linalg.norm(o.x - p.x_exact) <= 1e-10 * np.linalg.norm(p.x_exact)
+
+
 def test_breakdown_on_vanishing_curvature():
     # the squared column underflows, so the first step has zero curvature
     p = problems.QlsProblem(a=np.array([[1e-150], [0.0]]),
                             b=np.array([1.0, 0.0]), c=np.array([0.0]))
     assert iterative.cg_base(p).status == "breakdown"
     assert iterative.cgls(p.a, p.b).status == "breakdown"
+    assert iterative.cgls_eps(p, 2.0 ** -47).status == "breakdown"
+    # sigma_max * ||x0|| underflows to zero; no gap entry is kept, so
+    # none is divided by it.
+    o = iterative.cgls_i(p)
+    assert o.status == "breakdown" and o.iterations == 0
+    assert len(o.true_residual_gap_history) == 0
+    # The augmented operator keeps unit entries, so MINRES solves it.
+    o = iterative.minres_augmented(p)
+    assert o.status == "converged" and o.x[0] == pytest.approx(1e150)
 
 
 def test_cgls_shape_error():

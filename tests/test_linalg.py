@@ -309,3 +309,17 @@ def test_ldlt_errors():
             la.ldlt_factorize(np.array([[1e200, 2e200], [0.0, 1e200]]))
     with pytest.raises(Breakdown):
         la.ldlt_factorize(np.zeros((3, 3)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_ldlt_pivot_test_does_not_overflow():
+    # Entries near 1e200: the product form of the Bunch-Kaufman test,
+    # absakk * rowmax, overflows; the quotient form does not.
+    m = np.array([[1e200, 3e200, 0.0], [3e200, 2e200, 1e200],
+                  [0.0, 1e200, 5e200]])
+    f = la.ldlt_factorize(m)
+    p = m[f.perm][:, f.perm]
+    assert np.max(np.abs(p - f.l @ f.d @ f.l.T)) <= 1e-15 * np.max(np.abs(m))
+    rhs = np.array([1e200, -2e200, 3e200])
+    x = la.ldlt_solve(f, rhs)
+    assert np.allclose(x, np.linalg.solve(m, rhs), rtol=1e-13)

@@ -169,25 +169,16 @@ def test_eps_system_zero_c_minimizer():
         assert np.allclose(x, want, atol=1e-10)
 
 
-def test_build_hat_system():
-    p = problems.QlsProblem(a=np.eye(2), b=np.array([1.0, 2.0]), c=np.zeros(2))
-    hat = problems.build_hat_system(p)
-    assert np.allclose(hat.a_hat[-1], [0.0, 0.0])
-    assert np.allclose(hat.b_hat, [1.0, 2.0, 1.0])
-    p = problems.QlsProblem(a=np.eye(2), b=np.ones(2), c=np.array([3.0, 4.0]))
-    hat = problems.build_hat_system(p)
-    assert np.allclose(hat.a_hat[-1], [3.0, 4.0])
-
-
 def test_hat_system_normal_equations_at_exact():
     rng = np.random.default_rng(24)
     for _ in range(10):
         sigma = np.sort(rng.random(2) + 0.2)[::-1]
         p = problems.assemble_problem(4, 2, sigma, rng.standard_normal(2),
                                       kind=3, seed=int(rng.integers(100)))
-        hat = problems.build_hat_system(p)
+        # [A; c^T]^T ((b, 1) - (A x, 0)) = A^T (b - A x) + c
+        a_hat = np.vstack([p.a, p.c])
         masked = np.r_[p.a @ p.x_exact, 0.0]
-        res = hat.a_hat.T @ (hat.b_hat - masked)
+        res = a_hat.T @ (np.r_[p.b, 1.0] - masked)
         tol = 1e3 * U * p.kappa() ** 2 * np.linalg.norm(p.a.T @ p.b + p.c)
         assert np.linalg.norm(res) <= tol
 
