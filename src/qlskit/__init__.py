@@ -27,7 +27,6 @@ from .errors import (
 from .linalg import (
     LdltFactorization,
     QrFactorization,
-    SvdFactorization,
     U,
     ldlt_factorize,
     ldlt_solve,
@@ -97,7 +96,7 @@ __all__ = [
     "EmptyInput", "InvalidParameter", "MissingConfiguration", "NoConvergence",
     "NoRealRoot", "NotSymmetric", "QlskitError", "RankDeficient",
     "SingularDiagonal", "ZeroVector",
-    "LdltFactorization", "QrFactorization", "SvdFactorization", "U",
+    "LdltFactorization", "QrFactorization", "U",
     "ldlt_factorize", "ldlt_solve", "qr_factorize", "qr_gram_solve",
     "qr_lstsq", "svd", "sym_spectral_norm",
     "DEFAULT_EPS", "QlsProblem", "assemble_problem", "build_augmented",

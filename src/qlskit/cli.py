@@ -43,8 +43,10 @@ def _check_eps(eps):
 
 
 def _apply_overrides(config, args):
-    if getattr(args, "solver", None):
+    if getattr(args, "solver", None) is not None:
         names = [s.strip() for s in args.solver.split(",") if s.strip()]
+        if not names:
+            raise ConfigError("--solver: no solver names given")
         config.solvers = bench.check_solvers(names, "--solver")
     if getattr(args, "eps", None) is not None:
         config.eps = _check_eps(args.eps)

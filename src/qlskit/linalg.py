@@ -1,12 +1,15 @@
-"""Dense numerical kernels: QR, SVD, symmetric spectral norm, LDLT.
+"""Dense numerical kernels: QR, singular values, symmetric spectral norm, LDLT.
 
 Everything operates on binary64 numpy arrays at desk scale (a few hundred
 rows).  The factorizations keep the storage conventions the rest of the
 package relies on: QR holds compact Householder reflectors so products
-with Q or its transpose never form Q, the SVD is a one-sided Jacobi
-iteration (accurate for small singular values), and the LDLT factorization
-uses Bunch-Kaufman pivoting with 1x1 and 2x2 diagonal blocks.
+with Q or its transpose never form Q, `svd` returns one-sided Jacobi
+singular values (round-robin), accurate for small singular values, and
+the LDLT factorization uses Bunch-Kaufman pivoting with 1x1 and 2x2
+diagonal blocks.
 """
+
+import math
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -214,92 +217,71 @@ def qr_lstsq(f, y):
 
 
 # ---------------------------------------------------------------------------
-# One-sided Jacobi SVD
+# One-sided Jacobi singular values
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SvdFactorization:
-    """Thin SVD A = U diag(sigma) V^T with sigma descending."""
+# Pairwise orthogonality threshold of the Jacobi sweeps.
+_JACOBI_TOL = 1e-15
 
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-    @property
-    def kappa(self):
-        return self.sigma[0] / self.sigma[-1]
+# Squared (scaled) column norm at or below which a column is not rotated:
+# its inner products no longer resolve the threshold, and it is negligible.
+_JACOBI_FLOOR = np.finfo(float).tiny / U
 
 
-def svd(a, tol=1e-15):
-    """One-sided Jacobi SVD.
+def svd(a):
+    """Singular values of `a`, descending, by one-sided Jacobi.
 
-    Columns are rotated pairwise in cyclic sweeps until every pair is
-    numerically orthogonal: |a_i . a_j| <= tol * ||a_i|| ||a_j||.  The
+    Columns are rotated pairwise until every pair is numerically
+    orthogonal, |a_i . a_j| <= 1e-15 ||a_i|| ||a_j||; the singular values
+    are then the column norms, small ones to high relative accuracy
+    (Demmel-Veselic).  Sweeps follow the round-robin ordering of Brent
+    and Luk: each of the n - 1 rounds rotates n/2 disjoint pairs in one
+    numpy step (odd n gets a zero dummy column).  A is first scaled by
+    2^-e, e = frexp(max |a|), which is exact and keeps entries near the
+    ends of the exponent range from overflowing or underflowing.  The
     sweep budget is 30 per column; exceeding it raises NoConvergence.
-
-    Parameters
-    ----------
-    a : (m, n) array_like
-        Matrix to decompose.  An m < n input is handled by factoring the
-        transpose and swapping the singular vector blocks.
-    tol : float
-        Pairwise orthogonality threshold.
-
-    Returns
-    -------
-    SvdFactorization
+    An m < n input is handled through its transpose.
     """
     a = as_matrix(a, "a")
-    m, n = a.shape
-    if m < n:
-        f = svd(a.T, tol=tol)
-        return SvdFactorization(u=f.v, sigma=f.sigma, v=f.u)
-    w = a.copy()
-    v = np.eye(n)
-    colsq = np.einsum("ij,ij->j", w, w)
-    converged = False
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    n = a.shape[1]
+    e = math.frexp(float(np.max(np.abs(a))))[1] if a.size else 0
+    # Rows of w are the columns of A, so pairs are gathered contiguously.
+    h = (n + 1) // 2
+    w = np.zeros((2 * h, a.shape[0]))
+    w[:n] = np.ldexp(a.T, -e)
+    # Column 0 keeps its seat, the others move one seat per round, and
+    # seat k meets seat 2h-1-k: every pair meets once per sweep.
+    ring = np.arange(1, 2 * h)
+    rounds = [np.concatenate(([0], np.roll(ring, r))) for r in range(2 * h - 1)]
     for _ in range(30 * max(n, 1)):
         rotated = False
-        for i in range(n - 1):
-            wi = w[:, i]
-            for j in range(i + 1, n):
-                wj = w[:, j]
-                gamma = wi @ wj
-                alpha = colsq[i]
-                beta = colsq[j]
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                if abs(gamma) <= tol * np.sqrt(alpha * beta):
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.copysign(1.0, zeta) / (abs(zeta) + np.hypot(1.0, zeta))
-                cs = 1.0 / np.hypot(1.0, t)
-                sn = cs * t
-                ti = cs * wi - sn * wj
-                w[:, j] = sn * wi + cs * wj
-                w[:, i] = ti
-                wi = w[:, i]
-                tv = cs * v[:, i] - sn * v[:, j]
-                v[:, j] = sn * v[:, i] + cs * v[:, j]
-                v[:, i] = tv
-                colsq[i] = alpha - t * gamma
-                colsq[j] = beta + t * gamma
-                rotated = True
-        colsq = np.einsum("ij,ij->j", w, w)
+        for seats in rounds:
+            i, j = seats[:h], seats[:h - 1:-1]
+            wi, wj = w[i], w[j]
+            alpha = np.einsum("ij,ij->i", wi, wi)
+            beta = np.einsum("ij,ij->i", wj, wj)
+            gamma = np.einsum("ij,ij->i", wi, wj)
+            # sqrt(alpha) sqrt(beta): the product alpha beta can underflow.
+            thresh = _JACOBI_TOL * np.sqrt(alpha) * np.sqrt(beta)
+            act = ((alpha > _JACOBI_FLOOR) & (beta > _JACOBI_FLOOR)
+                   & (np.abs(gamma) > thresh))
+            if not act.any():
+                continue
+            gamma, alpha, beta = gamma[act], alpha[act], beta[act]
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+            cs = (1.0 / np.hypot(1.0, t))[:, None]
+            sn = cs * t[:, None]
+            wi, wj = wi[act], wj[act]
+            w[i[act]] = cs * wi - sn * wj
+            w[j[act]] = sn * wi + cs * wj
+            rotated = True
         if not rotated:
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence("Jacobi SVD sweep budget exhausted")
-    sig = np.sqrt(colsq)
-    order = np.argsort(-sig, kind="stable")
-    sig = sig[order]
-    w = w[:, order]
-    v = v[:, order]
-    u = np.zeros_like(w)
-    nz = sig > 0.0
-    u[:, nz] = w[:, nz] / sig[nz]
-    return SvdFactorization(u=u, sigma=sig, v=v)
+            sigma = np.sqrt(np.einsum("ij,ij->i", w[:n], w[:n]))
+            return np.ldexp(np.sort(sigma)[::-1], e)
+    raise NoConvergence("Jacobi SVD sweep budget exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +326,17 @@ def sym_spectral_norm(m):
 # ---------------------------------------------------------------------------
 
 _BK_ALPHA = (1.0 + np.sqrt(17.0)) / 8.0
+
+
+def _pivot_block(e):
+    """(E 2^-k, det(E 2^-k), k), k = frexp(max |E|), for a 2x2 pivot E.
+
+    The determinant of the scaled block cannot overflow, and in the
+    normal range a result scaled back by 2^-k is bitwise the unscaled one.
+    """
+    k = math.frexp(float(np.max(np.abs(e))))[1]
+    es = np.ldexp(e, -k)
+    return es, es[0, 0] * es[1, 1] - es[0, 1] * es[1, 0], k
 
 
 @dataclass
@@ -425,15 +418,15 @@ def ldlt_factorize(m):
                 a[k + 1:, k + 1:] -= 0.5 * upd + 0.5 * upd.T
             k += 1
         else:
-            e = a[k:k + 2, k:k + 2].copy()
-            det = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+            d[k:k + 2, k:k + 2] = a[k:k + 2, k:k + 2]
+            es, det, sc = _pivot_block(d[k:k + 2, k:k + 2])
             if det == 0.0:
                 raise Breakdown("singular 2x2 pivot in LDLT")
-            d[k:k + 2, k:k + 2] = e
             blocks.append(2)
             if k + 2 < n:
                 wmat = a[k + 2:, k:k + 2]
-                inv = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]]) / det
+                adj = np.array([[es[1, 1], -es[0, 1]], [-es[1, 0], es[0, 0]]])
+                inv = np.ldexp(adj / det, -sc)
                 cmat = wmat @ inv
                 lmat[k + 2:, k:k + 2] = cmat
                 upd = cmat @ wmat.T
@@ -456,11 +449,10 @@ def ldlt_solve(f, rhs):
             w[k] = w[k] / f.d[k, k]
             k += 1
         else:
-            e = f.d[k:k + 2, k:k + 2]
-            det = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+            e, det, sc = _pivot_block(f.d[k:k + 2, k:k + 2])
             w0 = (e[1, 1] * w[k] - e[0, 1] * w[k + 1]) / det
             w1 = (-e[1, 0] * w[k] + e[0, 0] * w[k + 1]) / det
-            w[k], w[k + 1] = w0, w1
+            w[k], w[k + 1] = np.ldexp(w0, -sc), np.ldexp(w1, -sc)
             k += 2
     s = solve_triangular(f.l.T, w, lower=False)
     out = np.empty_like(s)

@@ -13,7 +13,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from . import linalg as la
-from .errors import DimensionMismatch, InvalidParameter
+from .errors import DimensionMismatch, InvalidParameter, RankDeficient
 
 # Default regularization weight for the stacked-row system; a power of two
 # so scaling c by eps and 1/eps is exact in binary64.
@@ -40,8 +40,9 @@ class QlsProblem:
     """One instance of A^T A x = A^T b + c.
 
     `x_exact` is the construction solution when known (None otherwise);
-    `label` identifies the instance in benchmark records.  Spectral data
-    (SVD, QR) is computed lazily and cached on the instance.
+    `label` identifies the instance in benchmark records.  The singular
+    values and the QR factors are computed lazily and cached on the
+    instance.
     """
 
     a: np.ndarray
@@ -49,7 +50,7 @@ class QlsProblem:
     c: np.ndarray
     x_exact: np.ndarray = None
     label: str = ""
-    _svd: la.SvdFactorization = field(default=None, repr=False, compare=False)
+    _sigma: np.ndarray = field(default=None, repr=False, compare=False)
     _qr: la.QrFactorization = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -79,18 +80,15 @@ class QlsProblem:
     def residual(self, x):
         return self.b - self.a @ x
 
-    def svd(self):
-        if self._svd is None:
-            self._svd = la.svd(self.a)
-        return self._svd
-
     def qr(self):
         if self._qr is None:
             self._qr = la.qr_factorize(self.a)
         return self._qr
 
     def singular_values(self):
-        return self.svd().sigma
+        if self._sigma is None:
+            self._sigma = la.svd(self.a)
+        return self._sigma
 
     def sigma_max(self):
         return float(self.singular_values()[0])
@@ -99,13 +97,15 @@ class QlsProblem:
         return float(self.singular_values()[-1])
 
     def kappa(self):
-        return self.sigma_max() / self.sigma_min()
+        """sigma_max / sigma_min; RankDeficient when sigma_min is 0."""
+        smin = self.sigma_min()
+        if smin == 0.0:
+            raise RankDeficient("matrix has a zero singular value")
+        return self.sigma_max() / smin
 
-    def seed_spectrum(self, sigma, u, v):
-        # Construction-time factors: avoids a Jacobi SVD per instance.
-        order = np.argsort(-np.asarray(sigma, dtype=float), kind="stable")
-        sig = np.asarray(sigma, dtype=float)[order]
-        self._svd = la.SvdFactorization(u=u[:, order], sigma=sig, v=v[:, order])
+    def seed_spectrum(self, sigma):
+        # Construction-time spectrum: avoids a Jacobi SVD per instance.
+        self._sigma = np.sort(np.asarray(sigma, dtype=float))[::-1]
 
     def verify_construction(self, tol_factor=1e3):
         """Check A^T A x_exact = A^T b + c up to the admissible roundoff."""
@@ -214,7 +214,7 @@ def assemble_problem(m, n, sigma, c, kind=1, seed=0, label="", u=None, v=None):
     pinv_t_c = un @ ((v.T @ c) / sigma)
     b = a @ x - pinv_t_c
     p = QlsProblem(a, b, c, x_exact=x, label=label)
-    p.seed_spectrum(sigma, u=un, v=v)
+    p.seed_spectrum(sigma)
     p.verify_construction()
     return p
 

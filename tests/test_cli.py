@@ -224,6 +224,39 @@ def test_bench_short_wide_family_exit_config(tmp_path, capsys, family):
     assert "families[0].m" in capsys.readouterr().err
 
 
+def test_bench_empty_solver_list_exit_config(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "records.csv"
+    rc = cli.main(["bench", "--config", cfg, "--solver", ",",
+                   "--out", str(out)])
+    assert rc == 1
+    assert "--solver" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_solve_extreme_scale_file(tmp_path, capsys, scale):
+    # kappa of a file problem near the ends of the exponent range is the
+    # kappa of the unscaled matrix, not 0/0 or inf/inf.
+    a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+    p = problems.QlsProblem(scale * a, np.ones(3), np.zeros(2), label="far")
+    path = tmp_path / "far.qls"
+    problems.save_problem(p, str(path))
+    assert cli.main(["solve", str(path), "--solver", "AUG"]) == 0
+    out = capsys.readouterr().out
+    assert "kappa=2.776e+01" in out
+
+
+def test_solve_zero_column_exits_numerical(tmp_path, capsys):
+    # sigma_min = 0: kappa raises RankDeficient, not ZeroDivisionError.
+    a = np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
+    p = problems.QlsProblem(a, np.ones(3), np.zeros(2), x_exact=np.zeros(2))
+    path = tmp_path / "zero_column.qls"
+    problems.save_problem(p, str(path))
+    assert cli.main(["solve", str(path)]) == 3
+    assert "zero singular value" in capsys.readouterr().err
+
+
 def test_missing_config_exit_config(tmp_path, capsys):
     rc = cli.main(["bench", "--config", str(tmp_path / "nope.json")])
     assert rc == 1

@@ -5,7 +5,7 @@ import pytest
 
 from qlskit import linalg as la
 from qlskit import problems
-from qlskit.errors import DimensionMismatch, InvalidParameter
+from qlskit.errors import DimensionMismatch, InvalidParameter, RankDeficient
 
 U = np.finfo(float).eps / 2
 
@@ -266,3 +266,39 @@ def test_load_verifies_solution(tmp_path):
         problems.load_problem(str(bad))
     q = problems.load_problem(str(bad), verify=False)
     assert q.b[0] == 5.0
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_kappa_from_file_at_extreme_scales(tmp_path, scale):
+    # Read back from a file the spectrum comes from the Jacobi kernel;
+    # its power-of-two scaling keeps entries near 1e-170 from
+    # underflowing (sigma = 0) and near 1e200 from overflowing (inf).
+    a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+    p = problems.QlsProblem(scale * a, np.ones(3), np.zeros(2), label="x")
+    path = tmp_path / "scaled.qls"
+    problems.save_problem(p, str(path))
+    q = problems.load_problem(str(path))
+    want = np.linalg.svd(a, compute_uv=False)
+    assert q.singular_values() == pytest.approx(scale * want, rel=1e-14)
+    assert q.kappa() == pytest.approx(want[0] / want[1], rel=1e-14)
+
+
+def test_kappa_rank_deficient_raises(tmp_path):
+    a = np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
+    p = problems.QlsProblem(a, np.ones(3), np.zeros(2))
+    assert p.sigma_min() == 0.0
+    with pytest.raises(RankDeficient):
+        p.kappa()
+    # With an x block, load_problem's construction check needs kappa.
+    q = problems.QlsProblem(a, np.ones(3), np.zeros(2), x_exact=np.zeros(2))
+    path = tmp_path / "zero_column.qls"
+    problems.save_problem(q, str(path))
+    with pytest.raises(RankDeficient):
+        problems.load_problem(str(path))
+
+
+def test_seeded_spectrum_is_descending():
+    p = problems.assemble_problem(4, 3, (0.25, 1.0, 0.5), np.zeros(3),
+                                  kind=1, seed=2)
+    assert np.array_equal(p.singular_values(), [1.0, 0.5, 0.25])
+    assert p.kappa() == 4.0
