@@ -57,6 +57,7 @@ from .iterative import (
     cgls_eps,
     cgls_i,
     minres_augmented,
+    solve_batch,
 )
 from .direct import solve_aug, solve_qr, solve_qr_eps, solve_sm
 from .analysis import (
@@ -103,7 +104,7 @@ __all__ = [
     "build_eps_system", "generate_problem_set_p", "load_problem",
     "orthogonal_factor", "save_problem", "sigma_c1", "sigma_c2",
     "IterationControl", "SolveOutcome", "cg_base", "cgls", "cgls_eps",
-    "cgls_i", "minres_augmented",
+    "cgls_i", "minres_augmented", "solve_batch",
     "solve_aug", "solve_qr", "solve_qr_eps", "solve_sm",
     "ConditioningReport", "PerturbationTriple", "cg_inadequacy_indicator",
     "conditioning_report", "construct_perturbation",

@@ -48,40 +48,50 @@ from .errors import (
 # Solver table
 # ---------------------------------------------------------------------------
 
-def _krylov(o):
-    return o.x, o.iterations, o.status, None
+def _runner(solve, method=None):
+    """run(problems, eps, control) for a per-problem `solve`; a Krylov
+    `method` solves them as one ``iterative.batched`` block."""
+    def run(probs, eps, control):
+        out = []
+        with iterative.batched(method, probs) if method else nullcontext():
+            for p in probs:
+                try:
+                    out.append(solve(p, eps, control))
+                except QlskitError as exc:
+                    out.append(exc)
+        return out
+    return run
 
 
-def _direct(x):
-    return x, 0, "direct", None
+def _krylov(method, public):
+    def outcome(p, eps, control):
+        solve = getattr(iterative, public)
+        o = (solve(p, eps, control) if method == "cgls_eps"
+             else solve(p, control))
+        return o.x, o.iterations, o.status, o.residual_gap
+    return _runner(outcome, method)
 
 
-def _cgls_i(p, eps, control):
-    o = iterative.cgls_i(p, control=control)
-    gaps = o.true_residual_gap_history
-    # Zero iterations means x0 was returned; its recurred d is the
-    # exactly-computed b - A x0, so the gap is zero.
-    return o.x, o.iterations, o.status, float(gaps[-1]) if len(gaps) else 0.0
+def _direct(solve):
+    return _runner(lambda p, eps, control: (solve(p, eps), 0, "direct", None))
 
 
-# The one solver table: name -> (run, estimate key).  run(p, eps, control)
-# returns (x, iterations, status, final CGLSI gap or None); the estimate
-# key names the forward-error estimate of analysis.forward_error_estimates
-# that fits the solver.  Solvers are looked up through their modules at
-# call time.
+# The one solver table: name -> (run, estimate key).  run(problems, eps,
+# control) takes problems of one shape and returns, per problem, either
+# (x, iterations, status, final CGLSI gap or None) or the QlskitError
+# that stopped it; a Krylov method runs them as one batch, whose time a
+# trace books to the first problem's call.  The estimate key names the
+# forward-error estimate of analysis.forward_error_estimates that fits
+# the solver.  Solvers are looked up through their modules at call time.
 SOLVER_TABLE = {
-    "CG": (lambda p, eps, control: _krylov(
-        iterative.cg_base(p, control=control)), "cg"),
-    "CGLSI": (_cgls_i, "cglsi"),
-    "CGLSEPS": (lambda p, eps, control: _krylov(
-        iterative.cgls_eps(p, eps, control=control)), "cglseps"),
-    "MINRES": (lambda p, eps, control: _krylov(
-        iterative.minres_augmented(p, control=control)), None),
-    "QR": (lambda p, eps, control: _direct(direct.solve_qr(p)), None),
-    "QREPS": (lambda p, eps, control: _direct(direct.solve_qr_eps(p, eps)),
-              None),
-    "SM": (lambda p, eps, control: _direct(direct.solve_sm(p, eps)), None),
-    "AUG": (lambda p, eps, control: _direct(direct.solve_aug(p)), None),
+    "CG": (_krylov("cg", "cg_base"), "cg"),
+    "CGLSI": (_krylov("cgls_i", "cgls_i"), "cglsi"),
+    "CGLSEPS": (_krylov("cgls_eps", "cgls_eps"), "cglseps"),
+    "MINRES": (_krylov("minres", "minres_augmented"), None),
+    "QR": (_direct(lambda p, eps: direct.solve_qr(p)), None),
+    "QREPS": (_direct(lambda p, eps: direct.solve_qr_eps(p, eps)), None),
+    "SM": (_direct(lambda p, eps: direct.solve_sm(p, eps)), None),
+    "AUG": (_direct(lambda p, eps: direct.solve_aug(p)), None),
 }
 SOLVERS = tuple(SOLVER_TABLE)
 
@@ -293,6 +303,9 @@ def parse_config(source):
     solvers = check_solvers(solvers, "config.solvers")
     seed = _want(obj, "seed", (int,), "config")
     eps = _want(obj, "eps", (float, int), "config", positive=True)
+    if eps is not None and not eps <= problems.MAX_EPS:
+        raise ConfigError(f"config.eps: must be at most {problems.MAX_EPS}, "
+                          f"got {eps!r}")
     tol = _want(obj, "tol", (float, int), "config", positive=True)
     maxit = _want(obj, "maxIterations", (int,), "config", positive=True)
     patience = _want(obj, "patience", (int,), "config", positive=True)
@@ -355,42 +368,57 @@ def _estimate_for(key, p, x, eps):
         return float("nan")
 
 
+def _record(p, xref, solver, key, result, wall, eps):
+    if isinstance(result, QlskitError):
+        x, iterations, gap = None, 0, None
+    else:
+        x, iterations, _, gap = result
+        nref = np.linalg.norm(xref)
+        rel = float(np.linalg.norm(x - xref) / (nref if nref > 0 else 1.0))
+    if x is None or not np.isfinite(rel):
+        status, rel = "error", float("inf")
+        eta = est = float("nan")
+    else:
+        status = "failed" if rel > FAILURE_THRESHOLD else "ok"
+        try:
+            eta = analysis.relative_backward_error(p, x)
+        except QlskitError:
+            eta = float("nan")
+        est = _estimate_for(key, p, x, eps)
+    return BenchRecord(
+        problem_id=p.label, m=p.m, n=p.n, kappa=float(p.kappa()),
+        solver=solver, iterations=iterations, rel_error=rel, eta_bar=eta,
+        estimate=est, residual_gap=gap, wall_time_ns=wall, status=status,
+    )
+
+
 def run_suite(config):
-    """One BenchRecord per (problem, solver), sorted for stable output."""
+    """One BenchRecord per (problem, solver), sorted for stable output.
+
+    Solver by solver, the problems of each shape (m, n) go to one run
+    call, so a Krylov method solves them as one batch; each record's
+    ``wall_time_ns`` is that call's wall time divided by its size.
+    """
     if not isinstance(config, ExperimentConfig):
         config = parse_config(config)
     solvers = check_solvers(config.solvers, "config.solvers")
     probs = build_problems(config)
+    xrefs = [p.x_exact if p.x_exact is not None else direct.solve_qr(p)
+             for p in probs]
+    groups = {}
+    for i, p in enumerate(probs):
+        groups.setdefault((p.m, p.n), []).append(i)
     records = []
-    for p in probs:
-        xref = p.x_exact if p.x_exact is not None else direct.solve_qr(p)
-        nref = np.linalg.norm(xref)
-        for solver in solvers:
-            run, key = SOLVER_TABLE[solver]
+    for solver in solvers:
+        run, key = SOLVER_TABLE[solver]
+        for members in groups.values():
             t0 = time.perf_counter_ns()
-            try:
-                x, iterations, _, gap = run(p, config.eps, config.control())
-                rel = float(np.linalg.norm(x - xref) /
-                            (nref if nref > 0 else 1.0))
-            except QlskitError:
-                x, iterations, gap, rel = None, 0, None, float("inf")
-            wall = time.perf_counter_ns() - t0
-            if x is None or not np.isfinite(rel):
-                status, rel = "error", float("inf")
-                eta = est = float("nan")
-            else:
-                status = "failed" if rel > FAILURE_THRESHOLD else "ok"
-                try:
-                    eta = analysis.relative_backward_error(p, x)
-                except QlskitError:
-                    eta = float("nan")
-                est = _estimate_for(key, p, x, config.eps)
-            records.append(BenchRecord(
-                problem_id=p.label, m=p.m, n=p.n, kappa=float(p.kappa()),
-                solver=solver, iterations=iterations, rel_error=rel,
-                eta_bar=eta, estimate=est, residual_gap=gap,
-                wall_time_ns=wall, status=status,
-            ))
+            results = run([probs[i] for i in members], config.eps,
+                          config.control())
+            wall = (time.perf_counter_ns() - t0) // len(members)
+            records.extend(
+                _record(probs[i], xrefs[i], solver, key, res, wall, config.eps)
+                for i, res in zip(members, results))
     records.sort(key=lambda r: (r.problem_id, r.solver))
     return records
 

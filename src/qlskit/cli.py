@@ -32,8 +32,9 @@ def _check_eps(eps):
     """Round a requested eps to a power of two, warning when it moves."""
     if eps is None:
         return None
-    if eps <= 0:
-        raise ConfigError(f"--eps must be positive, got {eps!r}")
+    if not 0 < eps <= problems.MAX_EPS:
+        raise ConfigError(f"--eps must be in (0, {problems.MAX_EPS}], "
+                          f"got {eps!r}")
     if not problems.is_power_of_two(eps):
         rounded = problems.nearest_power_of_two(eps)
         print(f"warning: eps {eps!r} is not a power of two; "
@@ -82,7 +83,10 @@ def _cmd_solve(args):
     ctrl = iterative.IterationControl(tol=args.tol, max_iterations=args.maxit)
     bench.check_solvers([solver], "--solver")
     run, _ = bench.SOLVER_TABLE[solver]
-    x, iterations, status, _ = run(p, eps, ctrl)
+    result = run([p], eps, ctrl)[0]
+    if isinstance(result, QlskitError):
+        raise result
+    x, iterations, status, _ = result
     print(f"problem {p.label or args.problem}  m={p.m} n={p.n} "
           f"kappa={p.kappa():.3e}")
     print(f"solver {solver}  iterations={iterations}  status={status}")

@@ -1,55 +1,38 @@
-"""Krylov solvers for A^T A x = A^T b + c.
+"""Krylov solvers for A^T A x = A^T b + c: ``cg_base``, ``cgls``,
+``cgls_i``, ``cgls_eps`` and ``minres_augmented``.
 
-Four variants with rather different rounding behaviour:
+``solve_batch`` runs one of them on problems of one shape at once: A is
+stacked as (B, m, n), vectors as (B, k, 1), inner products taken as
+(B, 1, k) @ (B, k, 1).  Each problem meets the BLAS calls it would meet
+alone, in the same order, so its outcome is bitwise that of a B = 1
+call, which is what the single-problem functions make; inside a
+``batched`` block they return their problem's share of one batch.  A
+step generator (``_cg_steps``, ``_cgls_steps``, ``_minres_steps``)
+advances every active problem one iteration; ``_drive`` holds the stop
+rule as per-problem arrays, copies an iterate when its best index moves
+and drops stopped problems from the generator's arrays.  Data whose
+largest magnitude lies outside 2^+-SAFE_EXPONENT is first scaled by a
+power of two, which is exact.
 
-* ``cg_base``: conjugate gradients on the normal equations with the
-  right-hand side A^T b + c formed once up front.  The rounding error
-  committed in that single formation is amplified by kappa(A)^2 and is
-  never repaired later; the solver is included as the baseline.
-* ``cgls``: least-squares CG on (A, b), re-forming r = A^T d every
-  iteration instead of recurring it.
-* ``cgls_i``: cgls with the shift re-added every iteration,
-  r = A^T d + c.  This is cgls on [A; c^T] with (b, 1) and the last
-  residual coordinate pinned to one, so it solves the base problem
-  itself; the distance between the recurred and true residuals is
-  tracked per iteration.
-* ``cgls_eps``: cgls applied to the stacked system [A; eps c^T] with
-  right-hand side (b, 1/eps).  eps is an exact power of two so the two
-  scalings of c are exact; the solution differs from the base problem's
-  by O(eps^2).
-
-``minres_augmented`` runs MINRES on the symmetric saddle form as an
-orthogonal point of comparison.
-
-Each method is a generator of iterates (``_cg_steps``, ``_cgls_steps``,
-``_minres_steps``) that yields (x_k, recurred residual norm) and
-returns on breakdown.  One loop, ``_drive``, runs any of them under
-the same stop rule and keeps the best iterate and the histories.
-
-A run stops with status "converged" when the recurred residual falls
-below ``tol`` (default 100 times the unit roundoff) times its initial
-value, "stalled" after ``patience`` consecutive iterations without a new
-best residual norm (default 50), "diverged" when the norm turns
-nonfinite or exceeds ``DIVERGENCE_FACTOR`` times its initial value,
-"max_iterations" at ``max_iterations`` (default ten times the column
-count), and "breakdown" when a step has zero curvature.  Ill
-conditioned spectra can stagnate for long stretches and then resume
-converging, so experiment configurations raise the patience.
-
-Whatever the stopping reason, the x handed back is the iterate whose
-recurred residual norm was smallest, not the last one computed: past
-the attainable floor the directions lose conjugacy and the iterate
-random-walks, so the last iterate can be arbitrarily bad while the
-best one is converged.  Histories are truncated at the returned
-iterate, keeping their lengths consistent with ``iterations``.
+A run stops as "converged" when the recurred residual falls below
+``tol`` (default 100 u) times its initial value, "stalled" after
+``patience`` iterations without a new best norm (default 50), "diverged"
+when the norm turns nonfinite or exceeds ``DIVERGENCE_FACTOR`` times
+its initial value, "max_iterations" at ``max_iterations`` (default
+10 n), and "breakdown" on a zero-curvature step.  Past the attainable
+floor the iterate random-walks, so the x returned is the iterate of
+smallest recurred norm, and histories stop there.
 """
 
-import numpy as np
+import contextlib
 from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
 
 from . import linalg as la
-from .errors import DimensionMismatch, InvalidParameter
-from .problems import DEFAULT_EPS, build_eps_system
+from .errors import DimensionMismatch, InvalidParameter, QlskitError
+from .problems import DEFAULT_EPS, eps_weight
 
 DEFAULT_TOL = 100.0 * la.U
 
@@ -61,6 +44,12 @@ STALL_PATIENCE = 50
 # one) cannot be a stagnation plateau, so the run stops there instead of
 # wandering until the overflow threshold.
 DIVERGENCE_FACTOR = 1e13
+
+# The iterations multiply up to four entries of A with two of b; data
+# within 2^+-100 keeps every such product normal up to kappa 1e16.
+SAFE_EXPONENT = 100
+
+STATUSES = ("converged", "stalled", "diverged", "max_iterations", "breakdown")
 
 
 @dataclass
@@ -93,258 +82,305 @@ class IterationControl:
 
 @dataclass
 class SolveOutcome:
-    """Result of an iterative solve.
-
-    ``x`` is the iterate with the smallest recurred residual norm and
-    ``iterations`` is its index.  ``residual_norm_history`` holds one
-    entry per iteration (entry k-1 is the recurred norm after k
-    iterations; the initial norm is not stored), so its length equals
-    ``iterations``; ``true_residual_gap_history`` follows the same
-    convention.  ``status`` says why the run stopped: "converged",
-    "stalled", "diverged", "max_iterations" or "breakdown".
-    """
+    """Result of an iterative solve: ``x`` is the iterate of smallest
+    recurred residual norm and ``iterations`` its index; the histories hold
+    one entry per iteration up to it (entry k-1 after k).  ``status`` is
+    one of STATUSES and ``residual_gap`` CGLSI's gap at x (0 at x0)."""
 
     x: np.ndarray
     iterations: int
     residual_norm_history: np.ndarray
     true_residual_gap_history: np.ndarray = None
     status: str = "converged"
+    residual_gap: float = None
 
 
-class _StopRule:
-    def __init__(self, initial, tol, maxit, patience):
-        self.threshold = tol * initial
-        self.ceiling = DIVERGENCE_FACTOR * initial
-        self.maxit = maxit
-        self.patience = patience
-        self.best = initial
-        self.best_k = 0
-        self.stalled = 0
-
-    def step(self, k, norm):
-        if not np.isfinite(norm) or norm > self.ceiling:
-            # Post-floor blow-up; the best iterate stands as the answer.
-            return "diverged"
-        if norm < self.best:
-            self.best = norm
-            self.best_k = k
-            self.stalled = 0
-        else:
-            self.stalled += 1
-        if norm <= self.threshold:
-            return "converged"
-        if self.stalled >= self.patience:
-            return "stalled"
-        if k >= self.maxit:
-            return "max_iterations"
-        return None
+def _take(keep, a, *arrays):
+    """Rows `keep` (ascending) of each stacked array; all when keep is None.
+    The first, held by the caller alone (A), moves into its leading rows."""
+    if keep is None:
+        return (a,) + arrays
+    for j, i in enumerate(keep):
+        a[j] = a[i]
+    return [a[:len(keep)]] + [v if v is None else v[keep] for v in arrays]
 
 
-def _drive(steps, limits, gaps=None):
-    """Run a step generator under the stop rule; return the best iterate.
+def _scale_exponent(v):
+    """Per-problem e such that 2^-e v is safe to iterate on; 0 when it is."""
+    e = np.frexp(np.maximum(v.max(axis=(1, 2)), -v.min(axis=(1, 2))))[1]
+    return np.where(np.abs(e) > SAFE_EXPONENT, e, 0)[:, None, None]
 
-    `steps` yields (x_k, recurred residual norm_k) for k = 0, 1, ...
-    and returns on breakdown; `limits` is (tol, maxit, patience).
-    `gaps`, if given, is a list the generator fills with one entry per
-    yielded iterate.
 
-    Once the recurred residual has reached its floor the iteration is
-    not self-correcting: directions lose conjugacy and the iterate
-    random-walks away from the converged point while the stall counter
-    runs out.  The iterate with the smallest recurred residual norm is
-    therefore handed back and the histories are cut at that point; the
-    initial entry is dropped so they hold exactly one entry per
-    iteration.
-    """
-    x, norm = next(steps)
-    hist = [norm]
-    rule = _StopRule(norm, *limits)
+def _drive(steps, count, tol, maxit, patience, history):
+    """Run stacked steps under the stop rule; keep each best iterate.
+
+    `steps` yields (series, broke, saved): recurred norms (a gap may
+    follow), zero-curvature marks and the arrays kept at the best iterate
+    (x first); it is sent the rows still running, or None."""
+    series, _, saved = next(steps)
+    norm = series[0].ravel()
+    # Per active problem: global index, best norm and index, and limits.
+    idx, best, last = np.arange(count), norm, np.zeros(count, int)
+    threshold, ceiling = tol * norm, DIVERGENCE_FACTOR * norm
+    kept = [s.copy() for s in saved]
+    best_k, codes = np.zeros(count, int), np.zeros(count, int)
+    logs = [[tuple(v.ravel()[i] for v in series)] for i in range(count)]
     # A zero initial residual (zero right-hand side or exact x0) is solved.
-    status = "converged" if norm == 0.0 else None
-    x_best = x.copy()
+    live = norm != 0.0
+    codes[~live] = 1
     k = 0
-    while not status:
-        step = next(steps, None)
-        if step is None:
-            status = "breakdown"
-            break
-        x, norm = step
+    while True:
+        keep = None
+        if not live.all():
+            keep = np.flatnonzero(live)
+            if not keep.size:
+                break
+            idx, best, last, threshold, ceiling, live = _take(
+                keep, idx, best, last, threshold, ceiling, live)
+        series, broke, saved = steps.send(keep)
         k += 1
-        hist.append(norm)
-        status = rule.step(k, norm)
-        if rule.best_k == k:
-            x_best = x.copy()
-    end = rule.best_k + 1
-    return SolveOutcome(
-        x=x_best,
-        iterations=rule.best_k,
-        residual_norm_history=np.array(hist[1:end]),
-        true_residual_gap_history=None if gaps is None else np.array(gaps[1:end]),
-        status=status,
-    )
+        series = [v.ravel() for v in series]
+        norm, broke = series[0], broke.ravel()
+        up = (norm < best) & ~broke
+        if up.any():
+            best, last = np.where(up, norm, best), np.where(up, k, last)
+            best_k[idx[up]] = k
+            for dst, src in zip(kept, saved):
+                dst[idx[up]] = src[up]
+        if history:
+            for j in np.flatnonzero(~broke):
+                logs[idx[j]].append(tuple(v[j] for v in series))
+        div = ~np.isfinite(norm) | (norm > ceiling)
+        conv, stalled = norm <= threshold, k - last >= patience
+        if k >= maxit or (broke | div | conv | stalled).any():
+            # Codes are 1 + the index into STATUSES, in order of precedence.
+            code = np.select([broke, div, conv, stalled, k >= maxit],
+                             [5, 3, 1, 2, 4])
+            live = code == 0
+            codes[idx[~live]] = code[~live]
+    steps.close()
+    hists = [np.array(logs[i][1:best_k[i] + 1]).reshape(-1, len(series)).T
+             for i in range(count)]
+    return kept, best_k, codes, hists if history else None
 
 
 def _cg_steps(a, rhs, x):
     """CG on A^T A x = rhs."""
-    r = rhs - a.T @ (a @ x)
-    d = r
-    rho = float(r @ r)
-    yield x, np.sqrt(rho)
+    r = rhs - a.mT @ (a @ x)
+    rho_new = r.mT @ r
+    d = rho = None
+    keep = yield (np.sqrt(rho_new),), None, (x,)
     while True:
-        q = a.T @ (a @ d)
-        den = float(d @ q)
-        if den <= 0.0:
-            return
-        alpha = rho / den
+        a, x, r, d, rho, rho_new = _take(keep, a, x, r, d, rho, rho_new)
+        d = r if d is None else r + (rho_new / rho) * d
+        rho = rho_new
+        q = a.mT @ (a @ d)
+        den = d.mT @ q
+        broke = den <= 0.0
+        alpha = rho / np.where(broke, np.inf, den)
         x = x + alpha * d
         r = r - alpha * q
-        rho_new = float(r @ r)
-        yield x, np.sqrt(rho_new)
-        d = r + (rho_new / rho) * d
-        rho = rho_new
+        rho_new = r.mT @ r
+        keep = yield (np.sqrt(rho_new),), broke, (x,)
 
 
-def _cgls_steps(a, b, x, shift=None, gaps=None):
-    """CGLS on min ||a x - b||, re-forming r = a^T d (+ shift) every step.
-
-    d is the recurred residual b - a x.  With a `gaps` list the distance
-    ||(b - a x_k) - d_k|| is appended for every yielded iterate.
-    """
+def _cgls_steps(a, b, x, shift=None, gaps=False):
+    """CGLS on min ||a x - b||, r = a^T d (+ shift); `gaps` adds ||b - a x - d||."""
     d = b - a @ x
-    p_dir = None
+    p_dir = rho = broke = None
     while True:
-        r = a.T @ d
+        r = a.mT @ d
         if shift is not None:
             r += shift
-        rho_new = float(r @ r)
-        if gaps is not None:
-            gaps.append(np.linalg.norm((b - a @ x) - d))
-        yield x, np.sqrt(rho_new)
+        rho_new = r.mT @ r
+        g = (b - a @ x) - d if gaps else None
+        series = (np.sqrt(rho_new),) + ((np.sqrt(g.mT @ g),) if gaps else ())
+        keep = yield series, broke, (x, d)
+        a, b, x, d, r, rho_new, shift, p_dir, rho = _take(
+            keep, a, b, x, d, r, rho_new, shift, p_dir, rho)
         p_dir = r if p_dir is None else r + (rho_new / rho) * p_dir
         rho = rho_new
         t = a @ p_dir
-        tt = float(t @ t)
-        if tt <= 0.0:
-            return
-        alpha = rho / tt
+        tt = t.mT @ t
+        broke = tt <= 0.0
+        alpha = rho / np.where(broke, np.inf, tt)
         x = x + alpha * p_dir
         d = d - alpha * t
 
 
 def _minres_steps(a, b, c, x):
-    """MINRES on [[I, A], [A^T, 0]] (r, x) = (b, -c), yielding the x block.
+    """MINRES (Paige-Saunders) on [[I, A], [A^T, 0]] (r, x) = (b, -c); the x block.
 
-    Paige-Saunders recurrences; r2 carries the unnormalized next Lanczos
-    vector, phibar the recurred residual norm.  A zero Lanczos beta
-    makes sn and so phibar zero, which the stop rule takes as converged.
-    """
-    m, n = a.shape
+    A zero Lanczos beta makes phibar zero (converged); r1 = 0 and oldb = 1
+    make the first three-term update exactly y - 0."""
+    m = a.shape[1]
 
     def op(y):
-        return np.concatenate([y[:m] + a @ y[m:], a.T @ y[:m]])
+        return np.concatenate([y[:, :m] + a @ y[:, m:], a.mT @ y[:, :m]], axis=1)
 
-    sol = np.concatenate([b - a @ x, x])
-    r1 = np.concatenate([b, -c]) - op(sol)
-    beta1 = np.linalg.norm(r1)
-    yield sol[m:], beta1
-    y = r2 = r1
-    oldb = 0.0
-    beta = beta1
-    dbar = 0.0
-    epsln = 0.0
-    phibar = beta1
-    cs = -1.0
-    sn = 0.0
-    w = np.zeros(m + n)
-    w2 = np.zeros(m + n)
-    first = True
+    sol = np.concatenate([b - a @ x, x], axis=1)
+    y = r2 = np.concatenate([b, -c], axis=1) - op(sol)
+    beta = phibar = np.sqrt(y.mT @ y)
+    keep = yield (phibar,), None, (sol[:, m:],)
+    dbar = epsln = sn = np.zeros_like(beta)
+    oldb, cs = np.ones_like(beta), -np.ones_like(beta)
+    r1 = w = w2 = np.zeros_like(y)
     while True:
+        a, sol, y, r1, r2, w, w2, oldb, beta, dbar, epsln, phibar, cs, sn = _take(
+            keep, a, sol, y, r1, r2, w, w2, oldb, beta, dbar, epsln, phibar, cs, sn)
         v = y / beta
-        y = op(v)
-        if not first:
-            y = y - (beta / oldb) * r1
-        first = False
-        alfa = float(v @ y)
+        y = op(v) - (beta / oldb) * r1
+        alfa = v.mT @ y
         y = y - (alfa / beta) * r2
-        r1 = r2
-        r2 = y
-        oldb = beta
-        beta = np.linalg.norm(y)
-        oldeps = epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
+        r1, r2, oldb, beta, oldeps = r2, y, beta, np.sqrt(y.mT @ y), epsln
+        delta, gbar = cs * dbar + sn * alfa, sn * dbar - cs * alfa
+        epsln, dbar = sn * beta, -cs * beta
         gamma = np.hypot(gbar, beta)
-        if gamma == 0.0:
-            return
-        cs = gbar / gamma
-        sn = beta / gamma
-        phi = cs * phibar
-        phibar = sn * phibar
-        w1 = w2
-        w2 = w
+        broke = gamma == 0.0
+        gamma = np.where(broke, np.inf, gamma)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
         w = (v - oldeps * w1 - delta * w2) / gamma
         sol = sol + phi * w
-        yield sol[m:], phibar
+        keep = yield (phibar,), broke, (sol[:, m:],)
 
 
-def _resolve(control, n):
+def _start(method, probs, control, history, eps):
+    """Stack and scale the data; the step generator, limits and exponents.
+
+    "cgls" ignores c; "cgls_eps" stacks [A; eps c^T], (b, 1/eps).  A is
+    scaled by 2^-ea, b by 2^-es and c by 2^-(ea+es), and CG's formed
+    right-hand side by its own 2^-er.  Only the generator keeps A."""
+    count, (m, n) = len(probs), probs[0].a.shape
     tol, maxit, x0, patience = (control or IterationControl()).resolve(n)
-    return x0, (tol, maxit, patience)
+    b = np.stack([p.b for p in probs])[:, :, None]
+    c = None if method == "cgls" else np.stack([p.c for p in probs])[:, :, None]
+    a = np.empty((count, m + (method == "cgls_eps"), n))
+    np.stack([p.a for p in probs], out=a[:, :m])
+    if method == "cgls_eps":
+        a[:, m:] = eps * c.mT
+        b = np.concatenate([b, np.full((count, 1, 1), 1.0 / eps)], axis=1)
+        c = None
+    ea = _scale_exponent(a)
+    es = _scale_exponent(b if c is None else
+                         np.concatenate([b, np.ldexp(c, -ea)], axis=1))
+    a, b = (np.ldexp(a, -ea) if ea.any() else a), np.ldexp(b, -es)
+    c = None if c is None else np.ldexp(c, -(ea + es))
+    ex, en = es - ea, ea + es  # x = 2^ex x', recurred norm = 2^en norm'
+    if method == "cg":
+        rhs = a.mT @ b + c
+        er = _scale_exponent(rhs)
+        rhs, ex, en = np.ldexp(rhs, -er), ex + er, en + er
+    elif method == "minres":
+        en = es
+    x = np.ldexp(x0[:, None], -ex)
+    steps = (_cg_steps(a, rhs, x) if method == "cg" else
+             _minres_steps(a, b, c, x) if method == "minres" else
+             _cgls_steps(a, b, x, c, history and method == "cgls_i"))
+    return steps, (tol, maxit, patience), ex, en.ravel(), es.ravel()
+
+
+def solve_batch(method, probs, control=None, eps=DEFAULT_EPS, history=False):
+    """Run one Krylov method on problems of one shape together.
+
+    `method` is "cg" (``cg_base``), "cgls" (on A and b alone), "cgls_i",
+    "cgls_eps" or "minres" (``minres_augmented``).  Returns a SolveOutcome
+    per problem, bitwise equal to a call on that problem alone;
+    histories are kept only with `history`.
+    """
+    if method not in ("cg", "cgls", "cgls_i", "cgls_eps", "minres"):
+        raise InvalidParameter(f"unknown Krylov method {method!r}")
+    if len({p.a.shape for p in probs}) != 1:
+        raise DimensionMismatch("a batch needs problems of one shape")
+    eps = eps_weight(eps)[0] if method == "cgls_eps" else None
+    steps, limits, ex, en, es = _start(method, probs, control, history, eps)
+    kept, best_k, codes, hists = _drive(steps, len(probs), *limits, history)
+    xs, outs = np.ldexp(kept[0], ex)[:, :, 0], []
+    for i, p in enumerate(probs):
+        o = SolveOutcome(
+            x=xs[i], iterations=int(best_k[i]), status=STATUSES[codes[i] - 1],
+            residual_norm_history=hists and np.ldexp(hists[i][0], en[i]))
+        if method == "cgls_i":
+            # The gap, relative to sigma_max(A) ||x_exact|| (or ||x||), is 0
+            # at x0, where a scale that underflows then divides nothing.
+            xref = p.x_exact if p.x_exact is not None else o.x
+            scale = p.sigma_max() * max(la.safe_norm(xref), np.finfo(float).tiny)
+            d = np.ldexp(kept[1][i, :, 0], es[i])
+            gap = la.safe_norm((p.b - p.a @ o.x) - d)
+            o.residual_gap = float(gap / scale) if o.iterations else 0.0
+            if history:
+                o.true_residual_gap_history = np.ldexp(hists[i][1], es[i]) / scale
+        outs.append(o)
+    return outs
+
+
+# Problems of the open ``batched`` blocks: (method, id) -> [probs, outcomes].
+_open = {}
+
+
+@contextlib.contextmanager
+def batched(method, probs):
+    """In the block, the first call of `method`'s public function on one of
+    `probs` (one shape) runs ``solve_batch`` on all, with its control (and
+    eps); each call returns its problem's outcome, without histories, or
+    raises the batch's QlskitError."""
+    batch, keys = [probs, None], [(method, id(p)) for p in probs]
+    _open.update(dict.fromkeys(keys, batch))
+    try:
+        yield
+    finally:
+        for key in keys:
+            _open.pop(key, None)
+
+
+def _one(method, p, control, eps=DEFAULT_EPS):
+    """p's outcome from its open batch, else from a batch of one."""
+    batch = _open.get((method, id(p)))
+    if batch is None:
+        return solve_batch(method, [p], control, eps, history=True)[0]
+    probs, outs = batch
+    if outs is None:
+        try:
+            outs = batch[1] = solve_batch(method, probs, control, eps)
+        except QlskitError as exc:
+            outs = batch[1] = exc
+    if isinstance(outs, QlskitError):
+        raise outs
+    return outs[[id(q) for q in probs].index(id(p))]
 
 
 def cg_base(p, control=None):
-    """Conjugate gradients on A^T A x = A^T b + c.
-
-    The right-hand side is formed once as fl(fl(A^T b) + c); everything
-    after that sees only the already-rounded vector.
-    """
-    x0, limits = _resolve(control, p.n)
-    return _drive(_cg_steps(p.a, (p.a.T @ p.b) + p.c, x0), limits)
+    """CG on the normal equations with A^T b + c formed once, the baseline:
+    that rounding error is amplified by kappa(A)^2 and never repaired."""
+    return _one("cg", p, control)
 
 
 def cgls(a, b, control=None):
-    """CGLS for min ||a x - b||, re-forming a^T d each iteration."""
-    a = la.as_matrix(a, "a")
-    b = la.as_vector(b, "b")
+    """CGLS for min ||a x - b||, re-forming r = a^T d each iteration."""
+    a, b = la.as_matrix(a, "a"), la.as_vector(b, "b")
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch("b length does not match row count")
-    x0, limits = _resolve(control, a.shape[1])
-    return _drive(_cgls_steps(a, b, x0), limits)
+    return solve_batch("cgls", [SimpleNamespace(a=a, b=b)], control,
+                       history=True)[0]
 
 
 def cgls_eps(p, eps=DEFAULT_EPS, control=None):
-    """CGLS on the stacked regularized system [A; eps c^T], (b, 1/eps)."""
-    sys_ = build_eps_system(p, eps)
-    return cgls(sys_.a_eps, sys_.b_eps, control)
+    """CGLS on [A; eps c^T], (b, 1/eps); eps is a power of two, so both
+    scalings of c are exact.  x differs from the base one by O(eps^2)."""
+    return _one("cgls_eps", p, control, eps)
 
 
 def cgls_i(p, control=None):
     """CGLS with the shift re-added every iteration: r = A^T d + c.
 
-    This is CGLS on [A; c^T], (b, 1) with the last residual coordinate
-    pinned to one, so c re-enters r at full accuracy every iteration.
-    ``true_residual_gap_history`` records, per iteration,
-    ||(b - A x_k) - d_k||, scaled by sigma_max(A) times ||x_exact|| (or
-    the returned iterate's norm when the problem carries no reference
-    solution).
+    This is CGLS on [A; c^T], (b, 1) with the last residual entry pinned
+    to one.  The gaps ||(b - A x_k) - d_k|| are relative to sigma_max(A)
+    ||x_exact||, or to the returned iterate's norm without x_exact.
     """
-    x0, limits = _resolve(control, p.n)
-    raw = []
-    o = _drive(_cgls_steps(p.a, p.b, x0, shift=p.c, gaps=raw), limits, raw)
-    xref = p.x_exact if p.x_exact is not None else o.x
-    scale = p.sigma_max() * max(np.linalg.norm(xref), np.finfo(float).tiny)
-    # Only the kept entries are scaled: with no iteration kept, a scale
-    # that underflows to zero divides nothing.
-    o.true_residual_gap_history = o.true_residual_gap_history / scale
-    return o
+    return _one("cgls_i", p, control)
 
 
 def minres_augmented(p, control=None):
-    """MINRES on [[I, A], [A^T, 0]] (r, x) = (b, -c); returns the x block.
-
-    The operator is applied matrix-free.
-    """
-    x0, limits = _resolve(control, p.n)
-    return _drive(_minres_steps(p.a, p.b, p.c, x0), limits)
+    """MINRES on [[I, A], [A^T, 0]] (r, x) = (b, -c); returns the x block."""
+    return _one("minres", p, control)

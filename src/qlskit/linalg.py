@@ -228,6 +228,17 @@ _JACOBI_TOL = 1e-15
 _JACOBI_FLOOR = np.finfo(float).tiny / U
 
 
+def safe_norm(x):
+    """2-norm of a vector computed on 2^-e x, e = frexp(max |x|).
+
+    The scaling is exact, so inside the normal range the result is
+    bitwise np.linalg.norm(x); near the ends of the exponent range the
+    squares no longer overflow or underflow.
+    """
+    e = math.frexp(float(np.max(np.abs(x))))[1] if np.size(x) else 0
+    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
+
+
 def svd(a):
     """Singular values of `a`, descending, by one-sided Jacobi.
 

@@ -19,6 +19,10 @@ from .errors import DimensionMismatch, InvalidParameter, RankDeficient
 # so scaling c by eps and 1/eps is exact in binary64.
 DEFAULT_EPS = 2.0 ** -47
 
+# Largest regularization weight: above one the row eps c^T outweighs A,
+# and eps^2 terms overflow long before eps does.
+MAX_EPS = 1.0
+
 # Default seed for the benchmark problem collection.
 DEFAULT_SET_SEED = 1729
 
@@ -247,13 +251,17 @@ class AugmentedSystem:
     scale: float
 
 
+def eps_weight(eps):
+    """(eps rounded to a power of two, whether it moved); eps in (0, MAX_EPS]."""
+    if not 0.0 < eps <= MAX_EPS:
+        raise InvalidParameter(f"eps must be in (0, {MAX_EPS}], got {eps!r}")
+    if is_power_of_two(eps):
+        return eps, False
+    return nearest_power_of_two(eps), True
+
+
 def build_eps_system(p, eps=DEFAULT_EPS):
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise InvalidParameter("eps must be positive and finite")
-    adjusted = False
-    if not is_power_of_two(eps):
-        eps = nearest_power_of_two(eps)
-        adjusted = True
+    eps, adjusted = eps_weight(eps)
     a_eps = np.vstack([p.a, eps * p.c])
     b_eps = np.append(p.b, 1.0 / eps)
     return EpsSystem(a_eps, b_eps, eps, adjusted)

@@ -7,8 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from qlskit import bench, iterative, problems
-from qlskit.errors import ConfigError, EmptyInput, MissingConfiguration
+from qlskit import bench, direct, iterative, problems
+from qlskit.errors import (ConfigError, EmptyInput, InvalidParameter,
+                           MissingConfiguration, RankDeficient)
 
 U = np.finfo(float).eps / 2
 
@@ -117,6 +118,8 @@ def test_parse_config_diagnostics():
         ]})
     with pytest.raises(ConfigError, match="tol"):
         bench.parse_config(small_config(tol="tight"))
+    with pytest.raises(ConfigError, match="config.eps"):
+        bench.parse_config(small_config(eps=1e300))
     # fewer rows than columns, given or by default (c1/c2 n = 20, set_p
     # n = 50), cannot be built; set_p also needs n >= 2
     for fam in ({"type": "c1", "m": 4, "n": 8, "a": 1.5},
@@ -185,6 +188,66 @@ def test_run_suite_identity_all_solvers(tmp_path):
     for r in records:
         assert r.status == "ok"
         assert r.rel_error <= 1e-12
+
+
+# Two shapes: a table row (40 x 20) and a small set_p family (12 x 6).
+MIXED_SHAPES = {
+    "tol": 1e-30, "maxIterations": 300, "patience": 300,
+    "families": [
+        {"type": "c1", "m": 40, "n": 20, "a": 2.0, "alpha": 1e-10,
+         "kind": 1, "seed": 100, "cseed": [42, 0], "label": "row01"},
+        {"type": "set_p", "m": 12, "n": 6, "seed": 3},
+    ],
+}
+
+
+def test_run_suite_batches_match_per_problem_runs(monkeypatch):
+    # Solver by solver, the problems of each shape go to one Krylov batch;
+    # run one problem at a time instead, every record but wall_time_ns
+    # is the same.
+    cfg = bench.parse_config(MIXED_SHAPES)
+    real = iterative.solve_batch
+    sizes = []
+
+    def spy(method, probs, *args):
+        sizes.append(len(probs))
+        return real(method, probs, *args)
+
+    def one_at_a_time(method, probs, *args):
+        return [o for p in probs for o in spy(method, [p], *args)]
+
+    monkeypatch.setattr(iterative, "solve_batch", spy)
+    batched = bench.run_suite(cfg)
+    assert sorted(sizes) == [1] * 4 + [40] * 4
+    monkeypatch.setattr(iterative, "solve_batch", one_at_a_time)
+    single = bench.run_suite(cfg)
+    assert len(batched) == len(single) == 41 * len(bench.SOLVERS)
+    for a, b in zip(batched, single):
+        b.wall_time_ns = a.wall_time_ns
+        assert records_equal(a, b), (a, b)
+
+
+def test_run_suite_errors_stay_with_their_problems(monkeypatch):
+    cfg = bench.parse_config(dict(MIXED_SHAPES, solvers=["CGLSI", "QR"]))
+    real_batch, real_qr = iterative.solve_batch, direct.solve_qr
+
+    def failing_batch(method, probs, *args):
+        if probs[0].m == 12:
+            raise InvalidParameter("planted")
+        return real_batch(method, probs, *args)
+
+    def failing_qr(p):
+        if p.label == "row01":
+            raise RankDeficient("planted")
+        return real_qr(p)
+
+    monkeypatch.setattr(iterative, "solve_batch", failing_batch)
+    monkeypatch.setattr(direct, "solve_qr", failing_qr)
+    recs = bench.run_suite(cfg)
+    errors = {(r.problem_id, r.solver) for r in recs if r.status == "error"}
+    set_p = {r.problem_id for r in recs} - {"row01"}
+    assert len(set_p) == 40
+    assert errors == {(pid, "CGLSI") for pid in set_p} | {("row01", "QR")}
 
 
 def test_run_suite_steep_spectrum_row(table_config):

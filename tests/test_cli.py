@@ -205,6 +205,7 @@ def test_exact_power_of_two_eps_silent(tmp_path, capsys):
     ["bench", "--config", "CFG", "--tol=-1e-8"],
     ["bench", "--config", "CFG", "--maxit", "0"],
     ["bench", "--config", "CFG", "--solver", "NOPE"],
+    ["bench", "--config", "CFG", "--eps=1e300"],
 ])
 def test_bad_overrides_exit_config(tmp_path, capsys, argv):
     cfg = write_config(tmp_path)
@@ -222,6 +223,13 @@ def test_bench_short_wide_family_exit_config(tmp_path, capsys, family):
     cfg = write_config(tmp_path, families=[family])
     assert cli.main(["bench", "--config", cfg]) == 1
     assert "families[0].m" in capsys.readouterr().err
+
+
+def test_bench_eps_too_large_exit_config(tmp_path, capsys):
+    # eps = 1e300 overflowed in matmul; it is a config error naming eps.
+    cfg = write_config(tmp_path, eps=1e300, solvers=["CGLSEPS", "QREPS", "SM"])
+    assert cli.main(["bench", "--config", cfg]) == 1
+    assert "config.eps" in capsys.readouterr().err
 
 
 def test_bench_empty_solver_list_exit_config(tmp_path, capsys):

@@ -1,11 +1,19 @@
 """Iterative solvers: CG on the normal equations and the CGLS family."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from qlskit import analysis, iterative, problems
 from qlskit.errors import DimensionMismatch, InvalidParameter
 from helpers import identity_problem
+import krylov_reference as kr
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 U = np.finfo(float).eps / 2
 
@@ -234,20 +242,156 @@ def test_diverged_status_past_the_floor():
 
 
 def test_breakdown_on_vanishing_curvature():
-    # the squared column underflows, so the first step has zero curvature
-    p = problems.QlsProblem(a=np.array([[1e-150], [0.0]]),
-                            b=np.array([1.0, 0.0]), c=np.array([0.0]))
-    assert iterative.cg_base(p).status == "breakdown"
+    # The columns differ in scale by 1e100 or more, so no scaling of the
+    # data as a whole keeps the step's curvature ||A p||^2 from
+    # underflowing.
+    a = np.zeros((3, 2))
+    a[0, 0], a[1, 1] = 1.0, 1e-100
+    p = problems.QlsProblem(a=a, b=np.array([0.0, 1.0, 0.0]), c=np.zeros(2))
     assert iterative.cgls(p.a, p.b).status == "breakdown"
     assert iterative.cgls_eps(p, 2.0 ** -47).status == "breakdown"
+    a[1, 1] = 1e-170
+    q = problems.QlsProblem(a=a, b=np.zeros(3), c=np.array([0.0, 1.0]))
+    assert iterative.cg_base(q).status == "breakdown"
     # sigma_max * ||x0|| underflows to zero; no gap entry is kept, so
     # none is divided by it.
-    o = iterative.cgls_i(p)
+    r = problems.QlsProblem(a=np.diag([1e-20, 1e-120, 0.0])[:, :2],
+                            b=np.array([0.0, 1.0, 0.0]), c=np.zeros(2))
+    o = iterative.cgls_i(r)
     assert o.status == "breakdown" and o.iterations == 0
-    assert len(o.true_residual_gap_history) == 0
-    # The augmented operator keeps unit entries, so MINRES solves it.
-    o = iterative.minres_augmented(p)
-    assert o.status == "converged" and o.x[0] == pytest.approx(1e150)
+    assert len(o.true_residual_gap_history) == 0 and o.residual_gap == 0.0
+
+
+A0 = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+
+
+@pytest.mark.parametrize("a0, b, scale", [
+    (A0, np.ones(3), 1e-170),
+    (A0, np.ones(3), 1e200),
+    (np.array([[1.0], [0.0]]), np.array([1.0, 0.0]), 1e-150),
+])
+def test_krylov_extreme_scale_data(a0, b, scale):
+    # Unscaled, entries near 1e-170 (or a lone 1e-150 column) square to
+    # zero, so the runs stopped "converged" at x = 0 or broke down, and
+    # entries near 1e200 overflowed.  Scaled by a power of two at entry,
+    # every solver converges to the least-squares solution; any
+    # RuntimeWarning fails the test.
+    p = problems.QlsProblem(a=scale * a0, b=b, c=np.zeros(a0.shape[1]))
+    want = np.linalg.lstsq(a0, b, rcond=None)[0] / scale
+    for o in (iterative.cg_base(p), iterative.cgls_i(p),
+              iterative.cgls_eps(p, 2.0 ** -47), iterative.cgls(p.a, p.b),
+              iterative.minres_augmented(p)):
+        assert o.status == "converged" and o.iterations > 0
+        assert np.abs(o.x - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("ka, kb", [(600, 0), (-600, 0), (0, 700),
+                                    (0, -700), (-500, 500)])
+def test_out_of_range_scaling_is_exact(ka, kb):
+    # With max |A| and max |(b, c)| in [1/2, 1), data scaled by 2^ka and
+    # 2^kb beyond the safe range is scaled back exactly, so each solver
+    # repeats the unscaled run and returns 2^(kb - ka) x bitwise.
+    base = problems.QlsProblem(a=A0 / 8, b=np.array([0.75, 0.5, -0.5]),
+                               c=np.array([0.5, -0.25]))
+    big = problems.QlsProblem(a=np.ldexp(base.a, ka), b=np.ldexp(base.b, kb),
+                              c=np.ldexp(base.c, ka + kb))
+    for solve in (iterative.cg_base, iterative.cgls_i,
+                  iterative.minres_augmented):
+        o, ob = solve(base), solve(big)
+        assert np.array_equal(ob.x, np.ldexp(o.x, kb - ka))
+        assert (ob.iterations, ob.status) == (o.iterations, o.status)
+        assert ob.residual_gap == o.residual_gap
+    o, ob = iterative.cgls(base.a, base.b), iterative.cgls(big.a, big.b)
+    assert np.array_equal(ob.x, np.ldexp(o.x, kb - ka))
+    assert np.array_equal(ob.residual_norm_history,
+                          np.ldexp(o.residual_norm_history, ka + kb))
+
+
+@pytest.mark.parametrize("control", [kr.long_control, kr.short_control])
+def test_batch_matches_single_calls_and_reference_bitwise(control):
+    # One batch holds converged, stalled, diverged, max_iterations and
+    # breakdown runs, a zero right-hand side and an exact x0.  Each
+    # outcome (x, iterations, status, histories, CGLSI's final gap) is
+    # bitwise that of a B = 1 call and of the single-problem reference
+    # loop, and the batch keeps no history unless asked.
+    bad, seen = kr.mismatches(kr.mixed_problems(), control())
+    assert bad == []
+    want = {"long_control": {"converged", "diverged", "max_iterations",
+                             "breakdown"},
+            "short_control": {"converged", "stalled", "max_iterations",
+                              "breakdown"}}
+    assert seen == want[control.__name__]
+
+
+def test_batched_block_shares_one_batch_among_its_calls(monkeypatch):
+    # In a batched block the public functions return their problem's
+    # share of one solve_batch run, made at the first call whatever the
+    # order: bitwise the batch outcome, without histories.  A batch error
+    # reaches every call.  Outside the block each call solves alone.
+    probs, control, eps = kr.mixed_problems(), kr.short_control(), 2.0 ** -47
+    real, sizes = iterative.solve_batch, []
+
+    def spy(method, ps, *args, **kwargs):
+        sizes.append(len(ps))
+        return real(method, ps, *args, **kwargs)
+
+    monkeypatch.setattr(iterative, "solve_batch", spy)
+    for method in kr.METHODS:
+        want = real(method, probs, control, eps)
+        sizes.clear()
+        with iterative.batched(method, probs):
+            got = [kr.PUBLIC[method](p, control, eps) for p in probs[::-1]]
+        assert sizes == [len(probs)]
+        for o, w in zip(got[::-1], want):
+            assert np.array_equal(o.x, w.x, equal_nan=True)
+            assert (o.iterations, o.status, o.residual_gap) == (
+                w.iterations, w.status, w.residual_gap)
+            assert o.residual_norm_history is None
+        alone = kr.PUBLIC[method](probs[0], control, eps)
+        assert sizes[-1] == 1 and alone.residual_norm_history is not None
+    sizes.clear()
+    with iterative.batched("cg", probs):
+        for p in probs[:2]:
+            with pytest.raises(InvalidParameter):
+                iterative.cg_base(p, iterative.IterationControl(tol=0.0))
+    assert sizes == [len(probs)]
+
+
+def test_batch_rejects_mixed_shapes_and_unknown_methods():
+    probs = kr.mixed_problems()
+    with pytest.raises(DimensionMismatch):
+        iterative.solve_batch("cg", [probs[0], identity_problem()])
+    with pytest.raises(DimensionMismatch):
+        iterative.solve_batch("cg", [])
+    with pytest.raises(InvalidParameter):
+        iterative.solve_batch("lsqr", probs)
+
+
+@pytest.mark.parametrize("core", [
+    "Haswell", "SkylakeX", "Sandybridge",
+    # Prescott's ddot sums a vector that starts 8 bytes off a 16-byte
+    # boundary in another order; a batch of odd-length vectors (CGLSEPS
+    # here, 17 rows) puts every other problem there.
+    pytest.param("Prescott", marks=pytest.mark.xfail(
+        reason="ddot result depends on 16-byte alignment")),
+])
+def test_batch_bitwise_under_each_blas_kernel(core):
+    # A batch is bitwise its B = 1 calls only if the stacked operations
+    # reach the same kernels; a short run of the mixed batch checks that
+    # under each OpenBLAS core.
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                           str(ROOT / "tests")]))
+    code = ("import krylov_reference as kr\n"
+            "bad, seen = kr.mismatches(kr.mixed_problems(), kr.short_control())\n"
+            "print(bad)\n")
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    if run.returncode < 0:
+        pytest.skip(f"{core} kernel cannot run here (signal {-run.returncode})")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_cgls_shape_error():

@@ -144,8 +144,12 @@ def test_build_eps_system_rounds_to_power_of_two():
     sys_ = problems.build_eps_system(p, 0.3)
     assert sys_.eps == 0.25 and sys_.adjusted
     assert problems.is_power_of_two(sys_.eps)
-    with pytest.raises(InvalidParameter):
-        problems.build_eps_system(p, 0.0)
+    # Above one the row eps c^T outweighs A and eps^2 overflows: 1e300
+    # is refused before anything is formed.
+    for eps in (0.0, 1e300, 2.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidParameter, match="eps"):
+            problems.build_eps_system(p, eps)
+    assert problems.build_eps_system(p, 1.0).eps == 1.0
 
 
 def test_eps_scaling_is_exact():
