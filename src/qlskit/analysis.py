@@ -19,7 +19,7 @@ from .errors import (
     NoRealRoot,
     ZeroVector,
 )
-from .problems import DEFAULT_EPS, build_eps_system
+from .problems import DEFAULT_EPS, build_eps_system, eps_weight
 
 
 def problem_data_norm(p):
@@ -227,8 +227,10 @@ def sm_proximity_bound(p, eps=DEFAULT_EPS):
     """Distance bound between the regularized and base solutions.
 
     ||x_eps - x|| <= eps^2 ||c|| ||w|| / (1 + eps^2 c^T w) with
-    w = (A^T A)^-1 c.
+    w = (A^T A)^-1 c.  eps goes through ``problems.eps_weight``, as in
+    the stacked system.
     """
+    eps = eps_weight(eps)[0]
     w = la.qr_gram_solve(p.qr(), p.c)
     den = 1.0 + eps * eps * float(p.c @ w)
     if den <= 0.0:

@@ -2,21 +2,39 @@
 
 All four return the solution vector.  ``solve_qr`` and ``solve_sm``
 share the problem's cached unpivoted QR factorization; the other two
-factor a derived matrix per call.
+factor a derived matrix per call.  Data whose largest magnitude lies
+outside 2^+-``linalg.SAFE_EXPONENT`` is first scaled by powers of two,
+as the Krylov engine scales it, and x is scaled back; both are exact.
+``solve_qr_eps`` leaves that to the pivoted QR of its stacked matrix.
 """
 
 import numpy as np
 
 from . import linalg as la
 from .errors import DenominatorVanishes
-from .problems import DEFAULT_EPS, build_augmented, build_eps_system
+from .problems import (DEFAULT_EPS, QlsProblem, build_augmented,
+                       build_eps_system, eps_weight)
+
+
+def _in_range(p):
+    """(q, ea, es): q is p with A scaled by 2^-ea, b by 2^-es and c by
+    2^-(ea+es), so x = 2^(es-ea) x_q.  q is p itself when no scaling is
+    due."""
+    ea = la.scale_exponent(p.a)
+    es = la.scale_exponent(np.concatenate([p.b, np.ldexp(p.c, -ea)]))
+    if not (ea or es):
+        return p, 0, 0
+    q = QlsProblem(np.ldexp(p.a, -ea), np.ldexp(p.b, -es),
+                   np.ldexp(p.c, -(ea + es)), label=p.label)
+    return q, int(ea), int(es)
 
 
 def solve_qr(p):
     """Semi-normal equations: R^T R x = A^T b + c with R from QR of A."""
-    f = p.qr()
-    rhs = p.a.T @ p.b + p.c
-    return la.qr_gram_solve(f, rhs)
+    q, ea, es = _in_range(p)
+    f = q.qr()
+    rhs = q.a.T @ q.b + q.c
+    return np.ldexp(la.qr_gram_solve(f, rhs), es - ea)
 
 
 def solve_qr_eps(p, eps=DEFAULT_EPS):
@@ -34,20 +52,26 @@ def solve_sm(p, eps=DEFAULT_EPS):
 
         x = y - eps^2 (c^T y) / (1 + eps^2 c^T w) * w,   y = x_dagger + w.
 
-    ``eps=0`` returns the base solution x_dagger + w itself.  Raises
-    DenominatorVanishes if 1 + eps^2 c^T w is not positive.
+    ``eps=0`` returns the base solution x_dagger + w itself; any other
+    eps goes through ``problems.eps_weight`` (InvalidParameter outside
+    (0, 1], rounded to a power of two as the stacked system rounds it).
+    Raises DenominatorVanishes if 1 + eps^2 c^T w is not positive.
     """
-    f = p.qr()
-    x_dagger = la.qr_lstsq(f, p.b)
-    w = la.qr_gram_solve(f, p.c)
+    if eps != 0.0:
+        eps = eps_weight(eps)[0]
+    q, ea, es = _in_range(p)
+    f = q.qr()
+    x_dagger = la.qr_lstsq(f, q.b)
+    w = la.qr_gram_solve(f, q.c)
     y = x_dagger + w
     if eps == 0.0:
-        return y
-    den = 1.0 + eps * eps * float(p.c @ w)
+        return np.ldexp(y, es - ea)
+    # q's c^T w and c^T y are 2^-2es those of p; eps stays p's weight.
+    den = 1.0 + np.ldexp(eps * eps * float(q.c @ w), 2 * es)
     if den <= 0.0:
         raise DenominatorVanishes(f"1 + eps^2 c^T w = {den:.3e}")
     alpha = eps * eps / den
-    return y - alpha * float(p.c @ y) * w
+    return np.ldexp(y - np.ldexp(alpha * float(q.c @ y), 2 * es) * w, es - ea)
 
 
 def solve_aug(p, scale=None):
@@ -58,7 +82,8 @@ def solve_aug(p, scale=None):
     internal solution is the residual divided by the scale; only the x
     block is returned.
     """
-    au = build_augmented(p, scale)
+    q, ea, es = _in_range(p)
+    au = build_augmented(q, None if scale is None else np.ldexp(scale, -ea))
     f = la.ldlt_factorize(au.k)
     sol = la.ldlt_solve(f, au.rhs)
-    return sol[p.m:]
+    return np.ldexp(sol[q.m:], es - ea)

@@ -11,8 +11,8 @@ step generator (``_cg_steps``, ``_cgls_steps``, ``_minres_steps``)
 advances every active problem one iteration; ``_drive`` holds the stop
 rule as per-problem arrays, copies an iterate when its best index moves
 and drops stopped problems from the generator's arrays.  Data whose
-largest magnitude lies outside 2^+-SAFE_EXPONENT is first scaled by a
-power of two, which is exact.
+largest magnitude lies outside 2^+-``linalg.SAFE_EXPONENT`` is first
+scaled by a power of two, which is exact.
 
 A run stops as "converged" when the recurred residual falls below
 ``tol`` (default 100 u) times its initial value, "stalled" after
@@ -44,10 +44,6 @@ STALL_PATIENCE = 50
 # one) cannot be a stagnation plateau, so the run stops there instead of
 # wandering until the overflow threshold.
 DIVERGENCE_FACTOR = 1e13
-
-# The iterations multiply up to four entries of A with two of b; data
-# within 2^+-100 keeps every such product normal up to kappa 1e16.
-SAFE_EXPONENT = 100
 
 STATUSES = ("converged", "stalled", "diverged", "max_iterations", "breakdown")
 
@@ -103,12 +99,6 @@ def _take(keep, a, *arrays):
     for j, i in enumerate(keep):
         a[j] = a[i]
     return [a[:len(keep)]] + [v if v is None else v[keep] for v in arrays]
-
-
-def _scale_exponent(v):
-    """Per-problem e such that 2^-e v is safe to iterate on; 0 when it is."""
-    e = np.frexp(np.maximum(v.max(axis=(1, 2)), -v.min(axis=(1, 2))))[1]
-    return np.where(np.abs(e) > SAFE_EXPONENT, e, 0)[:, None, None]
 
 
 def _drive(steps, count, tol, maxit, patience, history):
@@ -262,15 +252,15 @@ def _start(method, probs, control, history, eps):
         a[:, m:] = eps * c.mT
         b = np.concatenate([b, np.full((count, 1, 1), 1.0 / eps)], axis=1)
         c = None
-    ea = _scale_exponent(a)
-    es = _scale_exponent(b if c is None else
-                         np.concatenate([b, np.ldexp(c, -ea)], axis=1))
+    ea = la.scale_exponent(a, axis=(1, 2))
+    es = la.scale_exponent(b if c is None else np.concatenate(
+        [b, np.ldexp(c, -ea)], axis=1), axis=(1, 2))
     a, b = (np.ldexp(a, -ea) if ea.any() else a), np.ldexp(b, -es)
     c = None if c is None else np.ldexp(c, -(ea + es))
     ex, en = es - ea, ea + es  # x = 2^ex x', recurred norm = 2^en norm'
     if method == "cg":
         rhs = a.mT @ b + c
-        er = _scale_exponent(rhs)
+        er = la.scale_exponent(rhs, axis=(1, 2))
         rhs, ex, en = np.ldexp(rhs, -er), ex + er, en + er
     elif method == "minres":
         en = es

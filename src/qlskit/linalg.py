@@ -1,12 +1,16 @@
 """Dense numerical kernels: QR, singular values, symmetric spectral norm, LDLT.
 
 Everything operates on binary64 numpy arrays at desk scale (a few hundred
-rows).  The factorizations keep the storage conventions the rest of the
-package relies on: QR holds compact Householder reflectors so products
-with Q or its transpose never form Q, `svd` returns one-sided Jacobi
-singular values (round-robin), accurate for small singular values, and
-the LDLT factorization uses Bunch-Kaufman pivoting with 1x1 and 2x2
-diagonal blocks.
+rows).  Kernels that buy no accuracy are LAPACK's: the unpivoted QR is
+geqrf (``np.linalg.qr`` in raw mode) and the triangular solve is getrs
+on one triangle.  Hand-written kernels stay where they buy accuracy or
+fix data: the column-pivoted Householder QR (numpy has no geqp3; it
+serves the stacked-system solver, the Jacobi preconditioner and the
+problem generator), `svd`, which returns one-sided Jacobi singular
+values (round-robin, after a row-sorted pivoted QR), accurate for small
+singular values, and the Bunch-Kaufman LDLT with 1x1 and 2x2 diagonal
+blocks.  Every QR keeps compact Householder reflectors, so products with
+Q or its transpose never form Q.
 """
 
 import math
@@ -27,6 +31,11 @@ from .errors import (
 # Unit roundoff of binary64.
 U = 2.0 ** -53
 
+# Data whose largest magnitude lies within 2^+-SAFE_EXPONENT is used as
+# it is; products of up to four entries of A with two of b then stay
+# normal up to kappa 1e16.  Other data is scaled by a power of two.
+SAFE_EXPONENT = 100
+
 
 def as_matrix(a, name="matrix"):
     """Validate and return `a` as a 2-d float64 array with finite entries."""
@@ -36,6 +45,17 @@ def as_matrix(a, name="matrix"):
     if out.size and not np.isfinite(out).all():
         raise InvalidParameter(f"{name} contains non-finite entries")
     return out
+
+
+def scale_exponent(v, axis=None):
+    """Exponent e of max |v| (over `axis`, dimensions kept) when it lies
+    outside 2^+-SAFE_EXPONENT, else 0: 2^-e v is safe to compute on, and
+    data in range is not scaled at all."""
+    keep = axis is not None
+    big = np.maximum(np.max(v, axis=axis, keepdims=keep),
+                     -np.min(v, axis=axis, keepdims=keep))
+    e = np.frexp(big)[1]
+    return np.where(np.abs(e) > SAFE_EXPONENT, e, 0)
 
 
 def as_vector(y, name="vector"):
@@ -73,34 +93,29 @@ class QrFactorization:
         return self.reflectors.shape
 
 
-def qr_factorize(a, pivoting=False):
-    """Factor a tall matrix as A[:, perm] = Q R.
-
-    Parameters
-    ----------
-    a : (m, n) array_like, m >= n
-        Matrix to factor; must have full column rank.
-    pivoting : bool
-        Enable column pivoting on the largest remaining column norm.
-        Ties break to the lowest column index; norms are recomputed each
-        step so the pivot order is deterministic.
-
-    Returns
-    -------
-    QrFactorization
-
-    Raises
-    ------
-    RankDeficient
-        If any |R[k, k]| <= n * u * |R[0, 0]|.
-    """
+def _tall(a):
+    """`a` as a validated (m, n) float matrix with m >= n >= 1."""
     a = as_matrix(a, "a")
     m, n = a.shape
     if m < n:
         raise DimensionMismatch(f"need rows >= cols, got {m} x {n}")
     if n == 0:
         raise DimensionMismatch("matrix has no columns")
-    v = a.copy()
+    return a
+
+
+def householder_qr(a, pivoting=False):
+    """Hand-written Householder QR, A[:, perm] = Q R, with no rank check.
+
+    The reflectors follow LAPACK's geqrf storage and sign rule.  With
+    `pivoting` each step brings the column of largest remaining norm
+    forward; ties break to the lowest index, and the norms are recomputed
+    each step, so the pivot order is deterministic.  This loop serves the
+    pivoted `qr_factorize`, the Jacobi preconditioner in `svd`, and the
+    problem generator, whose data its exact arithmetic fixes.
+    """
+    v = _tall(a).copy()
+    n = v.shape[1]
     tau = np.zeros(n)
     perm = np.arange(n)
     for k in range(n):
@@ -127,11 +142,49 @@ def qr_factorize(a, pivoting=False):
             v[k:, k + 1:] -= np.outer(tau[k] * w, t)
         v[k, k] = rkk
         v[k + 1:, k] = w[1:]
-    r = np.triu(v[:n, :n])
-    dmax = abs(r[0, 0])
-    if np.any(np.abs(np.diag(r)) <= n * U * dmax):
+    return QrFactorization(v, tau, np.triu(v[:n]), perm, pivoted=bool(pivoting))
+
+
+def qr_factorize(a, pivoting=False):
+    """Factor a tall matrix as A[:, perm] = Q R.
+
+    Without pivoting this is LAPACK's geqrf (``np.linalg.qr`` in raw
+    mode).  With pivoting it is `householder_qr`, on A scaled by a power
+    of two when its largest entry lies outside 2^+-SAFE_EXPONENT (R is
+    scaled back, exactly).
+
+    Parameters
+    ----------
+    a : (m, n) array_like, m >= n
+        Matrix to factor; must have full column rank.
+    pivoting : bool
+        Enable column pivoting on the largest remaining column norm.
+
+    Returns
+    -------
+    QrFactorization
+
+    Raises
+    ------
+    RankDeficient
+        If any |R[k, k]| <= n * u * |R[0, 0]|.
+    """
+    a = _tall(a)
+    n = a.shape[1]
+    if pivoting:
+        e = scale_exponent(a)
+        f = householder_qr(np.ldexp(a, -e) if e else a, pivoting=True)
+        if e:
+            f.r = np.ldexp(f.r, e)
+            upper = np.triu_indices(n)
+            f.reflectors[upper] = f.r[upper]
+    else:
+        h, tau = np.linalg.qr(a, mode="raw")
+        f = QrFactorization(h.T, tau, np.triu(h.T[:n]), np.arange(n))
+    dmax = abs(f.r[0, 0])
+    if np.any(np.abs(np.diag(f.r)) <= n * U * dmax):
         raise RankDeficient("triangular factor has a negligible diagonal entry")
-    return QrFactorization(v, tau, r, perm, pivoted=bool(pivoting))
+    return f
 
 
 def _apply_reflectors(f, y, transpose):
@@ -166,27 +219,25 @@ def apply_q(f, y):
 def solve_triangular(t, y, lower=False):
     """Solve T x = y for a nonsingular triangular T (vector or matrix y).
 
-    Raises SingularDiagonal on an exactly zero diagonal entry.
+    Only the named triangle of `t` is read.  The solve is LAPACK's
+    getrf + getrs on that triangle: LU with partial pivoting of an upper
+    triangular matrix swaps no rows and has L = I exactly, so getrs
+    reduces to the triangular solve.  A lower T is solved as the upper
+    J T J, J the reversal.  Raises SingularDiagonal on an exactly zero
+    diagonal entry.
     """
     t = as_matrix(t, "t")
     n = t.shape[0]
     if t.shape[1] != n:
         raise DimensionMismatch("triangular matrix must be square")
-    x = np.array(y, dtype=float)
-    vec = x.ndim == 1
-    if vec:
-        x = x[:, None]
-    if x.shape[0] != n:
-        raise DimensionMismatch(f"right-hand side has {x.shape[0]} rows, expected {n}")
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[0] != n:
+        raise DimensionMismatch(f"right-hand side has shape {y.shape}, expected {n} rows")
     if np.any(np.diag(t) == 0.0):
         raise SingularDiagonal("zero diagonal entry in triangular solve")
     if lower:
-        for i in range(n):
-            x[i] = (x[i] - t[i, :i] @ x[:i]) / t[i, i]
-    else:
-        for i in range(n - 1, -1, -1):
-            x[i] = (x[i] - t[i, i + 1:] @ x[i + 1:]) / t[i, i]
-    return x[:, 0] if vec else x
+        return np.linalg.solve(np.triu(t[::-1, ::-1]), y[::-1])[::-1]
+    return np.linalg.solve(np.triu(t), y)
 
 
 def qr_gram_solve(f, rhs):
@@ -242,26 +293,34 @@ def safe_norm(x):
 def svd(a):
     """Singular values of `a`, descending, by one-sided Jacobi.
 
-    Columns are rotated pairwise until every pair is numerically
-    orthogonal, |a_i . a_j| <= 1e-15 ||a_i|| ||a_j||; the singular values
-    are then the column norms, small ones to high relative accuracy
-    (Demmel-Veselic).  Sweeps follow the round-robin ordering of Brent
-    and Luk: each of the n - 1 rounds rotates n/2 disjoint pairs in one
-    numpy step (odd n gets a zero dummy column).  A is first scaled by
-    2^-e, e = frexp(max |a|), which is exact and keeps entries near the
-    ends of the exponent range from overflowing or underflowing.  The
-    sweep budget is 30 per column; exceeding it raises NoConvergence.
-    An m < n input is handled through its transpose.
+    A is first scaled by 2^-e, e = frexp(max |a|), which is exact and
+    keeps entries near the ends of the exponent range from overflowing or
+    underflowing.  Its rows are sorted by decreasing max |a_ij| and the
+    column-pivoted `householder_qr` gives R (Drmac-Veselic
+    preconditioning; the row sort keeps row-graded input accurate, Cox
+    and Higham).  The columns of R^T are then rotated pairwise until
+    every pair is numerically orthogonal, |a_i . a_j| <= 1e-15 ||a_i||
+    ||a_j||; the singular values are the column norms, small ones to
+    high relative accuracy (Demmel-Veselic).  Sweeps follow the
+    round-robin ordering of Brent and Luk: each of the n - 1 rounds
+    rotates n/2 disjoint pairs in one numpy step (odd n gets a zero
+    dummy column).  The sweep budget is 30 per column; exceeding it
+    raises NoConvergence.  An m < n input is handled through its
+    transpose.
     """
     a = as_matrix(a, "a")
     if a.shape[0] < a.shape[1]:
         a = a.T
     n = a.shape[1]
-    e = math.frexp(float(np.max(np.abs(a))))[1] if a.size else 0
-    # Rows of w are the columns of A, so pairs are gathered contiguously.
+    if n == 0:
+        return np.zeros(0)
+    e = math.frexp(float(np.max(np.abs(a))))[1]
+    a = np.ldexp(a, -e)
+    rows = np.argsort(-np.max(np.abs(a), axis=1), kind="stable")
+    # Rows of w are the columns of R^T, so pairs are gathered contiguously.
     h = (n + 1) // 2
-    w = np.zeros((2 * h, a.shape[0]))
-    w[:n] = np.ldexp(a.T, -e)
+    w = np.zeros((2 * h, n))
+    w[:n] = householder_qr(a[rows], pivoting=True).r
     # Column 0 keeps its seat, the others move one seat per round, and
     # seat k meets seat 2h-1-k: every pair meets once per sweep.
     ring = np.arange(1, 2 * h)

@@ -168,7 +168,7 @@ def orthogonal_factor(dim, kind, seed=0):
         return (np.cos(ang) + np.sin(ang)) / np.sqrt(dim)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), kind, dim]))
     g = rng.standard_normal((dim, dim))
-    f = la.qr_factorize(g)
+    f = la.householder_qr(g)
     q = la.apply_q(f, np.eye(dim))
     signs = np.copysign(1.0, np.diag(f.r))
     return q * signs

@@ -10,7 +10,7 @@ order.
 
 import numpy as np
 
-from qlskit import iterative, problems
+from qlskit import iterative, linalg, problems
 
 
 def drive(steps, tol, maxit, patience, gaps=None):
@@ -209,7 +209,7 @@ def unscaled(method, p, eps):
         arrays = [p.a, np.concatenate([p.b, p.c])]
     if method == "cg":
         arrays.append(p.a.T @ p.b + p.c)
-    return all(abs(np.frexp(np.abs(v).max())[1]) <= iterative.SAFE_EXPONENT
+    return all(abs(np.frexp(np.abs(v).max())[1]) <= linalg.SAFE_EXPONENT
                for v in arrays)
 
 

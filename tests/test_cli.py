@@ -245,14 +245,19 @@ def test_bench_empty_solver_list_exit_config(tmp_path, capsys):
 @pytest.mark.parametrize("scale", [1e-170, 1e200])
 def test_solve_extreme_scale_file(tmp_path, capsys, scale):
     # kappa of a file problem near the ends of the exponent range is the
-    # kappa of the unscaled matrix, not 0/0 or inf/inf.
+    # kappa of the unscaled matrix, not 0/0 or inf/inf, and every direct
+    # solver returns the least-squares solution without a warning.
     a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
     p = problems.QlsProblem(scale * a, np.ones(3), np.zeros(2), label="far")
     path = tmp_path / "far.qls"
     problems.save_problem(p, str(path))
-    assert cli.main(["solve", str(path), "--solver", "AUG"]) == 0
-    out = capsys.readouterr().out
-    assert "kappa=2.776e+01" in out
+    want = np.linalg.lstsq(a, np.ones(3), rcond=None)[0] / scale
+    for solver in ["QR", "QREPS", "SM", "AUG"]:
+        assert cli.main(["solve", str(path), "--solver", solver]) == 0, solver
+        out = capsys.readouterr().out
+        assert "kappa=2.776e+01" in out, solver
+        x = [float(v) for v in out.split("x:")[1].split()]
+        assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max(), solver
 
 
 def test_solve_zero_column_exits_numerical(tmp_path, capsys):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qlskit import direct, iterative, problems
+from qlskit import analysis, direct, iterative, problems
+from qlskit.errors import InvalidParameter
 from helpers import frac_norm, rational_solution
 
 U = np.finfo(float).eps / 2
@@ -142,3 +143,71 @@ def test_all_solvers_agree_at_desk_scale():
         nref = np.linalg.norm(ref)
         for x in sols:
             assert np.linalg.norm(x - ref) <= 1e-8 * nref
+
+
+A0 = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+DIRECT = (direct.solve_qr, direct.solve_qr_eps, direct.solve_sm,
+          direct.solve_aug)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_direct_solvers_extreme_scale_data(scale):
+    # Unscaled, every solver overflowed at both scales (in A^T b near
+    # 1e200, in the triangular solves near 1e-170).  Scaled by powers of
+    # two at entry, each lands on the least-squares solution; any
+    # RuntimeWarning fails the test.
+    p = problems.QlsProblem(a=scale * A0, b=np.ones(3), c=np.zeros(2))
+    want = np.linalg.lstsq(p.a, p.b, rcond=None)[0]
+    for solve in DIRECT:
+        x = solve(p)
+        assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max(), solve
+
+
+@pytest.mark.parametrize("ka, kb", [(600, 0), (-600, 0), (0, 700),
+                                    (0, -700), (-500, 500)])
+def test_direct_out_of_range_scaling_is_exact(ka, kb):
+    # With max |A| and max |(b, c)| in [1/2, 1), data scaled by 2^ka and
+    # 2^kb beyond the safe range is scaled back exactly, so each solver
+    # repeats the unscaled solve and returns 2^(kb - ka) x bitwise.  The
+    # eps solution is homogeneous in (b, c) only for kb = 0: the eps row
+    # keeps its right-hand side 1/eps.
+    base = problems.QlsProblem(a=A0 / 8, b=np.array([0.75, 0.5, -0.5]),
+                               c=np.array([0.5, -0.25]))
+    big = problems.QlsProblem(a=np.ldexp(base.a, ka), b=np.ldexp(base.b, kb),
+                              c=np.ldexp(base.c, ka + kb))
+    solvers = [direct.solve_qr, direct.solve_aug,
+               lambda p: direct.solve_sm(p, 0.0)]
+    if kb == 0:
+        solvers += [direct.solve_qr_eps, direct.solve_sm]
+    for solve in solvers:
+        assert np.array_equal(solve(big), np.ldexp(solve(base), kb - ka))
+
+
+@pytest.mark.parametrize("k", [-116, 116])
+def test_eps_solvers_keep_the_weight_on_out_of_range_data(k):
+    # b and c near 2^k, outside the safe range, are scaled at entry; the
+    # eps weight must stay that of the unscaled stacked system.  Exact
+    # reference: the eps-shifted Gram system in rational arithmetic.
+    p = problems.QlsProblem(a=A0, b=np.ldexp([0.75, -0.5, 0.625], k),
+                            c=np.ldexp([0.5, -0.875], k))
+    want = np.array([float(v) for v in
+                     rational_solution(p.a, p.b, p.c, eps=0.5)])
+    solvers = [direct.solve_sm]
+    if k < 0:
+        # At 2^116 the eps row outweighs A by 2^115, past the pivoted
+        # QR's rank check.
+        solvers.append(direct.solve_qr_eps)
+    for solve in solvers:
+        x = solve(p, 0.5)
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max(), solve
+
+
+@pytest.mark.parametrize("eps", [1e300, 2.0, -0.5, float("nan")])
+def test_sm_eps_outside_range_raises(eps):
+    # SM and its proximity bound take eps through problems.eps_weight, as
+    # the stacked system does; eps = 1e300 returned [nan, nan] before.
+    p = problems.QlsProblem(a=A0, b=np.ones(3), c=np.array([1.0, -2.0]))
+    with pytest.raises(InvalidParameter):
+        direct.solve_sm(p, eps)
+    with pytest.raises(InvalidParameter):
+        analysis.sm_proximity_bound(p, eps)

@@ -151,6 +151,44 @@ def test_qr_rejects_rank_deficient():
         la.qr_factorize(a)
 
 
+def test_qr_geqrf_path_reconstructs_and_keeps_the_hand_written_storage():
+    # The unpivoted path is LAPACK's geqrf.  Q R = A within 10 n u ||A||,
+    # Q (Q^T y) = y within 10 m u ||y||, and the factors match the
+    # hand-written Householder loop's storage and R-diagonal signs.
+    # test_qr_rejects_rank_deficient runs on this path too.
+    rng = np.random.default_rng(17)
+    for m, n in ((1, 1), (4, 4), (9, 3), (100, 50), (301, 50)):
+        a = rng.standard_normal((m, n))
+        f = la.qr_factorize(a)
+        assert not f.pivoted and np.array_equal(f.perm, np.arange(n))
+        assert np.array_equal(f.r, np.triu(f.reflectors[:n]))
+        norm = np.linalg.norm(a, 2)
+        assert np.abs(reconstruct_qr(f) - a).max() <= 10 * n * U * norm
+        y = rng.standard_normal((m, 2))
+        back = la.apply_q(f, la.apply_q_transpose(f, y))
+        assert np.abs(back - y).max() <= 10 * m * U * np.linalg.norm(y, axis=0).max()
+        h = la.householder_qr(a)
+        assert np.array_equal(np.sign(np.diag(f.r)), np.sign(np.diag(h.r)))
+        tol = 100 * n * U * np.linalg.cond(a)
+        assert np.abs(f.r - h.r).max() <= tol * norm
+        assert np.abs(f.reflectors - h.reflectors).max() <= tol * max(1.0, np.abs(h.reflectors).max())
+        assert np.abs(f.tau - h.tau).max() <= tol
+
+
+def test_pivoted_qr_scales_extreme_data_exactly():
+    # Outside 2^+-100 the pivoted QR works on 2^-e A and scales R back:
+    # the reflectors and tau are bitwise those of the unscaled matrix.
+    a = np.array([[2.0, -1.0, 3.0], [0.0, 4.0, 1.0], [1.0, 1.0, -2.0],
+                  [3.0, 0.0, 2.0]]) / 8
+    f = la.qr_factorize(a, pivoting=True)
+    for k in (-600, 700):
+        g = la.qr_factorize(np.ldexp(a, k), pivoting=True)
+        assert np.array_equal(g.r, np.ldexp(f.r, k))
+        assert np.array_equal(g.tau, f.tau) and np.array_equal(g.perm, f.perm)
+        assert np.array_equal(np.tril(g.reflectors, -1), np.tril(f.reflectors, -1))
+        assert np.array_equal(np.triu(g.reflectors[:3]), g.r)
+
+
 def test_solve_triangular_hand_cases():
     assert np.allclose(la.solve_triangular(np.eye(2), np.array([5.0, 7.0])), [5.0, 7.0])
     t = np.array([[2.0, 1.0], [0.0, 4.0]])
@@ -168,6 +206,26 @@ def test_solve_triangular_residual_random():
         assert np.linalg.norm(t.T @ xl - y) <= 1e-13 * np.linalg.norm(t) * np.linalg.norm(xl)
 
 
+def test_solve_triangular_matches_scipy_and_reads_one_triangle():
+    # LAPACK getrs on the named triangle (a lower one through J T J)
+    # agrees with scipy's trsm-based solve, for vector and matrix
+    # right-hand sides; entries of the other triangle are never read.
+    # test_solve_triangular_errors checks SingularDiagonal on both.
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 7, 50):
+        t = rng.standard_normal((n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+        for lower in (False, True):
+            tri = np.tril(t) if lower else np.triu(t)
+            junk = tri + (np.triu(t, 1) if lower else np.tril(t, -1)) * 1e6
+            for y in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+                want = scipy_linalg.solve_triangular(tri, y, lower=lower)
+                x = la.solve_triangular(junk, y, lower=lower)
+                assert x.shape == y.shape
+                scale = np.abs(want).max()
+                assert np.abs(x - want).max() <= 10 * n * U * np.linalg.cond(tri) * scale
+
+
 def test_solve_triangular_errors():
     with pytest.raises(DimensionMismatch):
         la.solve_triangular(np.ones((2, 3)), np.ones(2))
@@ -175,6 +233,8 @@ def test_solve_triangular_errors():
         la.solve_triangular(np.eye(3), np.ones(2))
     with pytest.raises(SingularDiagonal):
         la.solve_triangular(np.array([[1.0, 1.0], [0.0, 0.0]]), np.ones(2))
+    with pytest.raises(SingularDiagonal):
+        la.solve_triangular(np.array([[0.0, 0.0], [1.0, 1.0]]), np.ones(2), lower=True)
 
 
 def test_svd_diagonal_and_kappa():
@@ -212,20 +272,39 @@ def test_svd_random_matches_lapack():
         assert np.allclose(la.svd(a.T), want, atol=1e-12 * max(s[0], 1.0))
 
 
+def _svd_error_in_u(a):
+    """Largest relative error of la.svd(a) against 50-digit mpmath, in u."""
+    mpmath = pytest.importorskip("mpmath")
+    n = a.shape[1]
+    with mpmath.workdps(50):
+        ref = mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False)
+        ref = sorted((ref[i] for i in range(n)), reverse=True)
+        err = [abs((mpmath.mpf(float(x)) - y) / y) for x, y in zip(la.svd(a), ref)]
+    return max(float(e) for e in err) / U
+
+
 def test_svd_graded_columns_relative_accuracy():
     # A = B D with column scales 1 ... 1e-15: one-sided Jacobi keeps every
     # singular value to a few u relative, where LAPACK's bidiagonal SVD
     # need not.  Reference: 50-digit mpmath.
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(71)
     for _ in range(4):
         b = rng.standard_normal((12, 6))
-        a = b * rng.permutation(10.0 ** -np.arange(0, 16, 3))
-        with mpmath.workdps(50):
-            ref = mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False)
-            ref = sorted((ref[i] for i in range(6)), reverse=True)
-            err = [abs((mpmath.mpf(float(x)) - y) / y) for x, y in zip(la.svd(a), ref)]
-        assert max(float(e) for e in err) <= 10 * U
+        assert _svd_error_in_u(b * rng.permutation(10.0 ** -np.arange(0, 16, 3))) <= 10
+
+
+def test_svd_graded_rows_and_both_sides_relative_accuracy():
+    # Row grading 1 ... 1e-15 in shuffled order, and two-sided grading
+    # 1 ... 1e-8 on each side: the rows sorted by decreasing max |a_ij|
+    # ahead of the pivoted QR keep every singular value within 100 u.
+    rng = np.random.default_rng(72)
+    for _ in range(4):
+        b = rng.standard_normal((12, 6))
+        rows = rng.permutation(10.0 ** -np.linspace(0, 15, 12))[:, None]
+        assert _svd_error_in_u(rows * b) <= 100
+        left = rng.permutation(10.0 ** -np.linspace(0, 8, 12))[:, None]
+        right = rng.permutation(10.0 ** -np.linspace(0, 8, 6))
+        assert _svd_error_in_u(left * b * right) <= 100
 
 
 def test_svd_extreme_scales_are_exact_multiples():

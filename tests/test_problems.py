@@ -1,8 +1,14 @@
 """Problem families, assembly, stacked systems, serialization."""
 
+import ctypes
+import hashlib
+import pathlib
+
 import numpy as np
 import pytest
 
+from conftest import ROOT
+from qlskit import bench
 from qlskit import linalg as la
 from qlskit import problems
 from qlskit.errors import DimensionMismatch, InvalidParameter, RankDeficient
@@ -306,3 +312,102 @@ def test_seeded_spectrum_is_descending():
                                   kind=1, seed=2)
     assert np.array_equal(p.singular_values(), [1.0, 0.5, 0.25])
     assert p.kappa() == 4.0
+
+
+# SHA-256 of the generated data, computed before the unpivoted QR moved
+# to LAPACK (numpy 2.4, OpenBLAS 0.3.31), one set per OpenBLAS x86-64
+# kernel as the library names it, since the generator's dot products
+# round per kernel.  The build names its Prescott kernel after Katmai,
+# the first core that maps to it.  The generator keeps its own
+# Householder arithmetic so that every benchmark problem stays bitwise;
+# a QR with other rounding (such as geqrf) matches none of the sets.  On
+# another kernel or BLAS build the test is skipped.
+DIGEST_BLAS = "0.3.31"
+DATA_DIGESTS = {
+    "SkylakeX": {
+        "table": "0ae68269863bd1b0e171911ea154a11b19fc7424808f3b947ce1e28d55d30197",
+        "set_p": "18d1c0aa50233c4dfa8622ddf34e05c60b8b4d6dcd8da06196bc1ac4f077d8cd",
+        "kind3": "24475a707783781464b90c5fe085c227ebbfd66efe7427f4005bd04e2bbb3777",
+        "kind4": "0ecadac9d2fe00da6d00b8c8a602e5960c93c49a36da06476cf50f8ee1c57f8a",
+        "kind5": "a9c8501a7a4983dfdf752752c27059e8a9a2c92a99cc396dbfc26f9f46a31546",
+        "kind6": "c07614dda0e31f9bc46218f1f7806da10da7d4a2264a6c288df5a29820a5aa2d",
+    },
+    "Haswell": {
+        "table": "275e48795979e4a791c334dc1174ad0eae5dd83808a38fca5786c95f9d67ad7b",
+        "set_p": "d5f4fe7f99c199b6542162e568e8dd40e658652512fadeb65b15f399b735bbb9",
+        "kind3": "fad2438c22de2baf8d04694fb03517cbb98b4411da08aec37df7de1660f009af",
+        "kind4": "107d470c0f4436d822b57a1ea041b23ef435160739856ee6147178e29e7d4c6f",
+        "kind5": "3560e623fbd11a0941b09a7b0e269698bb1f71e2cc102fbeb952cbb915fb221c",
+        "kind6": "b56f69feec1231351a1b3d2a722b4e1c23482cabe4adf657bbf9786b30e26aed",
+    },
+    "Sandybridge": {
+        "table": "d2ceac5e639d509b60bd440bd9af3495e487d8c14ecd4174ca1c53189804a6f7",
+        "set_p": "cabd6b9ad9c0292fba5939d309ba1f886afeae87585c713d168ea30bb84b24f5",
+        "kind3": "6452ccdb91f662c153d7f2a4b191a51d09ee4027ac529eaee73a186c0c883f2c",
+        "kind4": "b0550e7373d387b19e42187e42d0528748a5b1dd31947f23cb5aceae43869247",
+        "kind5": "360855d304972a7dd57ff0baf1ea544347746b1c6cd358d2970ccda2a734ba13",
+        "kind6": "8b5ceace8dc1773d3a0e509a00c6b672955d7c7dabe3d2697333668d7f432e98",
+    },
+    "Nehalem": {
+        "table": "777ec7868907cc39b11c1b6bd5a6453bb5fa74b03633eb41939e3050151293e7",
+        "set_p": "d79ee7da5359b1d5bc560ed48a149e2e690d7f0903a295ff3e9836a97789aeaf",
+        "kind3": "a321ef7e4b1a48c49e6c2b6e71816286c277d438a20a62a2ed83e5e30cfdf556",
+        "kind4": "000745bb2da6432679629f39a41a262a4d089040370d2f36ab9d0bbbea6d7737",
+        "kind5": "9fada839e45384161fedf229d42cac9122330076a3ba844a338adb5a884dd47b",
+        "kind6": "68bf46d7ef92ccda7a2c81087ebf09d916eb0fb2da02954b41037f9b6e897bc0",
+    },
+    "Katmai": {
+        "table": "e34375ac3f656f9c2633a8375623f67bd5c4b0ae6debb44afec9b51ae5cea4a0",
+        "set_p": "1684a28f523f0ec92f8c87c2c5ea847c826a5b5f2e323f6b5a33db542f873e13",
+        "kind3": "e30403ac3a42d868cb5de0c5d46f7ba85d5023256a8c9cb80f3fd0a1c23289c1",
+        "kind4": "997b4c366541afa0639d4df4342869581e08575c1875d0a4eac3ce3b54c4d45a",
+        "kind5": "519851db65167d434cb54c57f0b0ea156d4efad9a4f1b6f7e518cef3bc67fe77",
+        "kind6": "72e375dbc70168584fa8665855109d59cc81e997bcdddf669295d6b34e8ccae0",
+    },
+}
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def _data(probs):
+    return [arr for p in probs for arr in (p.a, p.b, p.c, p.x_exact)]
+
+
+def _openblas_core():
+    """Name of the kernel numpy's OpenBLAS runs on here, or None when the
+    BLAS is not the OpenBLAS version the digests were taken with or does
+    not report its kernel."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if not ("openblas" in blas.get("name", "")
+            and str(blas.get("version", "")).startswith(DIGEST_BLAS)):
+        return None
+    libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return None
+
+
+def test_generated_data_is_bitwise_pinned():
+    # configs/table.json, set_p seed 1729, and orthogonal_factor(dim,
+    # kind, 1729) for dim 7 and 50 under kinds 3 to 6.
+    core = _openblas_core()
+    if core not in DATA_DIGESTS:
+        pytest.skip(f"no digests for BLAS kernel {core} (pinned: OpenBLAS "
+                    f"{DIGEST_BLAS}, {', '.join(DATA_DIGESTS)})")
+    table = bench.build_problems(bench.parse_config(str(ROOT / "configs" / "table.json")))
+    got = {"table": _digest(_data(table)),
+           "set_p": _digest(_data(problems.generate_problem_set_p(seed=1729)))}
+    for kind in (3, 4, 5, 6):
+        got[f"kind{kind}"] = _digest([problems.orthogonal_factor(dim, kind, 1729)
+                                      for dim in (7, 50)])
+    assert got == DATA_DIGESTS[core], got
