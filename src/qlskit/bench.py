@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, direct, iterative, problems
+from . import analysis, direct, iterative, linalg, problems
 from .errors import (
     ConfigError,
     EmptyInput,
@@ -323,13 +323,35 @@ def parse_config(source):
 
 
 def build_problems(config):
-    """Materialize the config's families into problem instances."""
+    """Materialize the config's families into problem instances.
+
+    The "file" families are read first, and the singular values of each
+    same-shape group of them come from one stacked `linalg.svd` call.
+    Construction checks and generated families then follow in config
+    order, so the first family that fails raises what it raises alone.
+    """
+    loaded = {}
+    for idx, fam in enumerate(config.families):
+        if fam["type"] == "file":
+            try:
+                loaded[idx] = problems.load_problem(fam["path"], verify=False)
+            except (OSError, ValueError):
+                break  # read again below, in config order, and raised
+    groups = {}
+    for p in loaded.values():
+        groups.setdefault(p.a.shape, []).append(p)
+    for group in groups.values():
+        for p, sigma in zip(group, linalg.svd([p.a for p in group])):
+            p.seed_spectrum(sigma)
     out = []
     for idx, fam in enumerate(config.families):
         ftype = fam["type"]
         if ftype == "file":
-            out.append(problems.load_problem(
-                fam["path"], verify=fam.get("verify", True)))
+            p = loaded.get(idx) or problems.load_problem(fam["path"],
+                                                         verify=False)
+            if fam.get("verify", True):
+                p.verify_construction()
+            out.append(p)
             continue
         m = fam.get("m", _SHAPE[ftype][0])
         n = fam.get("n", _SHAPE[ftype][1])

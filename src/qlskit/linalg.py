@@ -6,11 +6,11 @@ geqrf (``np.linalg.qr`` in raw mode) and the triangular solve is getrs
 on one triangle.  Hand-written kernels stay where they buy accuracy or
 fix data: the column-pivoted Householder QR (numpy has no geqp3; it
 serves the stacked-system solver, the Jacobi preconditioner and the
-problem generator), `svd`, which returns one-sided Jacobi singular
-values (round-robin, after a row-sorted pivoted QR), accurate for small
-singular values, and the Bunch-Kaufman LDLT with 1x1 and 2x2 diagonal
-blocks.  Every QR keeps compact Householder reflectors, so products with
-Q or its transpose never form Q.
+problem generator), `svd`, one-sided Jacobi singular values of a matrix
+or a stack (round-robin, after row-sorted pivoted QRs), accurate for
+small singular values, and the Bunch-Kaufman LDLT with 1x1 and 2x2
+diagonal blocks.  Every QR keeps compact Householder reflectors, so
+products with Q or its transpose never form Q.
 """
 
 import math
@@ -37,14 +37,23 @@ U = 2.0 ** -53
 SAFE_EXPONENT = 100
 
 
-def as_matrix(a, name="matrix"):
-    """Validate and return `a` as a 2-d float64 array with finite entries."""
-    out = np.asarray(a, dtype=float)
-    if out.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-d, got ndim={out.ndim}")
+def _as_array(a, name, ndims):
+    """`a` as a float64 array with finite entries and ndim in `ndims`."""
+    try:
+        out = np.asarray(a, dtype=float)
+    except ValueError as exc:  # ragged nesting, or not numbers
+        raise DimensionMismatch(f"{name} is not a regular array: {exc}") from None
+    if out.ndim not in ndims:
+        raise DimensionMismatch(
+            f"{name} must be {'- or '.join(map(str, ndims))}-d, got ndim={out.ndim}")
     if out.size and not np.isfinite(out).all():
         raise InvalidParameter(f"{name} contains non-finite entries")
     return out
+
+
+def as_matrix(a, name="matrix"):
+    """Validate and return `a` as a 2-d float64 array with finite entries."""
+    return _as_array(a, name, (2,))
 
 
 def scale_exponent(v, axis=None):
@@ -60,12 +69,7 @@ def scale_exponent(v, axis=None):
 
 def as_vector(y, name="vector"):
     """Validate and return `y` as a 1-d float64 array with finite entries."""
-    out = np.asarray(y, dtype=float)
-    if out.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-d, got ndim={out.ndim}")
-    if out.size and not np.isfinite(out).all():
-        raise InvalidParameter(f"{name} contains non-finite entries")
-    return out
+    return _as_array(y, name, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +203,7 @@ def _apply_reflectors(f, y, transpose):
     for k in order:
         if f.tau[k] == 0.0:
             continue
-        w = np.empty(m - k)
-        w[0] = 1.0
-        w[1:] = f.reflectors[k + 1:, k]
+        w = np.concatenate(([1.0], f.reflectors[k + 1:, k]))
         z[k:] -= np.outer(f.tau[k] * w, w @ z[k:])
     return z[:, 0] if vec else z
 
@@ -271,9 +273,6 @@ def qr_lstsq(f, y):
 # One-sided Jacobi singular values
 # ---------------------------------------------------------------------------
 
-# Pairwise orthogonality threshold of the Jacobi sweeps.
-_JACOBI_TOL = 1e-15
-
 # Squared (scaled) column norm at or below which a column is not rotated:
 # its inner products no longer resolve the threshold, and it is negligible.
 _JACOBI_FLOOR = np.finfo(float).tiny / U
@@ -291,67 +290,74 @@ def safe_norm(x):
 
 
 def svd(a):
-    """Singular values of `a`, descending, by one-sided Jacobi.
+    """Singular values, descending, of one matrix (result (n,)) or of each
+    matrix of a (B, m, n) stack (result (B, n)), by one-sided Jacobi.
 
-    A is first scaled by 2^-e, e = frexp(max |a|), which is exact and
-    keeps entries near the ends of the exponent range from overflowing or
-    underflowing.  Its rows are sorted by decreasing max |a_ij| and the
-    column-pivoted `householder_qr` gives R (Drmac-Veselic
-    preconditioning; the row sort keeps row-graded input accurate, Cox
-    and Higham).  The columns of R^T are then rotated pairwise until
-    every pair is numerically orthogonal, |a_i . a_j| <= 1e-15 ||a_i||
-    ||a_j||; the singular values are the column norms, small ones to
-    high relative accuracy (Demmel-Veselic).  Sweeps follow the
-    round-robin ordering of Brent and Luk: each of the n - 1 rounds
-    rotates n/2 disjoint pairs in one numpy step (odd n gets a zero
-    dummy column).  The sweep budget is 30 per column; exceeding it
-    raises NoConvergence.  An m < n input is handled through its
-    transpose.
+    Each matrix is scaled by 2^-e, e = frexp(max |a|), which is exact and
+    keeps its entries from overflowing or underflowing; its rows are
+    sorted by decreasing max |a_ij| and the column-pivoted
+    `householder_qr` gives R (Drmac-Veselic preconditioning; the row sort
+    keeps row-graded input accurate, Cox and Higham).  The columns of R^T
+    are rotated pairwise until |a_i . a_j| <= 1e-15 ||a_i|| ||a_j|| for
+    every pair; their norms are the singular values, small ones to high
+    relative accuracy (Demmel-Veselic).  Each Brent-Luk round-robin round
+    rotates n/2 disjoint pairs of every matrix in one numpy step (odd n
+    adds a zero column); a pair needing no rotation gets cos 1, sin 0 and
+    stays bitwise unchanged, so each matrix's values are bitwise its own
+    call's.  A matrix leaves the batch after a sweep that rotates none of
+    its pairs, or raises NoConvergence after 30 per column.  An m < n
+    input goes through its transpose.
     """
-    a = as_matrix(a, "a")
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    n = a.shape[1]
-    if n == 0:
-        return np.zeros(0)
-    e = math.frexp(float(np.max(np.abs(a))))[1]
-    a = np.ldexp(a, -e)
-    rows = np.argsort(-np.max(np.abs(a), axis=1), kind="stable")
-    # Rows of w are the columns of R^T, so pairs are gathered contiguously.
+    s = _as_array(a, "a", (2, 3))
+    if s.shape[-2] < s.shape[-1]:
+        s = np.swapaxes(s, -1, -2)
+    stack = s if s.ndim == 3 else s[None]
+    nb, _, n = stack.shape
+    # Rows of w[k] are the columns of R^T, so pairs gather contiguously.
     h = (n + 1) // 2
-    w = np.zeros((2 * h, n))
-    w[:n] = householder_qr(a[rows], pivoting=True).r
+    w, e = np.zeros((nb, 2 * h, n)), np.zeros(nb, dtype=int)
+    live = np.arange(nb if n else 0)
+    for k in live:
+        e[k] = math.frexp(float(np.max(np.abs(stack[k]))))[1]
+        a = np.ldexp(stack[k], -e[k])
+        rows = np.argsort(-np.max(np.abs(a), axis=1), kind="stable")
+        w[k, :n] = householder_qr(a[rows], pivoting=True).r
+    single, s, stack = s.ndim == 2, None, None  # frees a converted copy of a
     # Column 0 keeps its seat, the others move one seat per round, and
     # seat k meets seat 2h-1-k: every pair meets once per sweep.
     ring = np.arange(1, 2 * h)
     rounds = [np.concatenate(([0], np.roll(ring, r))) for r in range(2 * h - 1)]
-    for _ in range(30 * max(n, 1)):
-        rotated = False
+    sigma, sweeps = np.zeros((nb, n)), 0
+    while live.size:
+        if sweeps == 30 * n:
+            raise NoConvergence("Jacobi SVD sweep budget exhausted")
+        sweeps += 1
+        rotated = np.zeros(live.size, dtype=bool)
         for seats in rounds:
             i, j = seats[:h], seats[:h - 1:-1]
-            wi, wj = w[i], w[j]
-            alpha = np.einsum("ij,ij->i", wi, wi)
-            beta = np.einsum("ij,ij->i", wj, wj)
-            gamma = np.einsum("ij,ij->i", wi, wj)
+            wi, wj = w[:, i], w[:, j]
+            alpha = np.einsum("bij,bij->bi", wi, wi)
+            beta = np.einsum("bij,bij->bi", wj, wj)
+            gamma = np.einsum("bij,bij->bi", wi, wj)
             # sqrt(alpha) sqrt(beta): the product alpha beta can underflow.
-            thresh = _JACOBI_TOL * np.sqrt(alpha) * np.sqrt(beta)
+            thresh = 1e-15 * np.sqrt(alpha) * np.sqrt(beta)
             act = ((alpha > _JACOBI_FLOOR) & (beta > _JACOBI_FLOOR)
                    & (np.abs(gamma) > thresh))
             if not act.any():
                 continue
-            gamma, alpha, beta = gamma[act], alpha[act], beta[act]
-            zeta = (beta - alpha) / (2.0 * gamma)
-            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
-            cs = (1.0 / np.hypot(1.0, t))[:, None]
-            sn = cs * t[:, None]
-            wi, wj = wi[act], wj[act]
-            w[i[act]] = cs * wi - sn * wj
-            w[j[act]] = sn * wi + cs * wj
-            rotated = True
-        if not rotated:
-            sigma = np.sqrt(np.einsum("ij,ij->i", w[:n], w[:n]))
-            return np.ldexp(np.sort(sigma)[::-1], e)
-    raise NoConvergence("Jacobi SVD sweep budget exhausted")
+            zeta = (beta - alpha) / (2.0 * np.where(act, gamma, 1.0))
+            t = np.where(act, np.copysign(1.0, zeta)
+                         / (np.abs(zeta) + np.hypot(1.0, zeta)), 0.0)
+            cs = (1.0 / np.hypot(1.0, t))[..., None]
+            sn = cs * t[..., None]
+            w[:, i] = cs * wi - sn * wj
+            w[:, j] = sn * wi + cs * wj
+            rotated |= act.any(axis=1)
+        done = w[~rotated, :n]
+        sigma[live[~rotated]] = np.sqrt(np.einsum("bij,bij->bi", done, done))
+        live, w = live[rotated], w[rotated]
+    sigma = np.ldexp(np.sort(sigma, axis=1)[:, ::-1], e[:, None])
+    return sigma[0] if single else sigma
 
 
 # ---------------------------------------------------------------------------
@@ -450,20 +456,14 @@ def ldlt_factorize(m):
     k = 0
     while k < n:
         absakk = abs(a[k, k])
-        col = np.abs(a[k + 1:, k])
-        if col.size:
-            rrel = int(np.argmax(col))
-            colmax = col[rrel]
-            r = k + 1 + rrel
-        else:
-            colmax = 0.0
-            r = k
+        col = np.abs(a[k:, k])
+        col[0] = 0.0
+        r = k + int(np.argmax(col))
+        colmax = col[r - k]
         size = 1
         if max(absakk, colmax) == 0.0:
             raise Breakdown("zero pivot column in LDLT")
-        if absakk >= _BK_ALPHA * colmax:
-            pass
-        else:
+        if absakk < _BK_ALPHA * colmax:
             row = np.abs(a[r, k:])
             row[r - k] = 0.0
             rowmax = float(np.max(row)) if row.size else 0.0

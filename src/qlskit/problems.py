@@ -108,7 +108,8 @@ class QlsProblem:
         return self.sigma_max() / smin
 
     def seed_spectrum(self, sigma):
-        # Construction-time spectrum: avoids a Jacobi SVD per instance.
+        # A spectrum known from construction, or computed for a batch of
+        # problems by one stacked la.svd call: no Jacobi SVD per instance.
         self._sigma = np.sort(np.asarray(sigma, dtype=float))[::-1]
 
     def verify_construction(self, tol_factor=1e3):
@@ -375,11 +376,19 @@ def _read_block(it, name):
     header = _next_line(it, name).strip()
     if header != name:
         raise InvalidParameter(f"expected block {name!r}, found {header!r}")
-    m, n = (int(tok) for tok in _next_line(it, name).split())
-    rows = []
-    for _ in range(m):
-        rows.append([float.fromhex(tok) for tok in _next_line(it, name).split()])
-    arr = np.array(rows, dtype=float)
+    size = _next_line(it, name)
+    try:
+        m, n = (int(tok) for tok in size.split())
+    except ValueError:  # not two integers: rejected with negative sizes
+        m = n = -1
+    if min(m, n) < 0:
+        raise InvalidParameter(f"block {name!r}: bad size line {size!r}")
+    rows = [_next_line(it, name) for _ in range(m)]
+    try:
+        arr = np.array([[float.fromhex(tok) for tok in row.split()]
+                        for row in rows], dtype=float)
+    except ValueError as exc:
+        raise InvalidParameter(f"block {name!r}: {exc}") from None
     if arr.shape != (m, n):
         raise InvalidParameter(f"block {name!r} has inconsistent shape")
     return arr

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from qlskit import problems
+from qlskit import linalg as la, problems
 
 
 def frac_matrix(a):
@@ -101,3 +101,48 @@ def identity_problem(b=(1.0, 0.0), c=(0.0, 0.0)):
     return problems.QlsProblem(
         a=np.eye(n), b=b, c=c, x_exact=b + c, label="identity"
     )
+
+
+def svd_stacks():
+    """Named (B, m, n) stacks for the stacked Jacobi SVD.
+
+    "graded": 12 x 6 matrices, in groups of an ungraded one, one with
+    columns graded to 1e-15, one with rows graded to 1e-15 and one graded
+    to 1e-8 on both sides (the cases of the relative accuracy tests).
+    "edge": 3 x 3 matrices that are zero, have zero columns, or have
+    columns whose squared norms underflow, and a plain one alone and
+    scaled by 2^-560 and 2^660, each needing its own scaling.  "wide":
+    3 x 5 matrices, handled through their transposes.  "set_p_size":
+    100 x 50 matrices with geometric spectra of kappa 1 to 1e10.
+    """
+    rng = np.random.default_rng(73)
+    graded = []
+    for _ in range(2):
+        b = rng.standard_normal((12, 6))
+        rows = rng.permutation(10.0 ** -np.linspace(0, 15, 12))[:, None]
+        left = rng.permutation(10.0 ** -np.linspace(0, 8, 12))[:, None]
+        right = rng.permutation(10.0 ** -np.linspace(0, 8, 6))
+        graded += [b, b * rng.permutation(10.0 ** -np.arange(0, 16, 3)),
+                   rows * b, left * b * right]
+    t, s = 1.03390001e-109, 1.30448619e-153
+    plain = rng.standard_normal((3, 3))
+    edge = [np.zeros((3, 3)),
+            [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
+            [[0.0, t, t], [t, t, 1.0], [t, t, t]],
+            [[128.0, s, s], [s, 0.0, s], [s, s, s]],
+            plain, np.ldexp(plain, -560), np.ldexp(plain, 660)]
+    big = []
+    for kappa in (1.0, 1e3, 1e7, 1e10):
+        u = np.linalg.qr(rng.standard_normal((100, 50)))[0]
+        v = np.linalg.qr(rng.standard_normal((50, 50)))[0]
+        big.append((u * kappa ** -np.linspace(0.0, 1.0, 50)) @ v.T)
+    return {"graded": np.array(graded), "edge": np.array(edge),
+            "wide": rng.standard_normal((4, 3, 5)), "set_p_size": np.array(big)}
+
+
+def svd_stack_mismatches():
+    """Names of the `svd_stacks` whose stacked la.svd is not bitwise the
+    per-matrix calls."""
+    return [name for name, stack in svd_stacks().items()
+            if not all(np.array_equal(got, la.svd(a))
+                       for got, a in zip(la.svd(stack), stack))]

@@ -7,9 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from qlskit import bench, direct, iterative, problems
+from qlskit import bench, direct, iterative, linalg, problems
 from qlskit.errors import (ConfigError, EmptyInput, InvalidParameter,
                            MissingConfiguration, RankDeficient)
+from qlskit.problems import QlsProblem
 
 U = np.finfo(float).eps / 2
 
@@ -173,6 +174,114 @@ def test_build_problems_file_family(tmp_path):
     ps = bench.build_problems(cfg)
     assert len(ps) == 1 and ps[0].label == "disk"
     assert np.array_equal(ps[0].a, np.eye(2))
+
+
+def _save(tmp_path, name, p):
+    path = tmp_path / f"{name}.qls"
+    problems.save_problem(p, str(path))
+    return str(path)
+
+
+def _svd_spy(monkeypatch):
+    """Shapes of the linalg.svd calls made from here on."""
+    real, shapes = linalg.svd, []
+
+    def spy(a):
+        shapes.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(linalg, "svd", spy)
+    return shapes
+
+
+def _file_config(*paths):
+    return bench.parse_config(
+        {"families": [{"type": "file", "path": path} for path in paths]})
+
+
+GOOD = dict(a=np.eye(2), b=np.array([1.0, 0.0]), c=np.zeros(2),
+            x_exact=np.array([1.0, 0.0]), label="good")
+# x_exact = (1, 0) while b asks for (5, 0): breaks the normal equations.
+BROKEN = dict(GOOD, b=np.array([5.0, 0.0]), label="broken")
+# A zero column: sigma_min = 0, so the construction check's kappa raises.
+DEFICIENT = dict(a=np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 0.0]]),
+                 b=np.ones(3), c=np.zeros(2), x_exact=np.zeros(2),
+                 label="deficient")
+
+
+def test_build_problems_one_svd_per_file_shape(tmp_path, monkeypatch):
+    # Five files of two shapes around a generated family: one stacked
+    # svd per shape, and each file problem's singular values and kappa
+    # are bitwise those load_problem gives it alone.
+    paths = []
+    for k in range(5):
+        m, n = (8, 4) if k % 2 else (10, 5)
+        p = problems.assemble_problem(m, n, problems.sigma_c1(n, 1.5 + k),
+                                      np.full(n, 1e-3), kind=1 + k, seed=k,
+                                      label=f"f{k}")
+        paths.append(_save(tmp_path, f"f{k}", p))
+    fams = [{"type": "file", "path": path} for path in paths]
+    fams.insert(2, small_config()["families"][0])
+    shapes = _svd_spy(monkeypatch)
+    ps = bench.build_problems(bench.parse_config({"families": fams}))
+    assert sorted(shapes) == [(2, 8, 4), (3, 10, 5)]
+    assert [p.label for p in ps] == ["f0", "f1", "c1-02", "f2", "f3", "f4"]
+    for p, path in zip([p for p in ps if p.label[0] == "f"], paths):
+        alone = problems.load_problem(path)
+        assert np.array_equal(p.singular_values(), alone.singular_values())
+        assert p.kappa() == alone.kappa()
+
+
+def test_build_problems_raises_the_first_failing_family(tmp_path):
+    # Construction checks and unreadable files raise in config order, as
+    # when each file is read and checked in turn: the second file's
+    # broken normal equations come before the fourth's rank deficiency,
+    # a missing file before a later broken one, and a later missing or
+    # malformed file does not mask an earlier broken one.
+    good = _save(tmp_path, "good", QlsProblem(**GOOD))
+    broken = _save(tmp_path, "broken", QlsProblem(**BROKEN))
+    deficient = _save(tmp_path, "deficient", QlsProblem(**DEFICIENT))
+    missing = str(tmp_path / "missing.qls")
+    malformed = tmp_path / "malformed.qls"
+    malformed.write_text("qls-problem\nA\n2 x\n")
+    with pytest.raises(InvalidParameter, match="normal equations"):
+        bench.build_problems(_file_config(good, broken, good, deficient))
+    with pytest.raises(RankDeficient):
+        bench.build_problems(_file_config(good, good, deficient))
+    with pytest.raises(FileNotFoundError):
+        bench.build_problems(_file_config(good, missing, broken))
+    for later in (missing, str(malformed)):
+        with pytest.raises(InvalidParameter, match="normal equations"):
+            bench.build_problems(_file_config(good, broken, later))
+
+
+def test_build_problems_skips_checks_of_unverified_files(tmp_path,
+                                                         monkeypatch):
+    good = _save(tmp_path, "good", QlsProblem(**GOOD))
+    broken = _save(tmp_path, "broken", QlsProblem(**BROKEN))
+    checked, real = [], QlsProblem.verify_construction
+
+    def spy(self, *args, **kwargs):
+        checked.append(self.label)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(QlsProblem, "verify_construction", spy)
+    ps = bench.build_problems(bench.parse_config({"families": [
+        {"type": "file", "path": broken, "verify": False},
+        {"type": "file", "path": good, "verify": True}]}))
+    assert checked == ["good"]
+    assert [p.label for p in ps] == ["broken", "good"]
+
+
+def test_load_problem_alone_computes_no_svd_until_kappa(tmp_path,
+                                                        monkeypatch):
+    path = _save(tmp_path, "deficient", QlsProblem(**DEFICIENT))
+    shapes = _svd_spy(monkeypatch)
+    p = problems.load_problem(path, verify=False)
+    assert shapes == []
+    with pytest.raises(RankDeficient):
+        p.kappa()
+    assert shapes == [(3, 2)]
 
 
 def test_run_suite_identity_all_solvers(tmp_path):

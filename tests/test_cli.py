@@ -282,6 +282,25 @@ def test_missing_problem_file_exit_io(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [("A\n2 2\n", "A\n2 x\n"),
+                                      ("A\n2 2\n0x1", "A\n2 2\nzz")])
+def test_solve_malformed_file_exits_like_a_foreign_file(tmp_path, capsys,
+                                                        old, new):
+    # A bad block size or entry ends like a file that is not a problem
+    # file at all: an error line naming the block and the same exit code,
+    # not a traceback.
+    foreign = tmp_path / "foreign.qls"
+    foreign.write_text("not a problem\n")
+    want = cli.main(["solve", str(foreign), "--solver", "QR"])
+    assert "not a problem file" in capsys.readouterr().err
+    p = problems.QlsProblem(np.eye(2), np.ones(2), np.zeros(2))
+    path = tmp_path / "bad.qls"
+    problems.save_problem(p, str(path))
+    path.write_text(path.read_text().replace(old, new, 1))
+    assert cli.main(["solve", str(path), "--solver", "QR"]) == want == 3
+    assert "block 'A'" in capsys.readouterr().err
+
+
 def test_solve_unknown_solver_exit_config(tmp_path, capsys):
     cfg = write_config(tmp_path)
     cli.main(["gen", "--config", cfg, "--out", str(tmp_path)])

@@ -1,11 +1,16 @@
 """Dense kernel tests: QR, SVD, spectral norm, LDLT, triangular solve."""
 
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import ROOT
+from helpers import svd_stack_mismatches, svd_stacks
 from qlskit import linalg as la, problems
 from qlskit.errors import (
     Breakdown,
@@ -272,14 +277,16 @@ def test_svd_random_matches_lapack():
         assert np.allclose(la.svd(a.T), want, atol=1e-12 * max(s[0], 1.0))
 
 
-def _svd_error_in_u(a):
-    """Largest relative error of la.svd(a) against 50-digit mpmath, in u."""
+def _svd_error_in_u(a, sigma=None):
+    """Largest relative error of `sigma` (default la.svd(a)), the singular
+    values of `a`, against 50-digit mpmath, in u."""
     mpmath = pytest.importorskip("mpmath")
     n = a.shape[1]
+    sigma = la.svd(a) if sigma is None else sigma
     with mpmath.workdps(50):
         ref = mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False)
         ref = sorted((ref[i] for i in range(n)), reverse=True)
-        err = [abs((mpmath.mpf(float(x)) - y) / y) for x, y in zip(la.svd(a), ref)]
+        err = [abs((mpmath.mpf(float(x)) - y) / y) for x, y in zip(sigma, ref)]
     return max(float(e) for e in err) / U
 
 
@@ -340,6 +347,80 @@ def test_svd_zero_column_and_empty():
     assert np.array_equal(s, [3.0, 0.0])
     assert np.array_equal(la.svd(np.zeros((3, 2))), [0.0, 0.0])
     assert la.svd(np.zeros((3, 0))).shape == (0,)
+
+
+def test_svd_stack_is_bitwise_its_per_matrix_calls():
+    # Graded and ungraded, zero and tiny-column, wide, and 100 x 50
+    # matrices: each row of a stacked result is bitwise the matrix's own
+    # call, and a 2-d input gives the B = 1 stack's row.
+    assert svd_stack_mismatches() == []
+    for stack in svd_stacks().values():
+        assert np.array_equal(la.svd(stack[1]), la.svd(stack[1:2])[0])
+
+
+def test_svd_stack_keeps_relative_accuracy_of_each_matrix():
+    # Column-graded, row-graded and two-sided graded matrices between
+    # ungraded ones in one stack keep the bounds of the two relative
+    # accuracy tests above.
+    stack = svd_stacks()["graded"]
+    for a, sigma, bound in zip(stack, la.svd(stack), [10, 10, 100, 100] * 2):
+        assert _svd_error_in_u(a, sigma) <= bound
+
+
+def test_svd_stack_edge_cases():
+    # Zero matrix, zero columns, the underflowing columns of
+    # test_svd_tiny_columns_converge and one matrix at three scales 2^k
+    # (exactly 2^k times its values), inside one batch; then a wide
+    # stack, and stacks with no matrix or no column.
+    stacks = svd_stacks()
+    s = la.svd(stacks["edge"])
+    assert s.shape == (7, 3)
+    assert np.array_equal(s[5], np.ldexp(s[4], -560))
+    assert np.array_equal(s[6], np.ldexp(s[4], 660))
+    assert np.array_equal(s[0], [0.0, 0.0, 0.0])
+    assert np.array_equal(s[1], [3.0, 0.0, 0.0])
+    t = 1.03390001e-109
+    assert s[2, 0] == pytest.approx(1.0, rel=1e-15)
+    assert s[2, 0] * s[2, 1] * s[2, 2] == pytest.approx(t * t, rel=1e-14)
+    a = stacks["edge"][3]
+    assert np.all(np.abs(s[3] - np.linalg.svd(a, compute_uv=False)) <= 4 * U * 128.0)
+    wide = stacks["wide"]
+    s = la.svd(wide)
+    assert s.shape == (4, 3)
+    assert np.allclose(s, np.linalg.svd(wide, compute_uv=False), rtol=0.0,
+                       atol=1e-12 * s.max())
+    assert la.svd(np.zeros((0, 3, 2))).shape == (0, 2)
+    assert la.svd(np.zeros((2, 3, 0))).shape == (2, 0)
+
+
+def test_svd_rejects_ragged_and_4d_input():
+    with pytest.raises(DimensionMismatch):
+        la.svd([np.ones((3, 2)), np.ones((4, 2))])
+    with pytest.raises(DimensionMismatch):
+        la.svd(np.ones((2, 2, 3, 2)))
+    with pytest.raises(DimensionMismatch):
+        la.svd(np.ones(3))
+    with pytest.raises(InvalidParameter):
+        la.svd(np.full((2, 3, 2), np.inf))
+
+
+@pytest.mark.parametrize("core", ["Haswell", "SkylakeX", "Sandybridge",
+                                  "Prescott"])
+def test_svd_stack_bitwise_under_each_blas_kernel(core):
+    # The stacked rounds use no BLAS, and each matrix's preconditioning
+    # QR runs on a fresh copy as it does alone, so under every OpenBLAS
+    # core the stack stays bitwise its per-matrix calls.
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                           str(ROOT / "tests")]))
+    code = "import helpers\nprint(helpers.svd_stack_mismatches())\n"
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    if run.returncode < 0:
+        pytest.skip(f"{core} kernel cannot run here (signal {-run.returncode})")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_sym_spectral_norm_hand_cases():

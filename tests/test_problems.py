@@ -262,6 +262,29 @@ def test_load_rejects_garbage(tmp_path):
         problems.load_problem(str(path))
 
 
+@pytest.mark.parametrize("old, new, block", [
+    ("A\n2 2\n", "A\n2 x\n", "A"),
+    ("A\n2 2\n", "A\n2\n", "A"),
+    ("A\n2 2\n", "A\n2 2 2\n", "A"),
+    ("b\n2 1\n", "b\n-2 1\n", "b"),
+    ("c\n2 1\n", "c\n2 -1\n", "c"),
+    ("A\n2 2\n" + (1.0).hex(), "A\n2 2\nzz", "A"),
+    ("x\n2 1\n" + (1.0).hex(), "x\n2 1\n0x1.8p", "x"),
+])
+def test_load_rejects_malformed_blocks(tmp_path, old, new, block):
+    # Size lines that are not two non-negative integers, and entries that
+    # are not hexadecimal floats, raise InvalidParameter naming the block.
+    p = problems.QlsProblem(a=np.eye(2), b=np.array([1.0, 0.0]),
+                            c=np.zeros(2), x_exact=np.array([1.0, 0.0]))
+    path = tmp_path / "bad.qls"
+    problems.save_problem(p, str(path))
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(InvalidParameter, match=f"block '{block}'"):
+        problems.load_problem(str(path))
+
+
 def test_load_verifies_solution(tmp_path):
     p = problems.QlsProblem(a=np.eye(2), b=np.array([1.0, 0.0]),
                             c=np.zeros(2), x_exact=np.array([1.0, 0.0]))
