@@ -329,6 +329,8 @@ def build_problems(config):
     same-shape group of them come from one stacked `linalg.svd` call.
     Construction checks and generated families then follow in config
     order, so the first family that fails raises what it raises alone.
+    Only then do two problems sharing a label raise ConfigError naming
+    both families: records and problem files are keyed by the label.
     """
     loaded = {}
     for idx, fam in enumerate(config.families):
@@ -343,37 +345,44 @@ def build_problems(config):
     for group in groups.values():
         for p, sigma in zip(group, linalg.svd([p.a for p in group])):
             p.seed_spectrum(sigma)
-    out = []
-    for idx, fam in enumerate(config.families):
-        ftype = fam["type"]
-        if ftype == "file":
-            p = loaded.get(idx) or problems.load_problem(fam["path"],
-                                                         verify=False)
-            if fam.get("verify", True):
-                p.verify_construction()
-            out.append(p)
-            continue
-        m = fam.get("m", _SHAPE[ftype][0])
-        n = fam.get("n", _SHAPE[ftype][1])
-        if ftype == "set_p":
-            out.extend(problems.generate_problem_set_p(
-                seed=fam.get("seed", config.seed), m=m, n=n))
-            continue
-        if ftype == "c1":
-            sigma = problems.sigma_c1(n, float(fam["a"]))
-        else:
-            sigma = problems.sigma_c2(n, float(fam["dw"]), float(fam["up"]))
-        alpha = float(fam.get("alpha", 1.0))
-        cseed = fam.get("cseed", [config.seed, idx])
-        rng = np.random.default_rng(np.random.SeedSequence(list(cseed)))
-        c = alpha * rng.random(n)
-        out.append(problems.assemble_problem(
-            m, n, sigma, c,
-            kind=fam.get("kind", 1),
-            seed=fam.get("seed", config.seed * 100 + idx),
-            label=fam.get("label", f"{ftype}-{idx:02d}"),
-        ))
-    return out
+    built = [(idx, p) for idx, fam in enumerate(config.families)
+             for p in _family_problems(config, idx, fam, loaded.get(idx))]
+    first = {}
+    for idx, p in built:
+        if first.setdefault(p.label, idx) != idx:
+            raise ConfigError(
+                f"families[{first[p.label]}] and families[{idx}]: both "
+                f"give a problem labelled {p.label!r}")
+    return [p for _, p in built]
+
+
+def _family_problems(config, idx, fam, loaded):
+    """The problems of family `idx`; `loaded` is its file's problem or None."""
+    ftype = fam["type"]
+    if ftype == "file":
+        p = loaded or problems.load_problem(fam["path"], verify=False)
+        if fam.get("verify", True):
+            p.verify_construction()
+        return [p]
+    m = fam.get("m", _SHAPE[ftype][0])
+    n = fam.get("n", _SHAPE[ftype][1])
+    if ftype == "set_p":
+        return problems.generate_problem_set_p(
+            seed=fam.get("seed", config.seed), m=m, n=n)
+    if ftype == "c1":
+        sigma = problems.sigma_c1(n, float(fam["a"]))
+    else:
+        sigma = problems.sigma_c2(n, float(fam["dw"]), float(fam["up"]))
+    alpha = float(fam.get("alpha", 1.0))
+    cseed = fam.get("cseed", [config.seed, idx])
+    rng = np.random.default_rng(np.random.SeedSequence(list(cseed)))
+    c = alpha * rng.random(n)
+    return [problems.assemble_problem(
+        m, n, sigma, c,
+        kind=fam.get("kind", 1),
+        seed=fam.get("seed", config.seed * 100 + idx),
+        label=fam.get("label", f"{ftype}-{idx:02d}"),
+    )]
 
 
 # ---------------------------------------------------------------------------

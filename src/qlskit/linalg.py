@@ -143,7 +143,7 @@ def householder_qr(a, pivoting=False):
         tau[k] = 2.0 / (w @ w)
         if k + 1 < n:
             t = w @ v[k:, k + 1:]
-            v[k:, k + 1:] -= np.outer(tau[k] * w, t)
+            v[k:, k + 1:] -= (tau[k] * w)[:, None] * t
         v[k, k] = rkk
         v[k + 1:, k] = w[1:]
     return QrFactorization(v, tau, np.triu(v[:n]), perm, pivoted=bool(pivoting))
@@ -204,7 +204,7 @@ def _apply_reflectors(f, y, transpose):
         if f.tau[k] == 0.0:
             continue
         w = np.concatenate(([1.0], f.reflectors[k + 1:, k]))
-        z[k:] -= np.outer(f.tau[k] * w, w @ z[k:])
+        z[k:] -= (f.tau[k] * w)[:, None] * (w @ z[k:])
     return z[:, 0] if vec else z
 
 
@@ -484,7 +484,7 @@ def ldlt_factorize(m):
             blocks.append(1)
             if k + 1 < n:
                 lmat[k + 1:, k] = a[k + 1:, k] / piv
-                upd = np.outer(lmat[k + 1:, k], a[k + 1:, k])
+                upd = lmat[k + 1:, k, None] * a[k + 1:, k]
                 a[k + 1:, k + 1:] -= 0.5 * upd + 0.5 * upd.T
             k += 1
         else:

@@ -7,6 +7,7 @@ prescribed singular spectrum and deterministic orthogonal factors, with
 b chosen so a known integer-entry solution is exact up to roundoff.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -345,9 +346,8 @@ def generate_problem_set_p(seed=DEFAULT_SET_SEED, m=100, n=50):
             lo, hi = _c_band(style, _C_MAGNITUDES[-1])
             chosen = lo + (hi - lo) * unit
         label = f"p{idx:02d}-{family}-{tag}-k{kind}-s{prob_seed}"
-        problems.append(
-            assemble_problem(m, n, sigma, chosen, kind=kind, seed=prob_seed, label=label)
-        )
+        # u and v are the factors assemble_problem would build again.
+        problems.append(assemble_problem(m, n, sigma, chosen, label=label, u=u, v=v))
     return problems
 
 
@@ -361,8 +361,7 @@ def _write_block(lines, name, arr):
         arr = arr.T
     lines.append(name)
     lines.append(f"{arr.shape[0]} {arr.shape[1]}")
-    for row in arr:
-        lines.append(" ".join(float.hex(float(x)) for x in row))
+    lines.extend(" ".join(map(float.hex, row)) for row in arr.tolist())
 
 
 def _next_line(it, name):
@@ -383,15 +382,16 @@ def _read_block(it, name):
         m = n = -1
     if min(m, n) < 0:
         raise InvalidParameter(f"block {name!r}: bad size line {size!r}")
-    rows = [_next_line(it, name) for _ in range(m)]
+    rows = [_next_line(it, name).split() for _ in range(m)]
+    # A block of no rows is rejected too: no block of a problem is empty.
+    if m == 0 or any(len(row) != n for row in rows):
+        raise InvalidParameter(f"block {name!r} has inconsistent shape")
     try:
-        arr = np.array([[float.fromhex(tok) for tok in row.split()]
-                        for row in rows], dtype=float)
+        flat = np.fromiter(map(float.fromhex, itertools.chain.from_iterable(rows)),
+                           dtype=float, count=m * n)
     except ValueError as exc:
         raise InvalidParameter(f"block {name!r}: {exc}") from None
-    if arr.shape != (m, n):
-        raise InvalidParameter(f"block {name!r} has inconsistent shape")
-    return arr
+    return flat.reshape(m, n)
 
 
 def save_problem(p, path):
@@ -416,10 +416,13 @@ def load_problem(path, verify=True):
     a = _read_block(it, "A")
     b = _read_block(it, "b")[:, 0]
     c = _read_block(it, "c")[:, 0]
-    x = None
     rest = list(it)
-    if rest:
-        x = _read_block(iter(rest), "x")[:, 0]
+    it = iter(rest)
+    x = _read_block(it, "x")[:, 0] if rest else None
+    extra = next(it, None)
+    if extra is not None:
+        raise InvalidParameter(f"{path}: unexpected line after the last block: "
+                               f"{extra[:40]!r}")
     p = QlsProblem(a, b, c, x_exact=x, label=label)
     if verify:
         p.verify_construction()

@@ -284,6 +284,24 @@ def test_load_problem_alone_computes_no_svd_until_kappa(tmp_path,
     assert shapes == [(3, 2)]
 
 
+def _same_label_config(*extra):
+    fam = small_config()["families"][0]
+    return bench.parse_config({"seed": 5, "families": [
+        dict(fam, label="same"), dict(fam, a=2.0, label="same"), *extra]})
+
+
+def test_build_problems_rejects_duplicate_labels(tmp_path):
+    # Records are keyed by problem_id, so two families giving one label
+    # would merge in a profile: ConfigError names both families.
+    for build in (bench.build_problems, bench.run_suite):
+        with pytest.raises(ConfigError, match=r"families\[0\] and families\[1\]"):
+            build(_same_label_config())
+    # A family that fails to build raises its own error first.
+    broken = _save(tmp_path, "broken", QlsProblem(**BROKEN))
+    with pytest.raises(InvalidParameter, match="normal equations"):
+        bench.run_suite(_same_label_config({"type": "file", "path": broken}))
+
+
 def test_run_suite_identity_all_solvers(tmp_path):
     p = problems.QlsProblem(a=np.eye(2), b=np.array([1.0, 0.0]),
                             c=np.zeros(2), x_exact=np.array([1.0, 0.0]),

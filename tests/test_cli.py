@@ -282,6 +282,33 @@ def test_missing_problem_file_exit_io(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_duplicate_labels_exit_config(tmp_path, capsys, command):
+    # Two families labelled alike would write one file twice and merge
+    # their records: exit 1 naming both families, and write nothing.
+    cfg = json.loads(open(write_config(tmp_path)).read())
+    cfg["families"][1]["label"] = "t0"
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    rc = cli.main([command, "--config", str(path), "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "families[0] and families[1]" in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_solve_trailing_content_exits_numerical(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    cli.main(["gen", "--config", cfg, "--out", str(tmp_path)])
+    capsys.readouterr()
+    path = tmp_path / "t0.qls"
+    path.write_text(path.read_text() + "garbage here\n")
+    assert cli.main(["solve", str(path)]) == 3
+    assert "garbage here" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("old, new", [("A\n2 2\n", "A\n2 x\n"),
                                       ("A\n2 2\n0x1", "A\n2 2\nzz")])
 def test_solve_malformed_file_exits_like_a_foreign_file(tmp_path, capsys,

@@ -285,6 +285,67 @@ def test_load_rejects_malformed_blocks(tmp_path, old, new, block):
         problems.load_problem(str(path))
 
 
+@pytest.mark.parametrize("edit", ["drop", "add"])
+def test_load_rejects_rows_of_the_wrong_length(tmp_path, edit):
+    # One row of A with n - 1 or n + 1 entries, the others with n.
+    p = problems.QlsProblem(a=np.eye(3), b=np.ones(3), c=np.zeros(3))
+    path = tmp_path / "bad.qls"
+    problems.save_problem(p, str(path))
+    lines = path.read_text().splitlines()
+    row = lines.index("A") + 3
+    toks = lines[row].split()
+    lines[row] = " ".join(toks[:-1] if edit == "drop" else toks + [toks[0]])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidParameter, match="block 'A' has inconsistent shape"):
+        problems.load_problem(str(path))
+
+
+@pytest.mark.parametrize("with_x", [True, False])
+def test_load_rejects_trailing_content(tmp_path, with_x):
+    # Anything after the last block is an error, not silently dropped.
+    p = problems.QlsProblem(a=np.eye(2), b=np.array([1.0, 0.0]), c=np.zeros(2),
+                            x_exact=np.array([1.0, 0.0]) if with_x else None)
+    path = tmp_path / "tail.qls"
+    problems.save_problem(p, str(path))
+    text = path.read_text()
+    for tail in ("garbage here\n", "x\n2 1\n0x0.0p+0\n0x0.0p+0\n"):
+        path.write_text(text + tail)
+        with pytest.raises(InvalidParameter):
+            problems.load_problem(str(path))
+
+
+def test_save_writes_float_hex_text_and_round_trips_bitwise(tmp_path):
+    values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, -1.5]
+    p = problems.QlsProblem(a=np.eye(6), b=np.ones(6), c=np.array(values))
+    path = tmp_path / "edge.qls"
+    problems.save_problem(p, str(path))
+    lines = path.read_text().splitlines()
+    start = lines.index("c") + 2
+    assert lines[start:start + 6] == [float.hex(v) for v in values]
+    assert lines[start:start + 2] == ["0x0.0p+0", "-0x0.0p+0"]
+    q = problems.load_problem(str(path))
+    assert q.c.tobytes() == np.array(values).tobytes()
+
+
+def test_set_p_builds_each_orthogonal_factor_once(monkeypatch):
+    # Each problem needs U (order m) and V (order n); the factors the
+    # generator builds to choose c are the ones its problem is made of.
+    real, calls = problems.orthogonal_factor, []
+
+    def spy(dim, kind, seed=0):
+        calls.append((dim, kind, seed))
+        return real(dim, kind, seed)
+
+    monkeypatch.setattr(problems, "orthogonal_factor", spy)
+    ps = problems.generate_problem_set_p(seed=3, m=12, n=6)
+    assert len(calls) == 2 * len(ps) == 80
+    for idx in range(40):
+        kind, prob_seed = 1 + idx % 6, 300 + idx
+        assert calls[2 * idx:2 * idx + 2] == [(12, kind, prob_seed),
+                                              (6, kind, prob_seed + 1)]
+
+
 def test_load_verifies_solution(tmp_path):
     p = problems.QlsProblem(a=np.eye(2), b=np.array([1.0, 0.0]),
                             c=np.zeros(2), x_exact=np.array([1.0, 0.0]))
