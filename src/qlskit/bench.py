@@ -31,7 +31,8 @@ import json
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -110,11 +111,6 @@ def check_solvers(names, where):
 # Above this relative error a run counts as failed (not merely inaccurate).
 FAILURE_THRESHOLD = 1e-2
 
-CSV_COLUMNS = (
-    "problem_id", "m", "n", "kappa", "solver", "iterations", "rel_error",
-    "eta_bar", "estimate", "residual_gap", "wall_time_ns", "status",
-)
-
 PROFILE_TAUS = np.logspace(0.0, 16.0, 81)
 
 
@@ -122,6 +118,8 @@ PROFILE_TAUS = np.logspace(0.0, 16.0, 81)
 class BenchRecord:
     """One (problem, solver) outcome.
 
+    The fields, in order, are the record schema: the CSV columns, the
+    JSON object (keys in ``_JSON_KEYS``) and ``load_records`` follow them.
     ``eta_bar`` is the data-relative linearized backward error of the
     returned iterate, always judged against the base problem so the
     column is comparable across solvers.  ``estimate`` carries the
@@ -142,6 +140,13 @@ class BenchRecord:
     residual_gap: float = None
     wall_time_ns: int = 0
     status: str = "ok"
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
+_record_values = attrgetter(*CSV_COLUMNS)
+_JSON_KEYS = ("problemId", "m", "n", "kappaA", "solver", "iterations",
+              "relError", "etaBar", "estimate", "residualGapFinal",
+              "wallTimeNanos", "status")
 
 
 @dataclass
@@ -207,7 +212,8 @@ def _want(obj, key, kinds, where, required=False, positive=False):
     return val
 
 
-def _read_config(source):
+def read_config(source):
+    """The config object of a dict, JSON text or a str/PathLike path."""
     # A config document is a JSON object, so a string is JSON text when
     # its first non-blank character is "{" and a path otherwise.
     if isinstance(source, dict):
@@ -224,12 +230,15 @@ def _read_config(source):
         raise ConfigError(f"config: expected a dict, JSON text or a path, "
                           f"got {type(source).__name__}")
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config: invalid JSON at line {exc.lineno} "
             f"column {exc.colno}: {exc.msg}"
         )
+    if not isinstance(obj, dict):
+        raise ConfigError("config: top level must be an object")
+    return obj
 
 
 def parse_config(source):
@@ -238,9 +247,7 @@ def parse_config(source):
     Raises ConfigError naming the offending field path, e.g.
     "families[2].up: must be positive", and for any other kind of source.
     """
-    obj = _read_config(source)
-    if not isinstance(obj, dict):
-        raise ConfigError("config: top level must be an object")
+    obj = read_config(source)
     extra = set(obj) - _TOP_KEYS
     if extra:
         raise ConfigError(f"config.{sorted(extra)[0]}: unknown field")
@@ -506,6 +513,12 @@ def _fmt(value):
     return str(value)
 
 
+def _clean(value):
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
+
+
 def emit_records(records, path, format="csv"):
     """Write records to a path or a text stream; CSV floats round-trip."""
     if format not in ("csv", "json"):
@@ -515,33 +528,17 @@ def emit_records(records, path, format="csv"):
         if format == "csv":
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for r in records:
-                writer.writerow([
-                    r.problem_id, r.m, r.n, _fmt(r.kappa), r.solver,
-                    r.iterations, _fmt(r.rel_error), _fmt(r.eta_bar),
-                    _fmt(r.estimate), _fmt(r.residual_gap),
-                    r.wall_time_ns, r.status,
-                ])
+            writer.writerows(map(_fmt, _record_values(r)) for r in records)
             return
-
-        def clean(v):
-            if isinstance(v, float) and not np.isfinite(v):
-                return None
-            return v
-        objs = [{
-            "problemId": r.problem_id, "m": r.m, "n": r.n,
-            "kappaA": clean(r.kappa), "solver": r.solver,
-            "iterations": r.iterations, "relError": clean(r.rel_error),
-            "etaBar": clean(r.eta_bar), "estimate": clean(r.estimate),
-            "residualGapFinal": clean(r.residual_gap),
-            "wallTimeNanos": r.wall_time_ns, "status": r.status,
-        } for r in records]
+        objs = [dict(zip(_JSON_KEYS, map(_clean, _record_values(r)),
+                         strict=True)) for r in records]
         json.dump(objs, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
 def load_records(path):
-    """Read back a CSV produced by emit_records."""
+    """Read back a CSV produced by emit_records; an empty cell is None in
+    a field whose default is None."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -551,14 +548,9 @@ def load_records(path):
         for row in reader:
             if len(row) != len(CSV_COLUMNS):
                 raise ConfigError(f"{path}: bad column count {len(row)}")
-            out.append(BenchRecord(
-                problem_id=row[0], m=int(row[1]), n=int(row[2]),
-                kappa=float(row[3]), solver=row[4], iterations=int(row[5]),
-                rel_error=float(row[6]), eta_bar=float(row[7]),
-                estimate=float(row[8]),
-                residual_gap=float(row[9]) if row[9] else None,
-                wall_time_ns=int(row[10]), status=row[11],
-            ))
+            out.append(BenchRecord(*(
+                None if cell == "" and f.default is None else f.type(cell)
+                for f, cell in zip(fields(BenchRecord), row))))
     return out
 
 

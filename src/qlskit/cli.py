@@ -9,18 +9,24 @@ Subcommands:
 * ``table``: render a records CSV as the error/estimate table.
 * ``trace``: CGLSI residual-gap history of one problem as CSV.
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 numerical
-failure (a solver raised, or a bench record ended with status=error).
+Each run-setting flag sets the config key it names in ``_FLAG_KEYS``;
+``solve`` and ``trace`` read their problem as a one-``file``-family
+config.  So every run setting is checked once, by ``bench.parse_config``.
+
+Exit codes: 0 success, 1 configuration error, 2 I/O or usage error, 3
+numerical failure (a solver raised, or a bench record ended with
+status=error).
 """
 
 import argparse
 import csv
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
-from . import bench, iterative, problems
+from . import bench, problems
 from .errors import ConfigError, MissingConfiguration, QlskitError
 
 _EXIT_CONFIG = 1
@@ -28,44 +34,37 @@ _EXIT_IO = 2
 _EXIT_NUMERICAL = 3
 
 
-def _check_eps(eps):
-    """Round a requested eps to a power of two, warning when it moves."""
-    if eps is None:
-        return None
-    if not 0 < eps <= problems.MAX_EPS:
-        raise ConfigError(f"--eps must be in (0, {problems.MAX_EPS}], "
-                          f"got {eps!r}")
-    if not problems.is_power_of_two(eps):
-        rounded = problems.nearest_power_of_two(eps)
-        print(f"warning: eps {eps!r} is not a power of two; "
-              f"using {rounded!r}", file=sys.stderr)
-        return rounded
-    return eps
+# Each run-setting flag (by its argparse dest) and the config key it sets.
+_FLAG_KEYS = {"solver": "solvers", "eps": "eps", "tol": "tol",
+              "maxit": "maxIterations", "seed": "seed"}
 
 
-def _apply_overrides(config, args):
-    if getattr(args, "solver", None) is not None:
-        names = [s.strip() for s in args.solver.split(",") if s.strip()]
-        if not names:
-            raise ConfigError("--solver: no solver names given")
-        config.solvers = bench.check_solvers(names, "--solver")
-    if getattr(args, "eps", None) is not None:
-        config.eps = _check_eps(args.eps)
-    if getattr(args, "tol", None) is not None:
-        if args.tol <= 0:
-            raise ConfigError("--tol must be positive")
-        config.tol = args.tol
-    if getattr(args, "maxit", None) is not None:
-        if args.maxit <= 0:
-            raise ConfigError("--maxit must be positive")
-        config.max_iterations = args.maxit
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
+def _config(args, doc):
+    """Lay the run-setting flags of `args` over config document `doc` and
+    validate the result once, through ``bench.parse_config``."""
+    flags = {key: getattr(args, dest) for dest, key in _FLAG_KEYS.items()
+             if getattr(args, dest, None) is not None}
+    if flags.get("solvers") == []:
+        raise ConfigError("--solver: no solver names given")
+    config = bench.parse_config({**doc, **flags})
+    if "eps" in flags:
+        eps, moved = problems.eps_weight(config.eps)
+        if moved:
+            print(f"warning: eps {config.eps!r} is not a power of two; "
+                  f"using {eps!r}", file=sys.stderr)
     return config
 
 
+def _one_problem(args, **doc):
+    """The config and problem of a command that reads one problem file."""
+    config = _config(args, {"families": [{"type": "file",
+                                          "path": args.problem}], **doc})
+    (p,) = bench.build_problems(config)
+    return config, p
+
+
 def _cmd_gen(args):
-    config = _apply_overrides(bench.parse_config(args.config), args)
+    config = _config(args, bench.read_config(args.config))
     probs = bench.build_problems(config)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -77,13 +76,13 @@ def _cmd_gen(args):
 
 
 def _cmd_solve(args):
-    p = problems.load_problem(args.problem)
-    solver = (args.solver or "QR").strip()
-    eps = _check_eps(args.eps) or problems.DEFAULT_EPS
-    ctrl = iterative.IterationControl(tol=args.tol, max_iterations=args.maxit)
-    bench.check_solvers([solver], "--solver")
+    config, p = _one_problem(args, solvers=["QR"])
+    if len(config.solvers) != 1:
+        raise ConfigError(f"--solver: solve runs one solver, "
+                          f"got {', '.join(config.solvers)}")
+    (solver,) = config.solvers
     run, _ = bench.SOLVER_TABLE[solver]
-    result = run([p], eps, ctrl)[0]
+    result = run([p], config.eps, config.control())[0]
     if isinstance(result, QlskitError):
         raise result
     x, iterations, status, _ = result
@@ -100,15 +99,12 @@ def _cmd_solve(args):
 
 
 def _cmd_bench(args):
-    config = _apply_overrides(bench.parse_config(args.config), args)
+    config = _config(args, bench.read_config(args.config))
     records = bench.run_suite(config)
     out = args.out or config.output
-    fmt = args.format or "csv"
+    bench.emit_records(records, out or sys.stdout, args.format)
     if out:
-        bench.emit_records(records, out, fmt)
         print(f"wrote {len(records)} records to {out}")
-    else:
-        bench.emit_records(records, sys.stdout, fmt)
     if any(r.status == "error" for r in records):
         return _EXIT_NUMERICAL
     return 0
@@ -130,21 +126,35 @@ def _cmd_table(args):
 
 
 def _cmd_trace(args):
-    p = problems.load_problem(args.problem)
-    ctrl = iterative.IterationControl(tol=args.tol, max_iterations=args.maxit)
-    gaps = bench.trace_residual_gap(p, ctrl)
-    out = args.out
+    config, p = _one_problem(args)
+    gaps = bench.trace_residual_gap(p, config.control())
     rows = [["iteration", "gap"]] + [
         [str(k + 1), repr(g)] for k, g in enumerate(gaps)
     ]
-    if out:
-        with open(out, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-        print(f"wrote {out}")
-    else:
-        for row in rows:
-            print(",".join(row))
+    with (open(args.out, "w", newline="") if args.out
+          else nullcontext(sys.stdout)) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    if args.out:
+        print(f"wrote {args.out}")
     return 0
+
+
+# Every flag and positional argument, with its argparse settings.
+_ARGUMENTS = {
+    "--config": dict(required=True, help="experiment JSON path"),
+    "problem": dict(help="saved problem file"),
+    "records": dict(help="records CSV from bench"),
+    "--out": dict(help="output path"),
+    "--eps": dict(type=float, help="regularization eps (power of two)"),
+    "--tol": dict(type=float, help="stopping tolerance"),
+    "--maxit": dict(type=int, help="iteration cap"),
+    "--seed": dict(type=int, help="base PRNG seed"),
+    "--solver": dict(type=lambda text: [s.strip() for s in text.split(",")
+                                         if s.strip()],
+                     help="solver name; bench takes a comma-separated list"),
+    "--format": dict(choices=("csv", "json"), default="csv",
+                     help="record output format (default csv)"),
+}
 
 
 def _build_parser():
@@ -153,48 +163,24 @@ def _build_parser():
         description="Solvers and diagnostics for A^T A x = A^T b + c.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, config=False, problem=False, records=False):
-        if config:
-            sp.add_argument("--config", required=True,
-                            help="experiment JSON path")
-        if problem:
-            sp.add_argument("problem", help="saved problem file")
-        if records:
-            sp.add_argument("records", help="records CSV from bench")
-        sp.add_argument("--out", help="output path")
-        sp.add_argument("--eps", type=float,
-                        help="regularization eps (power of two)")
-        sp.add_argument("--tol", type=float, help="stopping tolerance")
-        sp.add_argument("--maxit", type=int, help="iteration cap")
-        sp.add_argument("--seed", type=int, help="base PRNG seed")
-        sp.add_argument("--solver", help="comma-separated solver names")
-
-    sp = sub.add_parser("gen", help="save the config's problems as files")
-    add_common(sp, config=True)
-    sp.set_defaults(func=_cmd_gen)
-
-    sp = sub.add_parser("solve", help="run one solver on one problem")
-    add_common(sp, problem=True)
-    sp.set_defaults(func=_cmd_solve)
-
-    sp = sub.add_parser("bench", help="run a suite, emit records")
-    add_common(sp, config=True)
-    sp.add_argument("--format", choices=("csv", "json"),
-                    help="record output format (default csv)")
-    sp.set_defaults(func=_cmd_bench)
-
-    sp = sub.add_parser("profile", help="records CSV to SVG profile")
-    add_common(sp, records=True)
-    sp.set_defaults(func=_cmd_profile)
-
-    sp = sub.add_parser("table", help="records CSV to error table")
-    add_common(sp, records=True)
-    sp.set_defaults(func=_cmd_table)
-
-    sp = sub.add_parser("trace", help="CGLSI residual-gap history")
-    add_common(sp, problem=True)
-    sp.set_defaults(func=_cmd_trace)
+    # Each subcommand: its function, help line and the arguments it reads.
+    for name, func, help_line, arguments in (
+        ("gen", _cmd_gen, "save the config's problems as files",
+         "--config --out --seed"),
+        ("solve", _cmd_solve, "run one solver on one problem",
+         "problem --solver --eps --tol --maxit"),
+        ("bench", _cmd_bench, "run a suite, emit records",
+         "--config --out --eps --tol --maxit --seed --solver --format"),
+        ("profile", _cmd_profile, "records CSV to SVG profile",
+         "records --out"),
+        ("table", _cmd_table, "records CSV to error table", "records"),
+        ("trace", _cmd_trace, "CGLSI residual-gap history",
+         "problem --out --tol --maxit"),
+    ):
+        sp = sub.add_parser(name, help=help_line)
+        for arg in arguments.split():
+            sp.add_argument(arg, **_ARGUMENTS[arg])
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -372,6 +372,7 @@ def _next_line(it, name):
 
 
 def _read_block(it, name):
+    """Block `name` as a matrix ("A") or a vector (every other block)."""
     header = _next_line(it, name).strip()
     if header != name:
         raise InvalidParameter(f"expected block {name!r}, found {header!r}")
@@ -382,6 +383,9 @@ def _read_block(it, name):
         m = n = -1
     if min(m, n) < 0:
         raise InvalidParameter(f"block {name!r}: bad size line {size!r}")
+    if name != "A" and n != 1:
+        raise InvalidParameter(f"block {name!r}: a vector block has one "
+                               f"column, got {n}")
     rows = [_next_line(it, name).split() for _ in range(m)]
     # A block of no rows is rejected too: no block of a problem is empty.
     if m == 0 or any(len(row) != n for row in rows):
@@ -391,7 +395,7 @@ def _read_block(it, name):
                            dtype=float, count=m * n)
     except ValueError as exc:
         raise InvalidParameter(f"block {name!r}: {exc}") from None
-    return flat.reshape(m, n)
+    return flat.reshape(m, n) if name == "A" else flat
 
 
 def save_problem(p, path):
@@ -413,12 +417,10 @@ def load_problem(path, verify=True):
         raise InvalidParameter(f"{path}: not a problem file")
     label = lines[0][len("qls-problem"):].strip()
     it = iter(lines[1:])
-    a = _read_block(it, "A")
-    b = _read_block(it, "b")[:, 0]
-    c = _read_block(it, "c")[:, 0]
+    a, b, c = (_read_block(it, name) for name in ("A", "b", "c"))
     rest = list(it)
     it = iter(rest)
-    x = _read_block(it, "x")[:, 0] if rest else None
+    x = _read_block(it, "x") if rest else None
     extra = next(it, None)
     if extra is not None:
         raise InvalidParameter(f"{path}: unexpected line after the last block: "

@@ -1,5 +1,7 @@
 """Benchmark harness: config parsing, suite runs, profiles, reports."""
 
+import dataclasses
+import io
 import json
 import math
 import os
@@ -538,3 +540,37 @@ def test_trace_residual_gap_stays_at_roundoff():
     assert len(gaps) >= 1
     assert np.all(np.isfinite(gaps))
     assert max(gaps) <= 100 * U
+
+
+def test_record_schema_is_the_dataclass_fields(tmp_path):
+    # CSV columns, JSON keys and load_records all follow BenchRecord's
+    # fields; inf, -inf, NaN and None survive the CSV round trip, and the
+    # JSON writes the non-finite floats and None as null.
+    names = tuple(f.name for f in dataclasses.fields(bench.BenchRecord))
+    assert bench.CSV_COLUMNS == names
+    recs = [
+        bench.BenchRecord("p0", 4, 2, float("inf"), "QR", 0, float("inf"),
+                          float("nan"), float("nan"), residual_gap=None,
+                          wall_time_ns=5, status="error"),
+        bench.BenchRecord("p1", 6, 3, 12.5, "CGLSI", 9, 1e-300, 2.5e-17,
+                          -float("inf"), residual_gap=3e-16, wall_time_ns=7,
+                          status="failed"),
+    ]
+    path = tmp_path / "r.csv"
+    bench.emit_records(recs, str(path))
+    back = bench.load_records(str(path))
+    assert len(back) == 2
+    for a, b in zip(recs, back):
+        assert records_equal(a, b)
+        assert [type(v) for v in dataclasses.astuple(a)] == \
+            [type(v) for v in dataclasses.astuple(b)]
+    out = io.StringIO()
+    bench.emit_records(recs, out, "json")
+    objs = json.loads(out.getvalue())
+    assert [list(o) for o in objs] == [[
+        "problemId", "m", "n", "kappaA", "solver", "iterations", "relError",
+        "etaBar", "estimate", "residualGapFinal", "wallTimeNanos", "status",
+    ]] * 2
+    assert objs[0]["kappaA"] is None and objs[0]["residualGapFinal"] is None
+    assert objs[1]["estimate"] is None and objs[1]["residualGapFinal"] == 3e-16
+    assert objs[1]["relError"] == 1e-300 and objs[1]["iterations"] == 9

@@ -1,8 +1,10 @@
 """Command-line entry points: outputs, overrides, and exit codes."""
 
+import argparse
 import csv
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -370,3 +372,86 @@ def test_rerun_reproduces_records(tmp_path):
         for ln in path.read_text().splitlines()
     ]
     assert strip(out1) == strip(out2)
+
+
+def gen_problem(tmp_path, capsys):
+    """Config path and the path of its generated problem t0."""
+    cfg = write_config(tmp_path)
+    cli.main(["gen", "--config", cfg, "--out", str(tmp_path)])
+    capsys.readouterr()
+    return cfg, str(tmp_path / "t0.qls")
+
+
+@pytest.mark.parametrize("command, flag, key", [
+    (command, flag, key)
+    for command in ("bench", "solve", "trace")
+    for flag, key in (("--tol=-1", "config.tol"),
+                      ("--maxit=0", "config.maxIterations"),
+                      ("--eps=2", "config.eps"))
+    if not (command == "trace" and key == "config.eps")  # trace has no --eps
+])
+def test_bad_run_setting_exits_config_naming_its_key(tmp_path, capsys,
+                                                     command, flag, key):
+    # A flag sets its config key, and one validator checks the result:
+    # the same bad value ends the same way under every subcommand.
+    cfg, problem = gen_problem(tmp_path, capsys)
+    head = (["bench", "--config", cfg] if command == "bench"
+            else [command, problem])
+    assert cli.main(head + [flag]) == 1
+    assert key in capsys.readouterr().err
+
+
+def test_solve_rejects_a_solver_list(tmp_path, capsys):
+    _, problem = gen_problem(tmp_path, capsys)
+    assert cli.main(["solve", problem, "--solver", "CG,QR"]) == 1
+    assert "solve runs one solver" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "records.csv", "--out", "t.txt"],
+    ["solve", "p.qls", "--out", "x.txt"],
+    ["solve", "p.qls", "--seed", "1"],
+    ["gen", "--config", "c.json", "--solver", "NOPE"],
+    ["trace", "p.qls", "--eps", "5"],
+    ["profile", "records.csv", "--seed", "1"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in \
+        capsys.readouterr().err
+
+
+def test_solve_two_column_vector_block_exits_numerical(tmp_path, capsys):
+    # A b block of two columns is not a vector: exit 3 naming the block.
+    p = problems.QlsProblem(np.eye(2), np.ones(2), np.zeros(2))
+    path = tmp_path / "wide_b.qls"
+    problems.save_problem(p, str(path))
+    one = (1.0).hex()
+    path.write_text(path.read_text().replace(
+        f"b\n2 1\n{one}\n{one}\n", f"b\n2 2\n{one} {one}\n{one} {one}\n", 1))
+    assert cli.main(["solve", str(path)]) == 3
+    assert "block 'b'" in capsys.readouterr().err
+
+
+def readme_flag_table():
+    """{subcommand: [argument, ...]} from the README's flag table."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = text[text.index("| subcommand | argument |"):].split("\n\n")[0]
+    flags, command = {}, None
+    for row in table.splitlines()[2:]:  # below the header and its rule
+        cells = [cell.strip(" `") for cell in row.strip("|").split("|")]
+        command = cells[0] or command  # a blank cell continues the last
+        flags.setdefault(command, []).append(cells[1])
+    return flags
+
+
+def test_readme_flag_table_matches_the_parser():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    want = {name: [a.option_strings[0] if a.option_strings else a.dest
+                   for a in sp._actions if a.dest != "help"]
+            for name, sp in sub.choices.items()}
+    assert readme_flag_table() == want

@@ -270,10 +270,14 @@ def test_load_rejects_garbage(tmp_path):
     ("c\n2 1\n", "c\n2 -1\n", "c"),
     ("A\n2 2\n" + (1.0).hex(), "A\n2 2\nzz", "A"),
     ("x\n2 1\n" + (1.0).hex(), "x\n2 1\n0x1.8p", "x"),
+    # A vector block of two full columns.
+    ("b\n2 1\n0x1.0000000000000p+0\n0x0.0p+0\n",
+     "b\n2 2\n0x1.0000000000000p+0 0x1.0p+0\n0x0.0p+0 0x0.0p+0\n", "b"),
 ])
 def test_load_rejects_malformed_blocks(tmp_path, old, new, block):
-    # Size lines that are not two non-negative integers, and entries that
-    # are not hexadecimal floats, raise InvalidParameter naming the block.
+    # Size lines that are not two non-negative integers, vector blocks of
+    # more than one column, and entries that are not hexadecimal floats
+    # raise InvalidParameter naming the block.
     p = problems.QlsProblem(a=np.eye(2), b=np.array([1.0, 0.0]),
                             c=np.zeros(2), x_exact=np.array([1.0, 0.0]))
     path = tmp_path / "bad.qls"
