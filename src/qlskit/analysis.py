@@ -3,9 +3,11 @@
 The central objects are the structured condition number of the solution
 map (A, b, c) -> x of A^T A x = A^T b + c, the linearized minimum-norm
 backward error of an approximate solution, and the forward error
-estimates that combine the two.  The backward error never forms the
-n x (mn+m+n) Jacobian J of the residual map: an n x (2m+2n+1) factor F
-with F F^T = J J^T carries all it needs.  No solver is invoked.
+estimates that combine the two.  Each is written once, for the stacked
+system [A; eps c^T] with eps rounded by ``problems.eps_weight``; the
+base quantity is the eps one at eps = 0.  The backward error never
+forms the n x (mn+m+n) Jacobian J of the residual map: an n x (2m+2n+1)
+factor F with F F^T = J J^T carries all it needs.  No solver is invoked.
 """
 
 import numpy as np
@@ -40,58 +42,40 @@ def _check_x(p, x):
 # Structured condition numbers
 # ---------------------------------------------------------------------------
 
-def structured_cond_base(p, x, r=None):
-    """Absolute condition number of the solution at x.
+def _structured_cond(p, x, f, eps):
+    """sqrt(||Mbar||) at x, f the QR of [A; eps c^T] (of A at eps = 0).
 
-    Computed as the square root of the spectral norm of
+    With W = (A^T A + eps^2 c c^T)^-1 and r = b - A x,
 
-        (1 + ||r||^2) (A^T A)^-2 + (1 + ||x||^2) (A^T A)^-1 - (B + B^T),
+        Mbar = ((1 - 2 eps c^T x)^2 + ||r||^2) W^2
+               + (1 + ||x||^2) W A^T A W - (B + B^T),
 
-    with B = (A^dagger r) (x^T (A^T A)^-1) and r = b - A x.  The Gram
-    inverse and its square come from repeated triangular solves against
-    the cached R factor, so no inverse is ever formed from a product.
+    B = (W A^T r)(W x)^T.  W A^T A W = W - eps^2 (W c)(W c)^T, and
+    W A^T r is the least-squares solution of [A; eps c^T] z = (r, 0).
     """
-    x = _check_x(p, x)
-    f = p.qr()
-    n = p.n
-    if r is None:
-        r = p.residual(x)
-    w = la.qr_gram_solve(f, np.eye(n))
-    w2 = la.qr_gram_solve(f, w)
-    b1 = la.qr_lstsq(f, r)
+    r = p.residual(x)
+    w = la.qr_gram_solve(f, np.eye(p.n))
+    b1 = la.qr_lstsq(f, np.pad(r, (0, f.shape[0] - p.m)))
     b2 = w @ x
-    rr = float(r @ r)
-    xx = float(x @ x)
-    mbar = (1.0 + rr) * w2 + (1.0 + xx) * w - (np.outer(b1, b2) + np.outer(b2, b1))
+    lead = (1.0 - 2.0 * eps * float(p.c @ x)) ** 2 + float(r @ r)
+    wc = w @ p.c
+    middle = w - (eps * eps) * np.outer(wc, wc)
+    mbar = (lead * la.qr_gram_solve(f, w) + (1.0 + float(x @ x)) * middle
+            - (np.outer(b1, b2) + np.outer(b2, b1)))
     mbar = 0.5 * (mbar + mbar.T)
     return float(np.sqrt(la.sym_spectral_norm(mbar)))
+
+
+def structured_cond_base(p, x):
+    """Absolute condition number of the solution at x (Mbar at eps = 0)."""
+    return _structured_cond(p, _check_x(p, x), p.qr(), 0.0)
 
 
 def structured_cond_eps(p, x, eps=DEFAULT_EPS):
-    """Absolute condition number of the regularized solution map at x.
-
-    Same structure as the base quantity with the Gram matrix of the
-    stacked system G_eps = A^T A + eps^2 c c^T in place of A^T A, the
-    base residual r = b - A x, and the leading coefficient
-    (1 - 2 eps c^T x)^2 + ||r||^2.
-    """
+    """Absolute condition number of the regularized solution map at x."""
     x = _check_x(p, x)
     sys_ = build_eps_system(p, eps)
-    eps = sys_.eps
-    fe = la.qr_factorize(sys_.a_eps)
-    n = p.n
-    r = p.residual(x)
-    we = la.qr_gram_solve(fe, np.eye(n))
-    we2 = la.qr_gram_solve(fe, we)
-    t = p.a @ we
-    middle = t.T @ t
-    u1 = la.qr_gram_solve(fe, p.a.T @ r)
-    u2 = la.qr_gram_solve(fe, x)
-    lead = (1.0 - 2.0 * eps * float(p.c @ x)) ** 2 + float(r @ r)
-    mbar = lead * we2 + (1.0 + float(x @ x)) * middle
-    mbar -= np.outer(u1, u2) + np.outer(u2, u1)
-    mbar = 0.5 * (mbar + mbar.T)
-    return float(np.sqrt(la.sym_spectral_norm(mbar)))
+    return _structured_cond(p, x, la.qr_factorize(sys_.a_eps), sys_.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -103,21 +87,23 @@ def _unit(v):
     return v / nv if nv > 0.0 else np.zeros_like(v)
 
 
-def _gram_factor(p, xtilde, r, theta1, theta2, theta_a, c_block):
+def _gram_factor(p, xtilde, r, eps, theta1, theta2, theta_a):
     """QR of F^T, where the n x (2m+2n+1) matrix F has F F^T = J J^T.
 
-    J is the Jacobian of the residual map in the weighted perturbation
-    (theta_a vec(E), theta1 f, theta2 g).  Its E part has the Gram matrix
-    ||r||^2 I - x s^T - s x^T + ||x||^2 A^T A with s = A^T r, which the
-    first three blocks of F reproduce.  Hats are unit vectors, and the
-    hat of a zero vector is zero, so x = 0 and r = 0 need no branch.
-    With F^T = Q R, ||J^dagger h|| = ||R^-T h||.
+    J is the Jacobian of the eps residual map in the weighted perturbation
+    (theta_a vec(E), theta1 f, theta2 g).  The first three blocks of F
+    give its E part, ||r||^2 I - x s^T - s x^T + ||x||^2 A^T A, s = A^T r;
+    the last its g part, (1 - eps^2 c^T x) I - eps^2 c x^T.  Hats are
+    unit vectors, and the hat of a zero vector is zero, so x = 0 and
+    r = 0 need no branch.  With F^T = Q R, ||J^dagger h|| = ||R^-T h||.
     """
     if not (theta1 > 0.0 and theta2 > 0.0 and theta_a > 0.0):
         raise InvalidParameter("theta weights must be positive")
-    a = p.a
+    a, c = p.a, p.c
     nr, nx = np.linalg.norm(r), np.linalg.norm(xtilde)
     xh, rh = _unit(xtilde), _unit(r)
+    ctx = float(c @ xtilde)
+    c_block = (1.0 - eps * eps * ctx) * np.eye(p.n) - (eps * eps) * np.outer(c, xtilde)
     f = np.hstack([
         (nr * xh - nx * (a.T @ rh))[:, None] / theta_a,
         (nr / theta_a) * (np.eye(p.n) - np.outer(xh, xh)),
@@ -126,6 +112,18 @@ def _gram_factor(p, xtilde, r, theta1, theta2, theta_a, c_block):
         c_block / theta2,
     ])
     return la.qr_factorize(f.T)
+
+
+def _eta(p, xtilde, eps, theta1, theta2, theta_a):
+    """(z, r, F^T = Q R) of xtilde for the eps residual map (eps = 0: base).
+
+    z = R^-T h, h = A^T r + c - eps^2 (c^T xtilde) c, so ||z|| is the
+    backward error and R^-1 z = (J J^T)^-1 h.
+    """
+    r = p.residual(xtilde)
+    h = p.a.T @ r + p.c - (eps * eps * float(p.c @ xtilde)) * p.c
+    f = _gram_factor(p, xtilde, r, eps, theta1, theta2, theta_a)
+    return la.solve_triangular(f.r.T, h, lower=True), r, f
 
 
 def linearized_backward_error(p, xtilde, theta1=1.0, theta2=1.0,
@@ -137,30 +135,19 @@ def linearized_backward_error(p, xtilde, theta1=1.0, theta2=1.0,
     The thetas weight the perturbation components against each other;
     theta = inf semantics (frozen data) are not supported here.
     """
-    xtilde = _check_x(p, xtilde)
-    r = p.residual(xtilde)
-    f = _gram_factor(p, xtilde, r, theta1, theta2, theta_a, np.eye(p.n))
-    y = la.solve_triangular(f.r.T, p.a.T @ r + p.c, lower=True)
-    return float(np.linalg.norm(y))
+    z = _eta(p, _check_x(p, xtilde), 0.0, theta1, theta2, theta_a)[0]
+    return float(np.linalg.norm(z))
 
 
 def linearized_backward_error_eps(p, xtilde, eps=DEFAULT_EPS,
                                   theta1=1.0, theta2=1.0, theta_a=1.0):
     """Backward error of xtilde for the stacked regularized system.
 
-    The residual function gains the term -eps^2 (c^T xtilde) c and its
-    c-derivative becomes (1 - eps^2 c^T xtilde) I - eps^2 c xtilde^T;
-    the A and b blocks are unchanged.
+    The residual gains the term -eps^2 (c^T xtilde) c.
     """
-    xtilde = _check_x(p, xtilde)
-    eps = build_eps_system(p, eps).eps
-    c = p.c
-    ctx = float(c @ xtilde)
-    r = p.residual(xtilde)
-    h = p.a.T @ r + c - (eps * eps * ctx) * c
-    c_block = (1.0 - eps * eps * ctx) * np.eye(p.n) - (eps * eps) * np.outer(c, xtilde)
-    f = _gram_factor(p, xtilde, r, theta1, theta2, theta_a, c_block)
-    return float(np.linalg.norm(la.solve_triangular(f.r.T, h, lower=True)))
+    eps = eps_weight(eps)[0]
+    z = _eta(p, _check_x(p, xtilde), eps, theta1, theta2, theta_a)[0]
+    return float(np.linalg.norm(z))
 
 
 def relative_backward_error(p, xtilde):
@@ -210,10 +197,9 @@ def minimum_norm_perturbation(p, xtilde, theta1=1.0, theta2=1.0):
     to second order in the perturbation.
     """
     xtilde = _check_x(p, xtilde)
-    r = p.residual(xtilde)
-    f = _gram_factor(p, xtilde, r, theta1, theta2, 1.0, np.eye(p.n))
+    z, r, f = _eta(p, xtilde, 0.0, theta1, theta2, 1.0)
     # y = (J J^T)^-1 h; the triple is -J^T y, mapped back to data units.
-    y = la.qr_gram_solve(f, p.a.T @ r + p.c)
+    y = la.solve_triangular(f.r, z)
     ay = p.a @ y
     return PerturbationTriple(e=np.outer(ay, xtilde) - np.outer(r, y),
                               f=-ay / theta1 ** 2, g=-y / theta2 ** 2)
@@ -223,18 +209,23 @@ def minimum_norm_perturbation(p, xtilde, theta1=1.0, theta2=1.0):
 # Bounds and indicators
 # ---------------------------------------------------------------------------
 
-def sm_proximity_bound(p, eps=DEFAULT_EPS):
-    """Distance bound between the regularized and base solutions.
-
-    ||x_eps - x|| <= eps^2 ||c|| ||w|| / (1 + eps^2 c^T w) with
-    w = (A^T A)^-1 c.  eps goes through ``problems.eps_weight``, as in
-    the stacked system.
-    """
-    eps = eps_weight(eps)[0]
+def _sm_terms(p, eps):
+    """(w, den): w = (A^T A)^-1 c and den = 1 + eps^2 c^T w > 0."""
     w = la.qr_gram_solve(p.qr(), p.c)
     den = 1.0 + eps * eps * float(p.c @ w)
     if den <= 0.0:
         raise DenominatorVanishes(f"1 + eps^2 c^T w = {den:.3e}")
+    return w, den
+
+
+def sm_proximity_bound(p, eps=DEFAULT_EPS):
+    """Distance bound between the regularized and base solutions.
+
+    ||x_eps - x|| <= eps^2 ||c|| ||w|| / (1 + eps^2 c^T w) with
+    w = (A^T A)^-1 c.
+    """
+    eps = eps_weight(eps)[0]
+    w, den = _sm_terms(p, eps)
     return float(eps * eps * np.linalg.norm(p.c) * np.linalg.norm(w) / den)
 
 
@@ -350,18 +341,13 @@ def forward_error_estimates(p, xhat, eps=DEFAULT_EPS,
             )
             out["cg"] = float(base + floor / nx)
     if "cglseps" in want:
-        sys_ = build_eps_system(p, eps)
-        eps_eff = sys_.eps
-        w = la.qr_gram_solve(p.qr(), p.c)
-        den = 1.0 + eps_eff * eps_eff * float(p.c @ w)
-        if den <= 0.0:
-            raise DenominatorVanishes(f"1 + eps^2 c^T w = {den:.3e}")
-        alpha = eps_eff * eps_eff / den
-        amplify = rank_one_identity_norm(-alpha * w, p.c)
-        etab_e = linearized_backward_error_eps(p, xhat, eps_eff)
+        eps = eps_weight(eps)[0]
+        w, den = _sm_terms(p, eps)
+        amplify = rank_one_identity_norm(-(eps * eps / den) * w, p.c)
+        etab_e = linearized_backward_error_eps(p, xhat, eps)
         out["cglseps"] = float(
-            sm_proximity_bound(p, eps_eff)
-            + structured_cond_eps(p, xhat, eps_eff) * etab_e * amplify / nx
+            sm_proximity_bound(p, eps)
+            + structured_cond_eps(p, xhat, eps) * etab_e * amplify / nx
         )
     return out
 

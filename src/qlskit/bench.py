@@ -283,8 +283,8 @@ def parse_config(source):
                        positive=True)
             dw = _want(fam, "dw", (float, int), where, required=True,
                        positive=True)
-            if dw > up:
-                raise ConfigError(f"{where}.dw: must not exceed up")
+            if dw >= up:
+                raise ConfigError(f"{where}.dw: must be less than up")
         elif ftype == "file":
             _want(fam, "path", (str,), where, required=True)
             if not isinstance(fam.get("verify", True), bool):

@@ -131,12 +131,11 @@ def householder_qr(a, pivoting=False):
                 perm[[k, j]] = perm[[j, k]]
         x = v[k:, k]
         sigma = np.sqrt(x @ x)
-        if sigma == 0.0:
+        # No reflector (tau stays 0) only when x[1:] is exactly zero, as in
+        # LAPACK's dlarfg, or when every square underflows.
+        if sigma == 0.0 or not x[1:].any():
             continue
         alpha = x[0]
-        # Already triangular column: keep it, tau stays 0 (no reflector).
-        if sigma == abs(alpha):
-            continue
         rkk = -np.copysign(sigma, alpha)
         w = x / (alpha - rkk)
         w[0] = 1.0

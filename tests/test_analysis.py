@@ -112,6 +112,46 @@ def test_structured_cond_eps_flat_where_classical_blows_up():
     assert classical[-1] / classical[0] >= 1e6
 
 
+def test_structured_cond_eps_matches_explicit_inverse():
+    # Mbar of the docstring from an explicitly inverted G_eps, at an eps
+    # large enough that every eps term weighs in.
+    rng = np.random.default_rng(np.random.SeedSequence(1414))
+    eps = 2.0 ** -3
+    worst = 0.0
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(n + 2, 9))
+        a = rng.standard_normal((m, n)) + 2.0 * np.eye(m, n)
+        b = rng.standard_normal(m)
+        c = 4.0 * rng.standard_normal(n)
+        p = problems.QlsProblem(a=a, b=b, c=c)
+        x = rng.standard_normal(n)
+        r = b - a @ x
+        w = np.linalg.inv(a.T @ a + eps * eps * np.outer(c, c))
+        lead = (1.0 - 2.0 * eps * (c @ x)) ** 2 + r @ r
+        bmat = np.outer(w @ a.T @ r, w @ x)
+        mbar = lead * w @ w + (1.0 + x @ x) * w @ a.T @ a @ w - (bmat + bmat.T)
+        want = np.sqrt(np.linalg.norm(mbar, 2))
+        got = analysis.structured_cond_eps(p, x, eps)
+        worst = max(worst, abs(got - want) / want)
+    assert worst <= 1e-10
+
+
+def test_eps_quantities_round_eps_like_eps_weight():
+    rng = np.random.default_rng(np.random.SeedSequence(1415))
+    p = problems.QlsProblem(a=rng.standard_normal((7, 3)),
+                            b=rng.standard_normal(7), c=rng.standard_normal(3))
+    x = direct.solve_qr(p)
+    assert problems.eps_weight(0.3) == (0.25, True)
+    for fn in (analysis.structured_cond_eps,
+               analysis.linearized_backward_error_eps,
+               lambda p, x, eps: analysis.forward_error_estimates(
+                   p, x, eps, methods=("cglseps",))["cglseps"]):
+        assert fn(p, x, 0.3) == fn(p, x, 0.25)
+        with pytest.raises(InvalidParameter):
+            fn(p, x, 2.0)
+
+
 def test_linearized_backward_error_hand_case():
     p = problems.QlsProblem(a=np.array([[1.0]]), b=np.array([1.0]),
                             c=np.array([0.0]))

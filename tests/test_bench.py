@@ -115,10 +115,11 @@ def test_parse_config_diagnostics():
         bench.parse_config(bad)
     with pytest.raises(ConfigError, match="solvers"):
         bench.parse_config(small_config(solvers=["CG", "SIMPLEX"]))
-    with pytest.raises(ConfigError, match="dw"):
-        bench.parse_config({"families": [
-            {"type": "c2", "m": 8, "n": 4, "up": 0.1, "dw": 0.5, "alpha": 1.0}
-        ]})
+    for dw in (0.5, 0.1):  # dw > up and dw == up
+        with pytest.raises(ConfigError, match=r"families\[0\]\.dw"):
+            bench.parse_config({"families": [
+                {"type": "c2", "m": 8, "n": 4, "up": 0.1, "dw": dw, "alpha": 1.0}
+            ]})
     with pytest.raises(ConfigError, match="tol"):
         bench.parse_config(small_config(tol="tight"))
     with pytest.raises(ConfigError, match="config.eps"):

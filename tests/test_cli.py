@@ -227,6 +227,14 @@ def test_bench_short_wide_family_exit_config(tmp_path, capsys, family):
     assert "families[0].m" in capsys.readouterr().err
 
 
+def test_bench_c2_dw_equal_to_up_exit_config(tmp_path, capsys):
+    # sigma_c2 needs dw < up; the config check says so before any build.
+    cfg = write_config(tmp_path, families=[
+        {"type": "c2", "m": 8, "n": 4, "up": 1.0, "dw": 1.0}])
+    assert cli.main(["bench", "--config", cfg]) == 1
+    assert "families[0].dw" in capsys.readouterr().err
+
+
 def test_bench_eps_too_large_exit_config(tmp_path, capsys):
     # eps = 1e300 overflowed in matmul; it is a config error naming eps.
     cfg = write_config(tmp_path, eps=1e300, solvers=["CGLSEPS", "QREPS", "SM"])

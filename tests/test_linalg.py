@@ -342,6 +342,21 @@ def test_svd_tiny_columns_converge():
     assert np.all(np.abs(s - np.linalg.svd(a, compute_uv=False)) <= 4 * U * 128.0)
 
 
+def test_column_whose_norm_rounds_to_its_first_entry_is_reflected():
+    # ||(1, t)|| rounds to 1 for t = 2.8e-11, but the column is not
+    # triangular: it must still get a reflector (LAPACK's dlarfg skips
+    # only an exactly zero tail), so the rank-one matrix has sigma_min 0.
+    t = 2.8058859e-11
+    a = np.array([[1.0, 1.0], [t, t]])
+    f = la.householder_qr(a)
+    assert f.tau[0] != 0.0
+    assert np.allclose(reconstruct_qr(f), a, rtol=0.0, atol=4 * U)
+    s = la.svd(a)
+    want = np.linalg.svd(a, compute_uv=False)
+    assert np.all(np.abs(s - want) <= 8 * U * want[0])
+    assert s[1] == 0.0
+
+
 def test_svd_zero_column_and_empty():
     s = la.svd(np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 0.0]]))
     assert np.array_equal(s, [3.0, 0.0])
