@@ -110,25 +110,25 @@ def _drive(steps, count, tol, maxit, patience, history):
     series, _, saved = next(steps)
     norm = series[0].ravel()
     # Per active problem: global index, best norm and index, and limits.
+    # A run goes on while threshold < norm <= ceiling; the ceiling is
+    # capped at the largest float, so an infinite norm is out of range.
     idx, best, last = np.arange(count), norm, np.zeros(count, int)
-    threshold, ceiling = tol * norm, DIVERGENCE_FACTOR * norm
+    threshold = tol * norm
+    ceiling = np.minimum(DIVERGENCE_FACTOR * norm, np.finfo(float).max)
     kept = [s.copy() for s in saved]
     best_k, codes = np.zeros(count, int), np.zeros(count, int)
     logs = [[tuple(v.ravel()[i] for v in series)] for i in range(count)]
     # A zero initial residual (zero right-hand side or exact x0) is solved.
-    live = norm != 0.0
-    codes[~live] = 1
-    k = 0
-    while True:
-        keep = None
-        if not live.all():
-            keep = np.flatnonzero(live)
-            if not keep.size:
-                break
-            idx, best, last, threshold, ceiling, live = _take(
-                keep, idx, best, last, threshold, ceiling, live)
+    codes[norm == 0.0] = 1
+    keep = None if norm.all() else np.flatnonzero(norm)
+    # No run stalls before step `deadline`: the earliest last + patience.
+    k, deadline = 0, patience
+    while keep is None or keep.size:
+        if keep is not None:
+            idx, best, last, threshold, ceiling = _take(
+                keep, idx, best, last, threshold, ceiling)
         series, broke, saved = steps.send(keep)
-        k += 1
+        k, keep = k + 1, None
         series = [v.ravel() for v in series]
         norm, broke = series[0], broke.ravel()
         up = (norm < best) & ~broke
@@ -140,14 +140,17 @@ def _drive(steps, count, tol, maxit, patience, history):
         if history:
             for j in np.flatnonzero(~broke):
                 logs[idx[j]].append(tuple(v[j] for v in series))
-        div = ~np.isfinite(norm) | (norm > ceiling)
-        conv, stalled = norm <= threshold, k - last >= patience
-        if k >= maxit or (broke | div | conv | stalled).any():
+        if k >= deadline:
+            deadline = last.min() + patience
+        if (k >= min(maxit, deadline)
+                or not ((norm > threshold) & (norm <= ceiling) & ~broke).all()):
             # Codes are 1 + the index into STATUSES, in order of precedence.
-            code = np.select([broke, div, conv, stalled, k >= maxit],
+            div = ~np.isfinite(norm) | (norm > ceiling)
+            code = np.select([broke, div, norm <= threshold,
+                              k - last >= patience, k >= maxit],
                              [5, 3, 1, 2, 4])
-            live = code == 0
-            codes[idx[~live]] = code[~live]
+            codes[idx[code != 0]] = code[code != 0]
+            keep = np.flatnonzero(code == 0)
     steps.close()
     hists = [np.array(logs[i][1:best_k[i] + 1]).reshape(-1, len(series)).T
              for i in range(count)]

@@ -10,7 +10,9 @@ problem generator), `svd`, one-sided Jacobi singular values of a matrix
 or a stack (round-robin, after row-sorted pivoted QRs), accurate for
 small singular values, and the Bunch-Kaufman LDLT with 1x1 and 2x2
 diagonal blocks.  Every QR keeps compact Householder reflectors, so
-products with Q or its transpose never form Q.
+products with Q or its transpose never form Q; the Householder QR and
+those products also take a (B, m, n) stack, each matrix bitwise its own
+call.
 """
 
 import math
@@ -78,7 +80,8 @@ def as_vector(y, name="vector"):
 
 @dataclass
 class QrFactorization:
-    """Householder QR of a tall matrix, A[:, perm] = Q R.
+    """Householder QR of a tall matrix, A[:, perm] = Q R, or of each
+    matrix of a stack (every field then gains a leading axis).
 
     `reflectors` stores R in its upper triangle and the reflector vectors
     (implicit unit first component) below the diagonal; `tau` holds the
@@ -98,9 +101,10 @@ class QrFactorization:
 
 
 def _tall(a):
-    """`a` as a validated (m, n) float matrix with m >= n >= 1."""
-    a = as_matrix(a, "a")
-    m, n = a.shape
+    """`a` as a validated (m, n) float matrix, or (B, m, n) stack, with
+    m >= n >= 1."""
+    a = _as_array(a, "a", (2, 3))
+    m, n = a.shape[-2:]
     if m < n:
         raise DimensionMismatch(f"need rows >= cols, got {m} x {n}")
     if n == 0:
@@ -108,44 +112,88 @@ def _tall(a):
     return a
 
 
+def _aligned_stack(count, rows, cols):
+    """Uninitialized (count, rows, cols) stack whose matrices each start on
+    a 16-byte boundary, as a fresh array does.  Some BLAS kernels (Katmai,
+    Prescott) sum a vector in another order when it starts 8 bytes off
+    that boundary, so a stacked vector or matrix gets the rounding of its
+    own call only at the alignment its own call has."""
+    size = rows * cols
+    return np.empty((count, size + size % 2))[:, :size].reshape(count, rows, cols)
+
+
+def _reflect(dst, tw, t, act):
+    """dst -= tw t^T (tw (B, k), t (B, 1, c), dst (B, k, c)) in the
+    matrices marked by `act` (True: all); the others stay bitwise, as when
+    their step is skipped."""
+    np.subtract(dst, tw[:, :, None] * t, out=dst,
+                where=act if act is True else act[:, None, None])
+
+
+# Matrices per stacked Householder call where a caller has more: larger
+# stacks save little time and hold more memory.
+STACK_CHUNK = 8
+
+
 def householder_qr(a, pivoting=False):
-    """Hand-written Householder QR, A[:, perm] = Q R, with no rank check.
+    """Hand-written Householder QR, A[:, perm] = Q R, with no rank check,
+    of one matrix or of each matrix of a (B, m, n) stack.
 
     The reflectors follow LAPACK's geqrf storage and sign rule.  With
     `pivoting` each step brings the column of largest remaining norm
     forward; ties break to the lowest index, and the norms are recomputed
-    each step, so the pivot order is deterministic.  This loop serves the
-    pivoted `qr_factorize`, the Jacobi preconditioner in `svd`, and the
-    problem generator, whose data its exact arithmetic fixes.
+    each step, so the pivot order is deterministic.  A stack runs each
+    step for all its matrices in one numpy call per operation; every
+    matrix and work vector sits at the alignment of its own call (see
+    `_aligned_stack`), so each matrix's R, reflectors, tau and perm are
+    bitwise those of its own call, and a 2-d input is the B = 1 case.
+    This loop serves the pivoted `qr_factorize`, the Jacobi
+    preconditioner in `svd`, and the problem generator, whose data its
+    exact arithmetic fixes.
     """
-    v = _tall(a).copy()
-    n = v.shape[1]
-    tau = np.zeros(n)
-    perm = np.arange(n)
+    a = _tall(a)
+    single = a.ndim == 2
+    v = _aligned_stack(*(a[None] if single else a).shape)
+    v[...] = a
+    tau, perm = _householder(v, pivoting)
+    r = np.triu(v[:, :v.shape[2]])
+    if single:
+        v, tau, r, perm = v[0], tau[0], r[0], perm[0]
+    return QrFactorization(v, tau, r, perm, pivoted=bool(pivoting))
+
+
+def _householder(v, pivoting):
+    """The steps of `householder_qr` on an `_aligned_stack` v, in place:
+    R and the reflectors overwrite v.  Returns (tau, perm)."""
+    nb, m, n = v.shape
+    tau, perm = np.zeros((nb, n)), np.tile(np.arange(n), (nb, 1))
+    work, each = _aligned_stack(nb, 1, m)[:, 0], np.arange(nb)
     for k in range(n):
         if pivoting:
-            norms = np.einsum("ij,ij->j", v[k:, k:], v[k:, k:])
-            j = k + int(np.argmax(norms))
-            if j != k:
-                v[:, [k, j]] = v[:, [j, k]]
-                perm[[k, j]] = perm[[j, k]]
-        x = v[k:, k]
-        sigma = np.sqrt(x @ x)
+            norms = np.einsum("bij,bij->bj", v[:, k:, k:], v[:, k:, k:])
+            j = k + np.argmax(norms, axis=1)
+            v[each, :, k], v[each, :, j] = v[each, :, j], v[each, :, k]
+            perm[each, k], perm[each, j] = perm[each, j], perm[each, k]
+        x = v[:, k:, k]
+        sigma = np.sqrt((x[:, None] @ x[:, :, None])[:, 0, 0])
         # No reflector (tau stays 0) only when x[1:] is exactly zero, as in
         # LAPACK's dlarfg, or when every square underflows.
-        if sigma == 0.0 or not x[1:].any():
+        act = (sigma != 0.0) & x[:, 1:].any(axis=1)
+        if not act.any():
             continue
-        alpha = x[0]
+        alpha = x[:, 0]
         rkk = -np.copysign(sigma, alpha)
-        w = x / (alpha - rkk)
-        w[0] = 1.0
-        tau[k] = 2.0 / (w @ w)
+        w = work[:, :m - k]
+        np.divide(x, np.where(act, alpha - rkk, 1.0)[:, None], out=w)
+        w[:, 0] = 1.0
+        tau[:, k] = np.where(act, 2.0 / (w[:, None] @ w[:, :, None])[:, 0, 0], 0.0)
         if k + 1 < n:
-            t = w @ v[k:, k + 1:]
-            v[k:, k + 1:] -= (tau[k] * w)[:, None] * t
-        v[k, k] = rkk
-        v[k + 1:, k] = w[1:]
-    return QrFactorization(v, tau, np.triu(v[:n]), perm, pivoted=bool(pivoting))
+            t = w[:, None] @ v[:, k:, k + 1:]
+            _reflect(v[:, k:, k + 1:], tau[:, k, None] * w, t,
+                     True if act.all() else act)
+        w[:, 0] = rkk
+        v[:, k:, k] = np.where(act[:, None], w, x)
+    return tau, perm
 
 
 def qr_factorize(a, pivoting=False):
@@ -191,20 +239,35 @@ def qr_factorize(a, pivoting=False):
 
 
 def _apply_reflectors(f, y, transpose):
-    z = np.array(y, dtype=float)
-    vec = z.ndim == 1
+    """Q y or Q^T y for one QR, y (m,) or (m, p), or for each QR of a
+    stack, y (B, m, p) or one (m, p) for all; stacked as in
+    `householder_qr`, so each product is bitwise its own call's."""
+    h, tau = f.reflectors, f.tau
+    single = h.ndim == 2
+    if single:
+        h, tau = h[None], tau[None]
+    nb, m, n = h.shape
+    y = np.asarray(y, dtype=float)
+    vec = y.ndim == 1
     if vec:
-        z = z[:, None]
-    m, n = f.reflectors.shape
-    if z.shape[0] != m:
-        raise DimensionMismatch(f"operand has {z.shape[0]} rows, expected {m}")
-    order = range(n) if transpose else range(n - 1, -1, -1)
-    for k in order:
-        if f.tau[k] == 0.0:
+        y = y[:, None]
+    if y.shape[-2] != m:
+        raise DimensionMismatch(f"operand has {y.shape[-2]} rows, expected {m}")
+    z = _aligned_stack(nb, m, y.shape[-1])
+    z[...] = y
+    work = _aligned_stack(nb, 1, m)[:, 0]
+    work[:, 0] = 1.0
+    act = tau != 0.0
+    some, every = act.any(axis=0).tolist(), act.all(axis=0).tolist()
+    for k in (range(n) if transpose else range(n - 1, -1, -1)):
+        if not some[k]:
             continue
-        w = np.concatenate(([1.0], f.reflectors[k + 1:, k]))
-        z[k:] -= (f.tau[k] * w)[:, None] * (w @ z[k:])
-    return z[:, 0] if vec else z
+        w = work[:, :m - k]
+        w[:, 1:] = h[:, k + 1:, k]
+        t = w[:, None] @ z[:, k:]
+        _reflect(z[:, k:], tau[:, k, None] * w, t, every[k] or act[:, k])
+    z = z[0] if single else z
+    return z[..., 0] if vec else z
 
 
 def apply_q_transpose(f, y):
@@ -296,10 +359,12 @@ def svd(a):
     keeps its entries from overflowing or underflowing; its rows are
     sorted by decreasing max |a_ij| and the column-pivoted
     `householder_qr` gives R (Drmac-Veselic preconditioning; the row sort
-    keeps row-graded input accurate, Cox and Higham).  The columns of R^T
-    are rotated pairwise until |a_i . a_j| <= 1e-15 ||a_i|| ||a_j|| for
-    every pair; their norms are the singular values, small ones to high
-    relative accuracy (Demmel-Veselic).  Each Brent-Luk round-robin round
+    keeps row-graded input accurate, Cox and Higham).  The scaling and the
+    sort run on the whole stack in one call, the QR on stacks of
+    `STACK_CHUNK` matrices.  The columns of R^T are rotated pairwise
+    until |a_i . a_j| <= 1e-15 ||a_i|| ||a_j|| for every pair; their
+    norms are the singular values, small ones to high relative accuracy
+    (Demmel-Veselic).  Each Brent-Luk round-robin round
     rotates n/2 disjoint pairs of every matrix in one numpy step (odd n
     adds a zero column); a pair needing no rotation gets cos 1, sin 0 and
     stays bitwise unchanged, so each matrix's values are bitwise its own
@@ -316,11 +381,19 @@ def svd(a):
     h = (n + 1) // 2
     w, e = np.zeros((nb, 2 * h, n)), np.zeros(nb, dtype=int)
     live = np.arange(nb if n else 0)
-    for k in live:
-        e[k] = math.frexp(float(np.max(np.abs(stack[k]))))[1]
-        a = np.ldexp(stack[k], -e[k])
-        rows = np.argsort(-np.max(np.abs(a), axis=1), kind="stable")
-        w[k, :n] = householder_qr(a[rows], pivoting=True).r
+    if live.size:
+        # Row maxima of |a|, scaled exactly as the rows are: the sort keys.
+        big = np.maximum(stack.max(axis=2), -stack.min(axis=2))
+        e = np.frexp(big.max(axis=1))[1]
+        rows = np.argsort(-np.ldexp(big, -e[:, None]), axis=1, kind="stable")
+        for lo in range(0, nb, STACK_CHUNK):
+            part = slice(lo, lo + STACK_CHUNK)
+            # Sorted and scaled into a stack the QR works on in place.
+            v = _aligned_stack(*stack[part].shape)
+            np.ldexp(np.take_along_axis(stack[part], rows[part, :, None], axis=1),
+                     -e[part, None, None], out=v)
+            _householder(v, pivoting=True)
+            w[part, :n] = np.triu(v[:, :n])
     single, s, stack = s.ndim == 2, None, None  # frees a converted copy of a
     # Column 0 keeps its seat, the others move one seat per round, and
     # seat k meets seat 2h-1-k: every pair meets once per sweep.

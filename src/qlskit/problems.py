@@ -149,31 +149,60 @@ def sigma_c2(n, dw, up):
     return np.linspace(dw, up, n)
 
 
-def orthogonal_factor(dim, kind, seed=0):
-    """Deterministic orthogonal matrix of order `dim`.
+def _seeded_factors(dim, specs):
+    """Q factors, column signs fixed by diag(R) > 0, of the seeded
+    Gaussian matrices of `specs` ((kind, seed) pairs), as one stack."""
+    g = np.empty((len(specs), dim, dim))
+    for b, (kind, seed) in enumerate(specs):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), kind, dim]))
+        rng.standard_normal(out=g[b])
+    f, g = la.householder_qr(g), None
+    q = la.apply_q(f, np.eye(dim))
+    q *= np.copysign(1.0, np.diagonal(f.r, axis1=1, axis2=2))[:, None]
+    return q
 
-    Kinds 1 and 2 are closed-form trigonometric families (the symmetric
-    sine transform and the Hartley cas kernel); kinds 3 to 6 take the Q
-    factor of a seeded Gaussian matrix, with column signs fixed so the
-    result is unique.  The seed only matters for kinds 3 to 6.
-    """
-    if dim < 1:
-        raise InvalidParameter("dim must be >= 1")
-    if kind not in (1, 2, 3, 4, 5, 6):
-        raise InvalidParameter(f"kind must be in 1..6, got {kind}")
+
+def _closed_form_factor(dim, kind):
     if kind == 1:
         i = np.arange(1.0, dim + 1.0)
         return np.sqrt(2.0 / (dim + 1.0)) * np.sin(np.outer(i, i) * np.pi / (dim + 1.0))
-    if kind == 2:
-        i = np.arange(dim)
-        ang = 2.0 * np.pi * np.outer(i, i) / dim
-        return (np.cos(ang) + np.sin(ang)) / np.sqrt(dim)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), kind, dim]))
-    g = rng.standard_normal((dim, dim))
-    f = la.householder_qr(g)
-    q = la.apply_q(f, np.eye(dim))
-    signs = np.copysign(1.0, np.diag(f.r))
-    return q * signs
+    i = np.arange(dim)
+    ang = 2.0 * np.pi * np.outer(i, i) / dim
+    return (np.cos(ang) + np.sin(ang)) / np.sqrt(dim)
+
+
+def orthogonal_factors(dim, specs):
+    """Deterministic orthogonal matrices of order `dim`, one per (kind,
+    seed) pair of `specs`, in order.
+
+    Kinds 1 and 2 are closed-form trigonometric families (the symmetric
+    sine transform and the Hartley cas kernel), built once per call and
+    shared by every pair that names them.  Kinds 3 to 6 take the Q factor
+    of a seeded Gaussian matrix, with column signs fixed so the result is
+    unique; their QRs and Q formations run in stacks of up to
+    `linalg.STACK_CHUNK`, each factor bitwise that of a stack of one.  The
+    seed only matters for kinds 3 to 6.
+    """
+    if dim < 1:
+        raise InvalidParameter("dim must be >= 1")
+    for kind, _ in specs:
+        if kind not in (1, 2, 3, 4, 5, 6):
+            raise InvalidParameter(f"kind must be in 1..6, got {kind}")
+    closed = {kind: _closed_form_factor(dim, kind)
+              for kind in {kind for kind, _ in specs if kind < 3}}
+    out = [closed.get(kind) for kind, _ in specs]
+    seeded = [pos for pos, (kind, _) in enumerate(specs) if kind > 2]
+    for lo in range(0, len(seeded), la.STACK_CHUNK):
+        part = seeded[lo:lo + la.STACK_CHUNK]
+        for pos, q in zip(part, _seeded_factors(dim, [specs[pos] for pos in part])):
+            out[pos] = q
+    return out
+
+
+def orthogonal_factor(dim, kind, seed=0):
+    """Deterministic orthogonal matrix of order `dim`: the one-pair call
+    of `orthogonal_factors`."""
+    return orthogonal_factors(dim, [(kind, seed)])[0]
 
 
 def assemble_problem(m, n, sigma, c, kind=1, seed=0, label="", u=None, v=None):
@@ -309,6 +338,11 @@ def generate_problem_set_p(seed=DEFAULT_SET_SEED, m=100, n=50):
     induced residual would dominate ||A|| ||x_exact||, which keeps every
     instance's scaling sane (large condition numbers pair with small c).
     """
+    # Every factor of one order comes from one orthogonal_factors call;
+    # the loop drops each pair once its problem is built.
+    specs = [(1 + idx % 6, seed * 100 + idx) for idx in range(40)]
+    us = orthogonal_factors(m, specs)
+    vs = orthogonal_factors(n, [(kind, s + 1) for kind, s in specs])
     problems = []
     for idx in range(40):
         family = "c1" if idx < 20 else "c2"
@@ -326,12 +360,10 @@ def generate_problem_set_p(seed=DEFAULT_SET_SEED, m=100, n=50):
             dw = up / 10.0 ** q
             sigma = sigma_c2(n, dw, up)
             tag = f"up{up:.6g}-dw{dw:.6g}"
-        kind = 1 + idx % 6
-        prob_seed = seed * 100 + idx
+        kind, prob_seed = specs[idx]
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
         unit = rng.random(n)
-        u = orthogonal_factor(m, kind, prob_seed)
-        v = orthogonal_factor(n, kind, prob_seed + 1)
+        u, v, us[idx], vs[idx] = us[idx], vs[idx], None, None
         x_norm = np.linalg.norm(np.arange(n, dtype=float))
         style = idx % 3
         chosen = None

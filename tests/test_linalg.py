@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import ROOT
+import qr_reference
 from helpers import svd_stack_mismatches, svd_stacks
 from qlskit import linalg as la, problems
 from qlskit.errors import (
@@ -178,6 +179,22 @@ def test_qr_geqrf_path_reconstructs_and_keeps_the_hand_written_storage():
         assert np.abs(f.r - h.r).max() <= tol * norm
         assert np.abs(f.reflectors - h.reflectors).max() <= tol * max(1.0, np.abs(h.reflectors).max())
         assert np.abs(f.tau - h.tau).max() <= tol
+
+
+def test_stacked_householder_qr_is_bitwise_the_single_matrix_loop():
+    # A stack of one, odd m - k (and odd m n), pivot-norm ties, a zero
+    # tail (tau = 0), an underflowing column and 100 x 50 matrices: R, the
+    # reflectors, tau and perm of each matrix of a stack, and of its B = 1
+    # call, are bitwise the one-matrix reference loop's, pivoted or not.
+    bad = [case for case in qr_reference.mismatches() if "Q" not in case[1]]
+    assert bad == []
+
+
+def test_stacked_q_products_are_bitwise_the_single_matrix_loop():
+    # Q and Q^T of a stacked operand and of one operand for the whole
+    # stack, and of a vector in a B = 1 call, for the same cases.
+    bad = [case for case in qr_reference.mismatches() if "Q" in case[1]]
+    assert bad == []
 
 
 def test_pivoted_qr_scales_extreme_data_exactly():
@@ -422,9 +439,10 @@ def test_svd_rejects_ragged_and_4d_input():
 @pytest.mark.parametrize("core", ["Haswell", "SkylakeX", "Sandybridge",
                                   "Prescott"])
 def test_svd_stack_bitwise_under_each_blas_kernel(core):
-    # The stacked rounds use no BLAS, and each matrix's preconditioning
-    # QR runs on a fresh copy as it does alone, so under every OpenBLAS
-    # core the stack stays bitwise its per-matrix calls.
+    # The stacked rounds use no BLAS, and the stacked preconditioning QR
+    # keeps each matrix and work vector at the alignment of its own call,
+    # so under every OpenBLAS core the stack stays bitwise its per-matrix
+    # calls.
     env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
                                            str(ROOT / "tests")]))

@@ -2,7 +2,10 @@
 
 import ctypes
 import hashlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -333,21 +336,42 @@ def test_save_writes_float_hex_text_and_round_trips_bitwise(tmp_path):
 
 
 def test_set_p_builds_each_orthogonal_factor_once(monkeypatch):
-    # Each problem needs U (order m) and V (order n); the factors the
-    # generator builds to choose c are the ones its problem is made of.
-    real, calls = problems.orthogonal_factor, []
+    # Each problem needs U (order m) and V (order n).  The generator asks
+    # orthogonal_factors once per order, naming each problem's (kind,
+    # seed) once; each seed-free kind is built once per order and each
+    # seeded one in exactly one stacked QR.  Every problem is made of the
+    # factors built for it: U^T A V is diagonal.
+    real, calls, closed, stacked = problems.orthogonal_factors, [], [], []
 
-    def spy(dim, kind, seed=0):
-        calls.append((dim, kind, seed))
-        return real(dim, kind, seed)
+    def spy(dim, specs):
+        out = real(dim, specs)
+        calls.append((dim, list(specs), list(out)))
+        return out
 
-    monkeypatch.setattr(problems, "orthogonal_factor", spy)
+    def closed_spy(dim, kind):
+        closed.append((dim, kind))
+        return real_closed(dim, kind)
+
+    def qr_spy(a, pivoting=False):
+        stacked.append(a.shape)
+        return real_qr(a, pivoting)
+
+    real_closed, real_qr = problems._closed_form_factor, la.householder_qr
+    monkeypatch.setattr(problems, "orthogonal_factors", spy)
+    monkeypatch.setattr(problems, "_closed_form_factor", closed_spy)
+    monkeypatch.setattr(la, "householder_qr", qr_spy)
     ps = problems.generate_problem_set_p(seed=3, m=12, n=6)
-    assert len(calls) == 2 * len(ps) == 80
-    for idx in range(40):
-        kind, prob_seed = 1 + idx % 6, 300 + idx
-        assert calls[2 * idx:2 * idx + 2] == [(12, kind, prob_seed),
-                                              (6, kind, prob_seed + 1)]
+    assert [(dim, specs) for dim, specs, _ in calls] == [
+        (12, [(1 + idx % 6, 300 + idx) for idx in range(40)]),
+        (6, [(1 + idx % 6, 301 + idx) for idx in range(40)])]
+    assert sorted(closed) == [(6, 1), (6, 2), (12, 1), (12, 2)]
+    seeded = sum(kind > 2 for kind, _ in calls[0][1])
+    for dim in (12, 6):
+        assert sum(b for b, m, n in stacked if m == dim) == seeded == 26
+    for p, u, v in zip(ps, calls[0][2], calls[1][2]):
+        d = u[:, :6].T @ p.a @ v
+        off = d - np.diag(np.diag(d))
+        assert np.abs(off).max() <= 1e-13 * np.abs(d).max()
 
 
 def test_load_verifies_solution(tmp_path):
@@ -499,3 +523,32 @@ def test_generated_data_is_bitwise_pinned():
         got[f"kind{kind}"] = _digest([problems.orthogonal_factor(dim, kind, 1729)
                                       for dim in (7, 50)])
     assert got == DATA_DIGESTS[core], got
+
+
+@pytest.mark.parametrize("core", [*DATA_DIGESTS, "Prescott"])
+def test_pinned_data_and_stacked_qr_under_each_blas_kernel(core):
+    # Under each OpenBLAS core with digests the generated data is that
+    # core's (Prescott reports itself as Katmai, so it is not run twice);
+    # under those and Prescott, whose dot kernels sum a vector 8 bytes
+    # off a 16-byte boundary in another order, a stacked householder_qr
+    # and its Q products are bitwise the one-matrix loop.
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                           str(ROOT / "tests")]))
+    pinned = ("if core in tp.DATA_DIGESTS:\n"
+              "    tp.test_generated_data_is_bitwise_pinned()\n")
+    code = ("import qr_reference, test_problems as tp\n"
+            "core = tp._openblas_core()\n"
+            + (pinned if core in DATA_DIGESTS else "")
+            + "print(core)\n"
+            "print(qr_reference.mismatches())\n")
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300)
+    if run.returncode < 0:
+        pytest.skip(f"{core} kernel cannot run here (signal {-run.returncode})")
+    assert run.returncode == 0, run.stderr
+    reported, bad = run.stdout.split("\n")[:2]
+    assert bad == "[]"
+    if core in DATA_DIGESTS and reported not in DATA_DIGESTS:
+        pytest.skip(f"stacked QR checked; no digests for BLAS kernel {reported}")
