@@ -30,7 +30,7 @@ import csv
 import json
 import os
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -42,6 +42,7 @@ from .errors import (
     EmptyInput,
     MissingConfiguration,
     QlskitError,
+    RankDeficient,
 )
 
 
@@ -49,50 +50,26 @@ from .errors import (
 # Solver table
 # ---------------------------------------------------------------------------
 
-def _runner(solve, method=None):
-    """run(problems, eps, control) for a per-problem `solve`; a Krylov
-    `method` solves them as one ``iterative.batched`` block."""
-    def run(probs, eps, control):
-        out = []
-        with iterative.batched(method, probs) if method else nullcontext():
-            for p in probs:
-                try:
-                    out.append(solve(p, eps, control))
-                except QlskitError as exc:
-                    out.append(exc)
-        return out
-    return run
-
-
-def _krylov(method, public):
-    def outcome(p, eps, control):
-        solve = getattr(iterative, public)
-        o = (solve(p, eps, control) if method == "cgls_eps"
-             else solve(p, control))
-        return o.x, o.iterations, o.status, o.residual_gap
-    return _runner(outcome, method)
-
-
-def _direct(solve):
-    return _runner(lambda p, eps, control: (solve(p, eps), 0, "direct", None))
-
-
-# The one solver table: name -> (run, estimate key).  run(problems, eps,
-# control) takes problems of one shape and returns, per problem, either
-# (x, iterations, status, final CGLSI gap or None) or the QlskitError
-# that stopped it; a Krylov method runs them as one batch, whose time a
-# trace books to the first problem's call.  The estimate key names the
+# The one solver table: name -> (Krylov method or None, call, estimate
+# key).  call(p, eps, control) solves one problem: a Krylov one returns
+# its SolveOutcome, a direct one x.  The estimate key names the
 # forward-error estimate of analysis.forward_error_estimates that fits
 # the solver.  Solvers are looked up through their modules at call time.
 SOLVER_TABLE = {
-    "CG": (_krylov("cg", "cg_base"), "cg"),
-    "CGLSI": (_krylov("cgls_i", "cgls_i"), "cglsi"),
-    "CGLSEPS": (_krylov("cgls_eps", "cgls_eps"), "cglseps"),
-    "MINRES": (_krylov("minres", "minres_augmented"), None),
-    "QR": (_direct(lambda p, eps: direct.solve_qr(p)), None),
-    "QREPS": (_direct(lambda p, eps: direct.solve_qr_eps(p, eps)), None),
-    "SM": (_direct(lambda p, eps: direct.solve_sm(p, eps)), None),
-    "AUG": (_direct(lambda p, eps: direct.solve_aug(p)), None),
+    "CG": ("cg", lambda p, eps, control: iterative.cg_base(p, control),
+           "cg"),
+    "CGLSI": ("cgls_i", lambda p, eps, control: iterative.cgls_i(p, control),
+              "cglsi"),
+    "CGLSEPS": ("cgls_eps",
+                lambda p, eps, control: iterative.cgls_eps(p, eps, control),
+                "cglseps"),
+    "MINRES": ("minres",
+               lambda p, eps, control: iterative.minres_augmented(p, control),
+               None),
+    "QR": (None, lambda p, eps, control: direct.solve_qr(p), None),
+    "QREPS": (None, lambda p, eps, control: direct.solve_qr_eps(p, eps), None),
+    "SM": (None, lambda p, eps, control: direct.solve_sm(p, eps), None),
+    "AUG": (None, lambda p, eps, control: direct.solve_aug(p), None),
 }
 SOLVERS = tuple(SOLVER_TABLE)
 
@@ -396,67 +373,95 @@ def _family_problems(config, idx, fam, loaded):
 # Suite runner
 # ---------------------------------------------------------------------------
 
-def _estimate_for(key, p, x, eps):
-    if key is None:
-        return float("nan")
-    try:
-        return analysis.forward_error_estimates(
-            p, x, eps, methods=(key,))[key]
-    except QlskitError:
-        return float("nan")
+def solve(solver, probs, eps, control):
+    """Run `solver` on problems of one shape: per problem, a SolveOutcome
+    or the QlskitError that stopped it.  A direct solver's outcome has
+    ``iterations=0`` and ``status="direct"``.  A Krylov method solves the
+    problems as one ``iterative.batched`` block, whose time a trace books
+    to the first problem's call."""
+    method, call, _ = SOLVER_TABLE[solver]
+    out = []
+    with iterative.batched(method, probs) if method else nullcontext():
+        for p in probs:
+            try:
+                o = call(p, eps, control)
+                if method is None:
+                    o = iterative.SolveOutcome(o, 0, None, status="direct")
+            except QlskitError as exc:
+                o = exc
+            out.append(o)
+    return out
 
 
-def _record(p, xref, solver, key, result, wall, eps):
-    if isinstance(result, QlskitError):
-        x, iterations, gap = None, 0, None
-    else:
-        x, iterations, _, gap = result
-        nref = np.linalg.norm(xref)
-        rel = float(np.linalg.norm(x - xref) / (nref if nref > 0 else 1.0))
-    if x is None or not np.isfinite(rel):
+def _rel_error(x, xref):
+    """||x - xref|| / ||xref||, or ||x|| when xref is zero."""
+    nref = np.linalg.norm(xref)
+    return float(np.linalg.norm(x - xref) / (nref if nref > 0 else 1.0))
+
+
+def _record(p, kappa, xref, solver, o, wall, eps):
+    """The record of outcome `o`; an error in place of `o` or of the
+    reference `xref` gives status "error"."""
+    failed = isinstance(o, QlskitError)
+    rel = (float("inf") if failed or isinstance(xref, QlskitError)
+           else _rel_error(o.x, xref))
+    eta = est = float("nan")
+    if not np.isfinite(rel):
         status, rel = "error", float("inf")
-        eta = est = float("nan")
     else:
         status = "failed" if rel > FAILURE_THRESHOLD else "ok"
-        try:
-            eta = analysis.relative_backward_error(p, x)
-        except QlskitError:
-            eta = float("nan")
-        est = _estimate_for(key, p, x, eps)
+        key = SOLVER_TABLE[solver][2]
+        with suppress(QlskitError):
+            eta = analysis.relative_backward_error(p, o.x)
+        with suppress(QlskitError):
+            if key is not None:
+                est = analysis.forward_error_estimates(
+                    p, o.x, eps, methods=(key,))[key]
     return BenchRecord(
-        problem_id=p.label, m=p.m, n=p.n, kappa=float(p.kappa()),
-        solver=solver, iterations=iterations, rel_error=rel, eta_bar=eta,
-        estimate=est, residual_gap=gap, wall_time_ns=wall, status=status,
+        problem_id=p.label, m=p.m, n=p.n, kappa=kappa, solver=solver,
+        iterations=0 if failed else o.iterations, rel_error=rel,
+        eta_bar=eta, estimate=est,
+        residual_gap=None if failed else o.residual_gap,
+        wall_time_ns=wall, status=status,
     )
 
 
 def run_suite(config):
     """One BenchRecord per (problem, solver), sorted for stable output.
 
-    Solver by solver, the problems of each shape (m, n) go to one run
-    call, so a Krylov method solves them as one batch; each record's
-    ``wall_time_ns`` is that call's wall time divided by its size.
+    Solver by solver, the problems of each shape (m, n) go to one
+    ``solve`` call, so a Krylov method solves them as one batch; each
+    record's ``wall_time_ns`` is that call's wall time divided by its
+    size.  A problem without x_exact is measured against its QR
+    solution, and its records have status "error" when that fails.
     """
     if not isinstance(config, ExperimentConfig):
         config = parse_config(config)
     solvers = check_solvers(config.solvers, "config.solvers")
     probs = build_problems(config)
-    xrefs = [p.x_exact if p.x_exact is not None else direct.solve_qr(p)
-             for p in probs]
+    refs = []
+    for p in probs:
+        kappa = float("inf")  # when sigma_min = 0
+        with suppress(RankDeficient):
+            kappa = float(p.kappa())
+        ref = p.x_exact
+        if ref is None:
+            (ref,) = solve("QR", [p], config.eps, config.control())
+            ref = ref if isinstance(ref, QlskitError) else ref.x
+        refs.append((kappa, ref))
     groups = {}
     for i, p in enumerate(probs):
         groups.setdefault((p.m, p.n), []).append(i)
     records = []
     for solver in solvers:
-        run, key = SOLVER_TABLE[solver]
         for members in groups.values():
             t0 = time.perf_counter_ns()
-            results = run([probs[i] for i in members], config.eps,
-                          config.control())
+            outcomes = solve(solver, [probs[i] for i in members], config.eps,
+                             config.control())
             wall = (time.perf_counter_ns() - t0) // len(members)
             records.extend(
-                _record(probs[i], xrefs[i], solver, key, res, wall, config.eps)
-                for i, res in zip(members, results))
+                _record(probs[i], *refs[i], solver, o, wall, config.eps)
+                for i, o in zip(members, outcomes))
     records.sort(key=lambda r: (r.problem_id, r.solver))
     return records
 
@@ -635,19 +640,14 @@ def report_table(records):
     """
     if not records:
         raise MissingConfiguration("no records")
-    by_problem = {}
-    order = []
+    by_problem = {}  # in order of first appearance
     for r in records:
-        if r.problem_id not in by_problem:
-            order.append(r.problem_id)
-            by_problem[r.problem_id] = {}
-        by_problem[r.problem_id][r.solver] = r
+        by_problem.setdefault(r.problem_id, {})[r.solver] = r
     needed = ("CG", "CGLSI", "CGLSEPS")
     header = ("problem", "kappa", "k2*eta", "E_CG", "est_CG", "E_CGLSI",
               "est_CGLSI", "E_CGLSEPS", "est_CGLSEPS")
     rows = [header]
-    for pid in order:
-        group = by_problem[pid]
+    for pid, group in by_problem.items():
         for s in needed:
             if s not in group:
                 raise MissingConfiguration(f"problem {pid} lacks {s}")

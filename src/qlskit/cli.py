@@ -24,8 +24,6 @@ import os
 import sys
 from contextlib import nullcontext
 
-import numpy as np
-
 from . import bench, problems
 from .errors import ConfigError, MissingConfiguration, QlskitError
 
@@ -81,19 +79,16 @@ def _cmd_solve(args):
         raise ConfigError(f"--solver: solve runs one solver, "
                           f"got {', '.join(config.solvers)}")
     (solver,) = config.solvers
-    run, _ = bench.SOLVER_TABLE[solver]
-    result = run([p], config.eps, config.control())[0]
-    if isinstance(result, QlskitError):
-        raise result
-    x, iterations, status, _ = result
+    (o,) = bench.solve(solver, [p], config.eps, config.control())
+    if isinstance(o, QlskitError):
+        raise o
     print(f"problem {p.label or args.problem}  m={p.m} n={p.n} "
           f"kappa={p.kappa():.3e}")
-    print(f"solver {solver}  iterations={iterations}  status={status}")
+    print(f"solver {solver}  iterations={o.iterations}  status={o.status}")
     if p.x_exact is not None:
-        rel = float(np.linalg.norm(x - p.x_exact) / np.linalg.norm(p.x_exact))
-        print(f"rel_error={rel!r}")
+        print(f"rel_error={bench._rel_error(o.x, p.x_exact)!r}")
     print("x:")
-    for v in x:
+    for v in o.x:
         print(repr(float(v)))
     return 0
 

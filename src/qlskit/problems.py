@@ -27,6 +27,9 @@ MAX_EPS = 1.0
 # Default seed for the benchmark problem collection.
 DEFAULT_SET_SEED = 1729
 
+# verify_construction's bound on the residual, in u kappa^2 ||A^T b + c||.
+VERIFY_FACTOR = 1e3
+
 
 def is_power_of_two(x):
     if not (x > 0.0 and math.isfinite(x)):
@@ -113,13 +116,13 @@ class QlsProblem:
         # problems by one stacked la.svd call: no Jacobi SVD per instance.
         self._sigma = np.sort(np.asarray(sigma, dtype=float))[::-1]
 
-    def verify_construction(self, tol_factor=1e3):
+    def verify_construction(self):
         """Check A^T A x_exact = A^T b + c up to the admissible roundoff."""
         if self.x_exact is None:
             return
         rhs = self.a.T @ self.b + self.c
         lhs = self.a.T @ (self.a @ self.x_exact)
-        tol = tol_factor * la.U * self.kappa() ** 2 * np.linalg.norm(rhs)
+        tol = VERIFY_FACTOR * la.U * self.kappa() ** 2 * np.linalg.norm(rhs)
         err = np.linalg.norm(lhs - rhs)
         if err > tol:
             raise InvalidParameter(

@@ -280,6 +280,60 @@ def test_solve_zero_column_exits_numerical(tmp_path, capsys):
     assert "zero singular value" in capsys.readouterr().err
 
 
+def test_solve_zero_stored_solution_measures_absolute_error(tmp_path,
+                                                          capsys):
+    # b orthogonal to range(A) and c = 0: x = 0.  The error is then taken
+    # against a divisor of 1, as in the records, not 0/0.
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    p = problems.QlsProblem(a, np.array([0.0, 0.0, 1.0]), np.zeros(2),
+                            x_exact=np.zeros(2))
+    path = tmp_path / "zero_x.qls"
+    problems.save_problem(p, str(path))
+    assert cli.main(["solve", str(path)]) == 0
+    assert "rel_error=0.0\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("with_x", [False, True])
+def test_bench_keeps_records_of_a_rank_deficient_problem(tmp_path, capsys,
+                                                         with_x):
+    # A zero column, read unverified: without x_exact the reference QR
+    # solve fails, with it kappa meets sigma_min = 0.  Either error stays
+    # with that problem; every record is written and the exit code is 3.
+    a = np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
+    p = problems.QlsProblem(a, np.ones(3), np.zeros(2), label="flat",
+                            x_exact=np.array([5 / 9, 0.0]) if with_x else None)
+    problems.save_problem(p, str(tmp_path / "flat.qls"))
+    cfg = json.loads(open(write_config(tmp_path)).read())
+    cfg["families"].append({"type": "file", "verify": False,
+                            "path": str(tmp_path / "flat.qls")})
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    out = tmp_path / "records.csv"
+    rc = cli.main(["bench", "--config", str(tmp_path / "config.json"),
+                   "--out", str(out)])
+    assert rc == 3
+    records = bench.load_records(str(out))
+    assert len(records) == 6
+    flat = {r.solver: r for r in records if r.problem_id == "flat"}
+    assert [r.kappa for r in flat.values()] == [np.inf, np.inf]
+    assert flat["QR"].status == "error"
+    assert flat["CG"].status == ("ok" if with_x else "error")
+    assert all(r.status == "ok" for r in records if r.problem_id != "flat")
+
+
+def test_seed_reaches_the_shipped_set_p_family(tmp_path, capsys):
+    # configs/set_p.json leaves the family seed to the top-level one, so
+    # --seed picks the problems and the default is seed 1729.
+    config = str(pathlib.Path(__file__).parents[1] / "configs" / "set_p.json")
+    for seed, suffix in ((None, "-s172900"), (401, "-s40100")):
+        out = tmp_path / f"{seed}.csv"
+        argv = ["bench", "--config", config, "--solver", "QR",
+                "--out", str(out)]
+        assert cli.main(argv + (["--seed", str(seed)] if seed else [])) == 0
+        first = bench.load_records(str(out))[0]
+        assert first.problem_id.startswith("p00-") and \
+            first.problem_id.endswith(suffix)
+
+
 def test_missing_config_exit_config(tmp_path, capsys):
     rc = cli.main(["bench", "--config", str(tmp_path / "nope.json")])
     assert rc == 1
@@ -443,13 +497,18 @@ def test_solve_two_column_vector_block_exits_numerical(tmp_path, capsys):
     assert "block 'b'" in capsys.readouterr().err
 
 
+def readme_table(header):
+    """The cells of each row of the README table headed by `header`."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = text[text.index(header):].split("\n\n")[0]
+    return [[cell.strip(" `") for cell in row.strip("|").split("|")]
+            for row in table.splitlines()[2:]]  # below header and rule
+
+
 def readme_flag_table():
     """{subcommand: [argument, ...]} from the README's flag table."""
-    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
-    table = text[text.index("| subcommand | argument |"):].split("\n\n")[0]
     flags, command = {}, None
-    for row in table.splitlines()[2:]:  # below the header and its rule
-        cells = [cell.strip(" `") for cell in row.strip("|").split("|")]
+    for cells in readme_table("| subcommand | argument |"):
         command = cells[0] or command  # a blank cell continues the last
         flags.setdefault(command, []).append(cells[1])
     return flags
@@ -463,3 +522,8 @@ def test_readme_flag_table_matches_the_parser():
                    for a in sp._actions if a.dest != "help"]
             for name, sp in sub.choices.items()}
     assert readme_flag_table() == want
+
+
+def test_readme_solver_table_matches_the_table():
+    names = [cells[0] for cells in readme_table("| name | method |")]
+    assert tuple(names) == bench.SOLVERS
