@@ -8,6 +8,13 @@ system [A; eps c^T] with eps rounded by ``problems.eps_weight``; the
 base quantity is the eps one at eps = 0.  The backward error never
 forms the n x (mn+m+n) Jacobian J of the residual map: an n x (2m+2n+1)
 factor F with F F^T = J J^T carries all it needs.  No solver is invoked.
+
+Every body works on a stack of same-shape problems (``_Stack``) with one
+iterate per problem, so each factorization, solve and eigenvalue problem
+runs once per stack; a one-problem call is the B = 1 stack.
+``relative_backward_error`` and ``forward_error_estimates`` also take a
+whole group, chunked by ``STACK_BYTES``, and give per problem the bits
+of its own call.
 """
 
 import numpy as np
@@ -21,7 +28,7 @@ from .errors import (
     NoRealRoot,
     ZeroVector,
 )
-from .problems import DEFAULT_EPS, build_eps_system, eps_weight
+from .problems import DEFAULT_EPS, eps_weight
 
 
 def problem_data_norm(p):
@@ -39,11 +46,90 @@ def _check_x(p, x):
 
 
 # ---------------------------------------------------------------------------
+# Stacks of same-shape problems
+# ---------------------------------------------------------------------------
+
+# Bytes of the (2m+2n+1) x n backward-error factors of one chunk of a
+# group: larger chunks save little time and hold more memory.
+STACK_BYTES = 1 << 20
+
+
+class _Stack:
+    """A, b and c of same-shape problems stacked as (B, m, n), (B, m) and
+    (B, n).  Products go through `_mv` and `_dot`, which meet the BLAS
+    calls of the one-problem expressions, so every value of a stack is
+    bitwise that of its B = 1 stack."""
+
+    def __init__(self, probs):
+        self.probs = probs
+        self.a = np.stack([p.a for p in probs])
+        self.b = np.stack([p.b for p in probs])
+        self.c = np.stack([p.c for p in probs])
+
+    def residual(self, x):
+        return self.b - _mv(self.a, x)
+
+
+def _mv(a, x):
+    """a @ x per matrix of a stack (one gemv each)."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _dot(u, v):
+    """u . v per row of two (B, k) stacks (one dot each)."""
+    return (u[..., None, :] @ v[..., None])[..., 0, 0]
+
+
+def _norm(v):
+    """2-norm per row of a (B, k) stack, as np.linalg.norm of the row."""
+    return np.sqrt(_dot(v, v))
+
+
+def _outer(u, v):
+    return u[..., :, None] * v[..., None, :]
+
+
+def _group(p, x):
+    """(problems, (B, n) iterates, single) of a call on one problem and
+    its vector, or on a sequence of same-shape problems and a (B, n)
+    stack of iterates, one row per problem."""
+    if not isinstance(p, (list, tuple)):
+        return [p], _check_x(p, x)[None], True
+    probs = list(p)
+    if len({q.a.shape for q in probs}) != 1:
+        raise DimensionMismatch("a group needs problems of one shape")
+    xs = la.as_matrix(x, "x")
+    if xs.shape != (len(probs), probs[0].n):
+        raise DimensionMismatch("x needs one row per problem of the group")
+    return probs, xs, False
+
+
+def _chunks(probs):
+    """Slices of the group whose backward-error factors fill STACK_BYTES."""
+    m, n = probs[0].a.shape
+    size = max(1, STACK_BYTES // (8 * (2 * m + 2 * n + 1) * n))
+    return [slice(lo, lo + size) for lo in range(0, len(probs), size)]
+
+
+def _base_qr(probs):
+    """The cached QR factors of each problem's A, as one stack."""
+    fs = [p.qr() for p in probs]
+    return la.QrFactorization(*(np.stack([getattr(f, k) for f in fs])
+                                for k in ("reflectors", "tau", "r", "perm")))
+
+
+def _eps_qr(d, eps):
+    """QR of each [A; eps c^T] (eps already a power of two)."""
+    return la.qr_factorize(np.concatenate([d.a, eps * d.c[:, None, :]], axis=1))
+
+
+# ---------------------------------------------------------------------------
 # Structured condition numbers
 # ---------------------------------------------------------------------------
 
-def _structured_cond(p, x, f, eps):
-    """sqrt(||Mbar||) at x, f the QR of [A; eps c^T] (of A at eps = 0).
+def _structured_cond(d, x, f, eps):
+    """sqrt(||Mbar||) per problem of stack `d` at the rows of x, f the
+    stacked QR of [A; eps c^T] (of A at eps = 0).
 
     With W = (A^T A + eps^2 c c^T)^-1 and r = b - A x,
 
@@ -53,42 +139,48 @@ def _structured_cond(p, x, f, eps):
     B = (W A^T r)(W x)^T.  W A^T A W = W - eps^2 (W c)(W c)^T, and
     W A^T r is the least-squares solution of [A; eps c^T] z = (r, 0).
     """
-    r = p.residual(x)
-    w = la.qr_gram_solve(f, np.eye(p.n))
-    b1 = la.qr_lstsq(f, np.pad(r, (0, f.shape[0] - p.m)))
-    b2 = w @ x
-    lead = (1.0 - 2.0 * eps * float(p.c @ x)) ** 2 + float(r @ r)
-    wc = w @ p.c
-    middle = w - (eps * eps) * np.outer(wc, wc)
-    mbar = (lead * la.qr_gram_solve(f, w) + (1.0 + float(x @ x)) * middle
-            - (np.outer(b1, b2) + np.outer(b2, b1)))
-    mbar = 0.5 * (mbar + mbar.T)
-    return float(np.sqrt(la.sym_spectral_norm(mbar)))
+    count, m, n = d.a.shape
+    r = d.residual(x)
+    w = la.qr_gram_solve(f, np.broadcast_to(np.eye(n), (count, n, n)))
+    b1 = la.qr_lstsq(f, np.pad(r, ((0, 0), (0, f.shape[-2] - m))))
+    b2 = _mv(w, x)
+    # In Python floats: their ** 2 is libm's pow, not numpy's square.
+    lead = np.array([(1.0 - 2.0 * eps * cx) ** 2 + rr for cx, rr in
+                     zip(_dot(d.c, x).tolist(), _dot(r, r).tolist())])
+    wc = _mv(w, d.c)
+    middle = w - (eps * eps) * _outer(wc, wc)
+    mbar = (lead[:, None, None] * la.qr_gram_solve(f, w)
+            + (1.0 + _dot(x, x))[:, None, None] * middle
+            - (_outer(b1, b2) + _outer(b2, b1)))
+    mbar = 0.5 * (mbar + mbar.mT)
+    return np.sqrt(la.sym_spectral_norm(mbar))
 
 
 def structured_cond_base(p, x):
     """Absolute condition number of the solution at x (Mbar at eps = 0)."""
-    return _structured_cond(p, _check_x(p, x), p.qr(), 0.0)
+    x = _check_x(p, x)
+    return float(_structured_cond(_Stack([p]), x[None], _base_qr([p]), 0.0)[0])
 
 
 def structured_cond_eps(p, x, eps=DEFAULT_EPS):
     """Absolute condition number of the regularized solution map at x."""
     x = _check_x(p, x)
-    sys_ = build_eps_system(p, eps)
-    return _structured_cond(p, x, la.qr_factorize(sys_.a_eps), sys_.eps)
+    eps, d = eps_weight(eps)[0], _Stack([p])
+    return float(_structured_cond(d, x[None], _eps_qr(d, eps), eps)[0])
 
 
 # ---------------------------------------------------------------------------
 # Linearized backward error
 # ---------------------------------------------------------------------------
 
-def _unit(v):
-    nv = np.linalg.norm(v)
-    return v / nv if nv > 0.0 else np.zeros_like(v)
+def _unit(v, nv):
+    """Rows of v over their norms nv; a zero row stays zero."""
+    return np.divide(v, nv[:, None], out=np.zeros_like(v),
+                     where=nv[:, None] > 0.0)
 
 
-def _gram_factor(p, xtilde, r, eps, theta1, theta2, theta_a):
-    """QR of F^T, where the n x (2m+2n+1) matrix F has F F^T = J J^T.
+def _gram_factor(d, xtilde, r, eps, theta1, theta2, theta_a):
+    """QR of each F^T, where the n x (2m+2n+1) matrix F has F F^T = J J^T.
 
     J is the Jacobian of the eps residual map in the weighted perturbation
     (theta_a vec(E), theta1 f, theta2 g).  The first three blocks of F
@@ -96,34 +188,43 @@ def _gram_factor(p, xtilde, r, eps, theta1, theta2, theta_a):
     the last its g part, (1 - eps^2 c^T x) I - eps^2 c x^T.  Hats are
     unit vectors, and the hat of a zero vector is zero, so x = 0 and
     r = 0 need no branch.  With F^T = Q R, ||J^dagger h|| = ||R^-T h||.
+    The thetas are scalars or one per problem.
     """
-    if not (theta1 > 0.0 and theta2 > 0.0 and theta_a > 0.0):
+    count, m, n = d.a.shape
+    t1, t2, ta = (np.broadcast_to(t, (count,))[:, None, None]
+                  for t in (theta1, theta2, theta_a))
+    if not (np.minimum(np.minimum(t1, t2), ta) > 0.0).all():
         raise InvalidParameter("theta weights must be positive")
-    a, c = p.a, p.c
-    nr, nx = np.linalg.norm(r), np.linalg.norm(xtilde)
-    xh, rh = _unit(xtilde), _unit(r)
-    ctx = float(c @ xtilde)
-    c_block = (1.0 - eps * eps * ctx) * np.eye(p.n) - (eps * eps) * np.outer(c, xtilde)
-    f = np.hstack([
-        (nr * xh - nx * (a.T @ rh))[:, None] / theta_a,
-        (nr / theta_a) * (np.eye(p.n) - np.outer(xh, xh)),
-        (-nx / theta_a) * (a - np.outer(rh, rh @ a)).T,
-        a.T / theta1,
-        c_block / theta2,
-    ])
-    return la.qr_factorize(f.T)
+    a, c = d.a, d.c
+    nr, nx = _norm(r), _norm(xtilde)
+    xh, rh = _unit(xtilde, nx), _unit(r, nr)
+    eye = np.eye(n)
+    c_block = ((1.0 - eps * eps * _dot(c, xtilde))[:, None, None] * eye
+               - (eps * eps) * _outer(c, xtilde))
+    # F^T row block by row block; each block is the transpose of F's.
+    ft = np.empty((count, 2 * m + 2 * n + 1, n))
+    ft[:, :1] = ((nr[:, None] * xh - nx[:, None] * _mv(a.mT, rh))[:, None]
+                 / ta)
+    ft[:, 1:n + 1] = (nr[:, None, None] / ta) * (eye - _outer(xh, xh))
+    ft[:, n + 1:n + m + 1] = (-nx[:, None, None] / ta) * (
+        a - _outer(rh, (rh[:, None] @ a)[:, 0]))
+    ft[:, n + m + 1:n + 2 * m + 1] = a / t1
+    ft[:, n + 2 * m + 1:] = c_block.mT / t2
+    return la.qr_factorize(ft)
 
 
-def _eta(p, xtilde, eps, theta1, theta2, theta_a):
-    """(z, r, F^T = Q R) of xtilde for the eps residual map (eps = 0: base).
+def _eta(d, xtilde, eps, theta1, theta2, theta_a):
+    """(z, r, F^T = Q R) of each row of xtilde for the eps residual map
+    (eps = 0: base).
 
     z = R^-T h, h = A^T r + c - eps^2 (c^T xtilde) c, so ||z|| is the
     backward error and R^-1 z = (J J^T)^-1 h.
     """
-    r = p.residual(xtilde)
-    h = p.a.T @ r + p.c - (eps * eps * float(p.c @ xtilde)) * p.c
-    f = _gram_factor(p, xtilde, r, eps, theta1, theta2, theta_a)
-    return la.solve_triangular(f.r.T, h, lower=True), r, f
+    r = d.residual(xtilde)
+    h = (_mv(d.a.mT, r) + d.c
+         - (eps * eps * _dot(d.c, xtilde))[:, None] * d.c)
+    f = _gram_factor(d, xtilde, r, eps, theta1, theta2, theta_a)
+    return la.solve_triangular(f.r.mT, h, lower=True), r, f
 
 
 def linearized_backward_error(p, xtilde, theta1=1.0, theta2=1.0,
@@ -135,8 +236,7 @@ def linearized_backward_error(p, xtilde, theta1=1.0, theta2=1.0,
     The thetas weight the perturbation components against each other;
     theta = inf semantics (frozen data) are not supported here.
     """
-    z = _eta(p, _check_x(p, xtilde), 0.0, theta1, theta2, theta_a)[0]
-    return float(np.linalg.norm(z))
+    return _eta_norm(p, xtilde, 0.0, theta1, theta2, theta_a)
 
 
 def linearized_backward_error_eps(p, xtilde, eps=DEFAULT_EPS,
@@ -145,9 +245,17 @@ def linearized_backward_error_eps(p, xtilde, eps=DEFAULT_EPS,
 
     The residual gains the term -eps^2 (c^T xtilde) c.
     """
-    eps = eps_weight(eps)[0]
-    z = _eta(p, _check_x(p, xtilde), eps, theta1, theta2, theta_a)[0]
-    return float(np.linalg.norm(z))
+    return _eta_norm(p, xtilde, eps_weight(eps)[0], theta1, theta2, theta_a)
+
+
+def _eta_norm(p, x, eps, *thetas):
+    z = _eta(_Stack([p]), _check_x(p, x)[None], eps, *thetas)[0]
+    return float(_norm(z)[0])
+
+
+def _weight(v):
+    """1 / v, or one where v is zero."""
+    return np.divide(1.0, v, out=np.ones_like(v), where=v > 0.0)
 
 
 def relative_backward_error(p, xtilde):
@@ -157,16 +265,21 @@ def relative_backward_error(p, xtilde):
     dimensionless size of the smallest admitting perturbation relative
     to the data; a backward-stable iterate scores a small multiple of
     the unit roundoff.  Zero data components fall back to weight one.
+
+    `p` is one problem and `xtilde` its vector, or `p` a sequence of
+    same-shape problems and `xtilde` a (B, n) stack of their iterates;
+    the group is evaluated stack by stack and gives a list of values,
+    each bitwise its problem's own call.
     """
-    naf = np.sqrt(np.sum(p.a * p.a))
-    nb = np.linalg.norm(p.b)
-    nc = np.linalg.norm(p.c)
-    return linearized_backward_error(
-        p, xtilde,
-        theta1=1.0 / nb if nb > 0.0 else 1.0,
-        theta2=1.0 / nc if nc > 0.0 else 1.0,
-        theta_a=1.0 / naf if naf > 0.0 else 1.0,
-    )
+    probs, xs, single = _group(p, xtilde)
+    out = []
+    for part in _chunks(probs):
+        d = _Stack(probs[part])
+        naf = np.sqrt(np.sum(d.a * d.a, axis=(1, 2)))
+        z = _eta(d, xs[part], 0.0, _weight(_norm(d.b)), _weight(_norm(d.c)),
+                 _weight(naf))[0]
+        out += _norm(z).tolist()
+    return out[0] if single else out
 
 
 def eta_one(xtilde, theta1=1.0, theta2=1.0):
@@ -197,11 +310,11 @@ def minimum_norm_perturbation(p, xtilde, theta1=1.0, theta2=1.0):
     to second order in the perturbation.
     """
     xtilde = _check_x(p, xtilde)
-    z, r, f = _eta(p, xtilde, 0.0, theta1, theta2, 1.0)
+    z, r, f = _eta(_Stack([p]), xtilde[None], 0.0, theta1, theta2, 1.0)
     # y = (J J^T)^-1 h; the triple is -J^T y, mapped back to data units.
-    y = la.solve_triangular(f.r, z)
+    y = la.solve_triangular(f.r[0], z[0])
     ay = p.a @ y
-    return PerturbationTriple(e=np.outer(ay, xtilde) - np.outer(r, y),
+    return PerturbationTriple(e=np.outer(ay, xtilde) - np.outer(r[0], y),
                               f=-ay / theta1 ** 2, g=-y / theta2 ** 2)
 
 
@@ -209,13 +322,18 @@ def minimum_norm_perturbation(p, xtilde, theta1=1.0, theta2=1.0):
 # Bounds and indicators
 # ---------------------------------------------------------------------------
 
-def _sm_terms(p, eps):
-    """(w, den): w = (A^T A)^-1 c and den = 1 + eps^2 c^T w > 0."""
-    w = la.qr_gram_solve(p.qr(), p.c)
-    den = 1.0 + eps * eps * float(p.c @ w)
-    if den <= 0.0:
-        raise DenominatorVanishes(f"1 + eps^2 c^T w = {den:.3e}")
+def _sm_terms(d, eps):
+    """(w, den) per problem of stack `d`: w = (A^T A)^-1 c and
+    den = 1 + eps^2 c^T w > 0."""
+    w = la.qr_gram_solve(_base_qr(d.probs), d.c)
+    den = 1.0 + eps * eps * _dot(d.c, w)
+    if not (den > 0.0).all():
+        raise DenominatorVanishes(f"1 + eps^2 c^T w = {den.min():.3e}")
     return w, den
+
+
+def _sm_bound(d, w, den, eps):
+    return eps * eps * _norm(d.c) * _norm(w) / den
 
 
 def sm_proximity_bound(p, eps=DEFAULT_EPS):
@@ -224,9 +342,8 @@ def sm_proximity_bound(p, eps=DEFAULT_EPS):
     ||x_eps - x|| <= eps^2 ||c|| ||w|| / (1 + eps^2 c^T w) with
     w = (A^T A)^-1 c.
     """
-    eps = eps_weight(eps)[0]
-    w, den = _sm_terms(p, eps)
-    return float(eps * eps * np.linalg.norm(p.c) * np.linalg.norm(w) / den)
+    eps, d = eps_weight(eps)[0], _Stack([p])
+    return float(_sm_bound(d, *_sm_terms(d, eps), eps)[0])
 
 
 def initial_rounding_bound(p):
@@ -317,39 +434,47 @@ def forward_error_estimates(p, xhat, eps=DEFAULT_EPS,
       no amount of further iteration removes.
 
     `methods` limits the work to what the caller needs; "cg" implies
-    the "cglsi" computation.
+    the "cglsi" computation.  With a sequence of same-shape problems
+    and a (B, n) stack of iterates, as in `relative_backward_error`,
+    the result is a list of such dicts, one per problem, each bitwise
+    its problem's own call; every factorization, solve and eigenvalue
+    problem then runs once per stack.
     """
-    xhat = _check_x(p, xhat)
+    probs, xs, single = _group(p, xhat)
     want = set(methods)
     unknown = want - {"cg", "cglsi", "cglseps"}
     if unknown:
         raise InvalidParameter(f"unknown methods: {sorted(unknown)}")
-    nx = np.linalg.norm(xhat)
-    if nx == 0.0:
+    nx = _norm(xs)
+    if not nx.all():
         raise ZeroVector("estimates need a nonzero iterate")
-    out = {}
-    if want & {"cg", "cglsi"}:
-        etab = linearized_backward_error(p, xhat)
-        base = structured_cond_base(p, xhat) * etab / nx
-        if "cglsi" in want:
-            out["cglsi"] = float(base)
-        if "cg" in want:
-            na = p.sigma_max()
-            kap = p.kappa()
-            floor = la.U * kap * kap * (
-                np.linalg.norm(p.b) / na + np.linalg.norm(p.c) / (na * na)
-            )
-            out["cg"] = float(base + floor / nx)
     if "cglseps" in want:
         eps = eps_weight(eps)[0]
-        w, den = _sm_terms(p, eps)
-        amplify = rank_one_identity_norm(-(eps * eps / den) * w, p.c)
-        etab_e = linearized_backward_error_eps(p, xhat, eps)
-        out["cglseps"] = float(
-            sm_proximity_bound(p, eps)
-            + structured_cond_eps(p, xhat, eps) * etab_e * amplify / nx
-        )
-    return out
+    out = {k: [] for k in ("cglsi", "cg", "cglseps") if k in want}
+    for part in _chunks(probs):
+        d, x, nxp = _Stack(probs[part]), xs[part], nx[part]
+        if want & {"cg", "cglsi"}:
+            etab = _norm(_eta(d, x, 0.0, 1.0, 1.0, 1.0)[0])
+            base = _structured_cond(d, x, _base_qr(d.probs), 0.0) * etab / nxp
+            if "cglsi" in want:
+                out["cglsi"] += base.tolist()
+            if "cg" in want:
+                na = np.array([q.sigma_max() for q in d.probs])
+                kap = np.array([q.kappa() for q in d.probs])
+                floor = la.U * kap * kap * (_norm(d.b) / na
+                                            + _norm(d.c) / (na * na))
+                out["cg"] += (base + floor / nxp).tolist()
+        if "cglseps" in want:
+            w, den = _sm_terms(d, eps)
+            amplify = np.array([
+                rank_one_identity_norm(-(eps * eps / dk) * wk, ck)
+                for wk, dk, ck in zip(w, den.tolist(), d.c)])
+            etab_e = _norm(_eta(d, x, eps, 1.0, 1.0, 1.0)[0])
+            cond_e = _structured_cond(d, x, _eps_qr(d, eps), eps)
+            out["cglseps"] += (_sm_bound(d, w, den, eps)
+                               + cond_e * etab_e * amplify / nxp).tolist()
+    rows = [{k: v[i] for k, v in out.items()} for i in range(len(probs))]
+    return rows[0] if single else rows
 
 
 @dataclass

@@ -102,7 +102,9 @@ class BenchRecord:
     column is comparable across solvers.  ``estimate`` carries the
     forward-error estimate for CG / CGLSI / CGLSEPS and NaN for the
     other solvers.  ``residual_gap`` is CGLSI's final recurred-vs-true
-    residual distance, None elsewhere.
+    residual distance, None elsewhere.  ``wall_time_ns`` and
+    ``analysis_time_ns`` are the solve and the record stage (``eta_bar``
+    and ``estimate``) of the record's group, each divided by its size.
     """
 
     problem_id: str
@@ -117,13 +119,14 @@ class BenchRecord:
     residual_gap: float = None
     wall_time_ns: int = 0
     status: str = "ok"
+    analysis_time_ns: int = 0
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 _record_values = attrgetter(*CSV_COLUMNS)
 _JSON_KEYS = ("problemId", "m", "n", "kappaA", "solver", "iterations",
               "relError", "etaBar", "estimate", "residualGapFinal",
-              "wallTimeNanos", "status")
+              "wallTimeNanos", "status", "analysisTimeNanos")
 
 
 @dataclass
@@ -399,31 +402,57 @@ def _rel_error(x, xref):
     return float(np.linalg.norm(x - xref) / (nref if nref > 0 else 1.0))
 
 
-def _record(p, kappa, xref, solver, o, wall, eps):
-    """The record of outcome `o`; an error in place of `o` or of the
-    reference `xref` gives status "error"."""
-    failed = isinstance(o, QlskitError)
-    rel = (float("inf") if failed or isinstance(xref, QlskitError)
-           else _rel_error(o.x, xref))
-    eta = est = float("nan")
-    if not np.isfinite(rel):
-        status, rel = "error", float("inf")
-    else:
-        status = "failed" if rel > FAILURE_THRESHOLD else "ok"
-        key = SOLVER_TABLE[solver][2]
-        with suppress(QlskitError):
-            eta = analysis.relative_backward_error(p, o.x)
-        with suppress(QlskitError):
-            if key is not None:
-                est = analysis.forward_error_estimates(
-                    p, o.x, eps, methods=(key,))[key]
-    return BenchRecord(
-        problem_id=p.label, m=p.m, n=p.n, kappa=kappa, solver=solver,
-        iterations=0 if failed else o.iterations, rel_error=rel,
-        eta_bar=eta, estimate=est,
-        residual_gap=None if failed else o.residual_gap,
-        wall_time_ns=wall, status=status,
-    )
+def _each(fn, probs, xs):
+    """fn's list of values on the group, or, when the group raises, each
+    member's own value, NaN where its own call raises too."""
+    try:
+        return fn(probs, xs)
+    except QlskitError:
+        if len(probs) == 1:
+            return [float("nan")]
+        return [_each(fn, [p], x[None])[0] for p, x in zip(probs, xs)]
+
+
+def _records(solver, probs, refs, outcomes, wall, eps):
+    """The records of one ``solve`` call on `probs`; `refs` holds each
+    problem's (kappa, xref).  An error in place of an outcome or of the
+    reference gives status "error".  The record stage runs once on the
+    group's finite iterates: one stacked ``relative_backward_error`` and
+    one ``forward_error_estimates`` call, whose time divided by the group
+    size is ``analysis_time_ns``."""
+    key = SOLVER_TABLE[solver][2]
+    rels = [float("inf") if isinstance(o, QlskitError)
+            or isinstance(xref, QlskitError) else _rel_error(o.x, xref)
+            for o, (_, xref) in zip(outcomes, refs)]
+    live = [i for i, rel in enumerate(rels) if np.isfinite(rel)]
+    eta, est = [float("nan")] * len(probs), [float("nan")] * len(probs)
+    t0 = time.perf_counter_ns()
+    if live:
+        ps, xs = [probs[i] for i in live], np.stack([outcomes[i].x for i in live])
+        stages = [(eta, analysis.relative_backward_error)]
+        if key is not None:
+            stages.append((est, lambda ps, xs: [
+                e[key] for e in analysis.forward_error_estimates(
+                    ps, xs, eps, methods=(key,))]))
+        for column, fn in stages:
+            for i, value in zip(live, _each(fn, ps, xs)):
+                column[i] = value
+    spent = (time.perf_counter_ns() - t0) // len(probs)
+    out = []
+    for i, (p, (kappa, _), o, rel) in enumerate(zip(probs, refs, outcomes, rels)):
+        failed = isinstance(o, QlskitError)
+        if np.isfinite(rel):
+            status = "failed" if rel > FAILURE_THRESHOLD else "ok"
+        else:
+            status, rel = "error", float("inf")
+        out.append(BenchRecord(
+            problem_id=p.label, m=p.m, n=p.n, kappa=kappa, solver=solver,
+            iterations=0 if failed else o.iterations, rel_error=rel,
+            eta_bar=eta[i], estimate=est[i],
+            residual_gap=None if failed else o.residual_gap,
+            wall_time_ns=wall, status=status, analysis_time_ns=spent,
+        ))
+    return out
 
 
 def run_suite(config):
@@ -459,9 +488,9 @@ def run_suite(config):
             outcomes = solve(solver, [probs[i] for i in members], config.eps,
                              config.control())
             wall = (time.perf_counter_ns() - t0) // len(members)
-            records.extend(
-                _record(probs[i], *refs[i], solver, o, wall, config.eps)
-                for i, o in zip(members, outcomes))
+            records += _records(solver, [probs[i] for i in members],
+                                [refs[i] for i in members], outcomes, wall,
+                                config.eps)
     records.sort(key=lambda r: (r.problem_id, r.solver))
     return records
 

@@ -9,8 +9,9 @@ call, which is what the single-problem functions make; inside a
 ``batched`` block they return their problem's share of one batch.  A
 step generator (``_cg_steps``, ``_cgls_steps``, ``_minres_steps``)
 advances every active problem one iteration; ``_drive`` holds the stop
-rule as per-problem arrays, copies an iterate when its best index moves
-and drops stopped problems from the generator's arrays.  Data whose
+rule and each best iterate as arrays of the active problems, copies an
+iterate when its best index moves and drops stopped problems from its
+own and the generator's arrays.  Data whose
 largest magnitude lies outside 2^+-``linalg.SAFE_EXPONENT`` is first
 scaled by a power of two, which is exact.
 
@@ -109,13 +110,15 @@ def _drive(steps, count, tol, maxit, patience, history):
     (x first); it is sent the rows still running, or None."""
     series, _, saved = next(steps)
     norm = series[0].ravel()
-    # Per active problem: global index, best norm and index, and limits.
-    # A run goes on while threshold < norm <= ceiling; the ceiling is
-    # capped at the largest float, so an infinite norm is out of range.
-    idx, best, last = np.arange(count), norm, np.zeros(count, int)
+    # Per active problem: global index, best norm, its index and iterate,
+    # and limits.  A run goes on while threshold < norm <= ceiling; the
+    # ceiling is capped at the largest float, so an infinite norm is out
+    # of range.  A problem's best iterate and index go out when it stops.
+    idx, best, last = np.arange(count), norm.copy(), np.zeros(count, int)
     threshold = tol * norm
     ceiling = np.minimum(DIVERGENCE_FACTOR * norm, np.finfo(float).max)
     kept = [s.copy() for s in saved]
+    out = [s.copy() for s in saved]
     best_k, codes = np.zeros(count, int), np.zeros(count, int)
     logs = [[tuple(v.ravel()[i] for v in series)] for i in range(count)]
     # A zero initial residual (zero right-hand side or exact x0) is solved.
@@ -125,18 +128,18 @@ def _drive(steps, count, tol, maxit, patience, history):
     k, deadline = 0, patience
     while keep is None or keep.size:
         if keep is not None:
-            idx, best, last, threshold, ceiling = _take(
-                keep, idx, best, last, threshold, ceiling)
+            idx, best, last, threshold, ceiling, *kept = _take(
+                keep, idx, best, last, threshold, ceiling, *kept)
         series, broke, saved = steps.send(keep)
         k, keep = k + 1, None
         series = [v.ravel() for v in series]
         norm, broke = series[0], broke.ravel()
         up = (norm < best) & ~broke
         if up.any():
-            best, last = np.where(up, norm, best), np.where(up, k, last)
-            best_k[idx[up]] = k
+            np.copyto(best, norm, where=up)
+            np.copyto(last, k, where=up)
             for dst, src in zip(kept, saved):
-                dst[idx[up]] = src[up]
+                np.copyto(dst, src, where=up[:, None, None])
         if history:
             for j in np.flatnonzero(~broke):
                 logs[idx[j]].append(tuple(v[j] for v in series))
@@ -149,36 +152,44 @@ def _drive(steps, count, tol, maxit, patience, history):
             code = np.select([broke, div, norm <= threshold,
                               k - last >= patience, k >= maxit],
                              [5, 3, 1, 2, 4])
-            codes[idx[code != 0]] = code[code != 0]
-            keep = np.flatnonzero(code == 0)
+            stop = code != 0
+            codes[idx[stop]], best_k[idx[stop]] = code[stop], last[stop]
+            for dst, src in zip(out, kept):
+                dst[idx[stop]] = src[stop]
+            keep = np.flatnonzero(~stop)
     steps.close()
     hists = [np.array(logs[i][1:best_k[i] + 1]).reshape(-1, len(series)).T
              for i in range(count)]
-    return kept, best_k, codes, hists if history else None
+    return out, best_k, codes, hists if history else None
 
 
 def _cg_steps(a, rhs, x):
-    """CG on A^T A x = rhs."""
+    """CG on A^T A x = rhs; x, r and d are updated in place."""
     r = rhs - a.mT @ (a @ x)
     rho_new = r.mT @ r
     d = rho = None
     keep = yield (np.sqrt(rho_new),), None, (x,)
     while True:
         a, x, r, d, rho, rho_new = _take(keep, a, x, r, d, rho, rho_new)
-        d = r if d is None else r + (rho_new / rho) * d
+        if d is None:
+            d = r.copy()
+        else:
+            d *= rho_new / rho
+            d += r
         rho = rho_new
         q = a.mT @ (a @ d)
         den = d.mT @ q
         broke = den <= 0.0
         alpha = rho / np.where(broke, np.inf, den)
-        x = x + alpha * d
-        r = r - alpha * q
+        x += alpha * d
+        r -= alpha * q
         rho_new = r.mT @ r
         keep = yield (np.sqrt(rho_new),), broke, (x,)
 
 
 def _cgls_steps(a, b, x, shift=None, gaps=False):
-    """CGLS on min ||a x - b||, r = a^T d (+ shift); `gaps` adds ||b - a x - d||."""
+    """CGLS on min ||a x - b||, r = a^T d (+ shift); `gaps` adds ||b - a x - d||.
+    x, d and p_dir are updated in place."""
     d = b - a @ x
     p_dir = rho = broke = None
     while True:
@@ -191,14 +202,18 @@ def _cgls_steps(a, b, x, shift=None, gaps=False):
         keep = yield series, broke, (x, d)
         a, b, x, d, r, rho_new, shift, p_dir, rho = _take(
             keep, a, b, x, d, r, rho_new, shift, p_dir, rho)
-        p_dir = r if p_dir is None else r + (rho_new / rho) * p_dir
+        if p_dir is None:
+            p_dir = r
+        else:
+            p_dir *= rho_new / rho
+            p_dir += r
         rho = rho_new
         t = a @ p_dir
         tt = t.mT @ t
         broke = tt <= 0.0
         alpha = rho / np.where(broke, np.inf, tt)
-        x = x + alpha * p_dir
-        d = d - alpha * t
+        x += alpha * p_dir
+        d -= alpha * t
 
 
 def _minres_steps(a, b, c, x):

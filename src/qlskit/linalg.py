@@ -197,16 +197,18 @@ def _householder(v, pivoting):
 
 
 def qr_factorize(a, pivoting=False):
-    """Factor a tall matrix as A[:, perm] = Q R.
+    """Factor a tall matrix as A[:, perm] = Q R, or each matrix of a
+    (B, m, n) stack (every field of the factorization then gains a
+    leading axis, each matrix's bitwise its own call's).
 
     Without pivoting this is LAPACK's geqrf (``np.linalg.qr`` in raw
-    mode).  With pivoting it is `householder_qr`, on A scaled by a power
-    of two when its largest entry lies outside 2^+-SAFE_EXPONENT (R is
-    scaled back, exactly).
+    mode).  With pivoting it is `householder_qr`, on each matrix scaled
+    by a power of two when its largest entry lies outside
+    2^+-SAFE_EXPONENT (R is scaled back, exactly).
 
     Parameters
     ----------
-    a : (m, n) array_like, m >= n
+    a : (m, n) or (B, m, n) array_like, m >= n
         Matrix to factor; must have full column rank.
     pivoting : bool
         Enable column pivoting on the largest remaining column norm.
@@ -218,22 +220,24 @@ def qr_factorize(a, pivoting=False):
     Raises
     ------
     RankDeficient
-        If any |R[k, k]| <= n * u * |R[0, 0]|.
+        If any |R[k, k]| <= n * u * |R[0, 0]| (of any matrix of a stack).
     """
     a = _tall(a)
-    n = a.shape[1]
+    n = a.shape[-1]
     if pivoting:
-        e = scale_exponent(a)
-        f = householder_qr(np.ldexp(a, -e) if e else a, pivoting=True)
-        if e:
+        e = scale_exponent(a, axis=(-2, -1))
+        f = householder_qr(np.ldexp(a, -e) if e.any() else a, pivoting=True)
+        if e.any():
             f.r = np.ldexp(f.r, e)
             upper = np.triu_indices(n)
-            f.reflectors[upper] = f.r[upper]
+            f.reflectors[..., upper[0], upper[1]] = f.r[..., upper[0], upper[1]]
     else:
         h, tau = np.linalg.qr(a, mode="raw")
-        f = QrFactorization(h.T, tau, np.triu(h.T[:n]), np.arange(n))
-    dmax = abs(f.r[0, 0])
-    if np.any(np.abs(np.diag(f.r)) <= n * U * dmax):
+        v = h.mT
+        f = QrFactorization(v, tau, np.triu(v[..., :n, :]),
+                            np.broadcast_to(np.arange(n), tau.shape))
+    d = np.abs(np.diagonal(f.r, axis1=-2, axis2=-1))
+    if np.any(d <= n * U * d[..., :1]):
         raise RankDeficient("triangular factor has a negligible diagonal entry")
     return f
 
@@ -280,55 +284,80 @@ def apply_q(f, y):
     return _apply_reflectors(f, y, transpose=False)
 
 
+def _columns(y, t):
+    """(y as a float array in column form (..., n, k), whether it was one
+    vector per matrix of `t`): y is a vector when it has one dimension
+    fewer than t."""
+    y = np.asarray(y, dtype=float)
+    vec = y.ndim == t.ndim - 1
+    return (y[..., None] if vec else y), vec
+
+
 def solve_triangular(t, y, lower=False):
-    """Solve T x = y for a nonsingular triangular T (vector or matrix y).
+    """Solve T x = y for a nonsingular triangular T, or each T of a
+    (B, n, n) stack; y is a vector or a matrix per T.
 
     Only the named triangle of `t` is read.  The solve is LAPACK's
     getrf + getrs on that triangle: LU with partial pivoting of an upper
     triangular matrix swaps no rows and has L = I exactly, so getrs
     reduces to the triangular solve.  A lower T is solved as the upper
-    J T J, J the reversal.  Raises SingularDiagonal on an exactly zero
-    diagonal entry.
+    J T J, J the reversal.  A stack is one ``np.linalg.solve`` call, each
+    solution bitwise its own call's.  Raises SingularDiagonal on an
+    exactly zero diagonal entry (of any T of a stack).
     """
-    t = as_matrix(t, "t")
-    n = t.shape[0]
-    if t.shape[1] != n:
+    t = _as_array(t, "t", (2, 3))
+    n = t.shape[-1]
+    if t.shape[-2] != n:
         raise DimensionMismatch("triangular matrix must be square")
-    y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[0] != n:
-        raise DimensionMismatch(f"right-hand side has shape {y.shape}, expected {n} rows")
-    if np.any(np.diag(t) == 0.0):
+    z, vec = _columns(y, t)
+    if z.ndim != t.ndim or z.shape[-2] != n or z.shape[:-2] != t.shape[:-2]:
+        raise DimensionMismatch(
+            f"right-hand side has shape {np.shape(y)}, expected {n} rows")
+    if np.any(np.diagonal(t, axis1=-2, axis2=-1) == 0.0):
         raise SingularDiagonal("zero diagonal entry in triangular solve")
     if lower:
-        return np.linalg.solve(np.triu(t[::-1, ::-1]), y[::-1])[::-1]
-    return np.linalg.solve(np.triu(t), y)
+        # Contiguous, so a product with x meets the BLAS kernel it would
+        # meet on a fresh array.
+        x = np.ascontiguousarray(np.linalg.solve(
+            np.triu(t[..., ::-1, ::-1]), z[..., ::-1, :])[..., ::-1, :])
+    else:
+        x = np.linalg.solve(np.triu(t), z)
+    return x[..., 0] if vec else x
+
+
+def _unpermute(f, y):
+    """Rows of y (column form) back in the original column order."""
+    if not f.pivoted:
+        return y
+    out = np.empty_like(y)
+    np.put_along_axis(out, np.broadcast_to(f.perm[..., None], y.shape), y,
+                      axis=-2)
+    return out
 
 
 def qr_gram_solve(f, rhs):
-    """Solve (A^T A) z = rhs through R^T R using the QR factors of A.
+    """Solve (A^T A) z = rhs through R^T R using the QR factors of A, or of
+    each A of a stack (rhs then (B, n) or (B, n, k)).
 
     Works for vector or matrix right-hand sides; A^T A is never formed.
     """
-    z = np.array(rhs, dtype=float)
-    vec = z.ndim == 1
-    if vec:
-        z = z[:, None]
-    zp = z[f.perm] if f.pivoted else z
-    w = solve_triangular(f.r.T, zp, lower=True)
-    y = solve_triangular(f.r, w, lower=False)
-    out = np.empty_like(y)
-    out[f.perm] = y
-    return out[:, 0] if vec else out
+    z, vec = _columns(rhs, f.r)
+    if f.pivoted:
+        z = np.take_along_axis(z, np.broadcast_to(f.perm[..., None], z.shape),
+                               axis=-2)
+    w = solve_triangular(f.r.mT, z, lower=True)
+    y = _unpermute(f, solve_triangular(f.r, w, lower=False))
+    return y[..., 0] if vec else y
 
 
 def qr_lstsq(f, y):
-    """Return argmin_z ||A z - y|| using the QR factors of A."""
-    n = f.r.shape[0]
-    qty = apply_q_transpose(f, y)
-    w = solve_triangular(f.r, qty[:n], lower=False)
-    out = np.empty_like(w)
-    out[f.perm] = w
-    return out
+    """Return argmin_z ||A z - y|| using the QR factors of A, or of each A
+    of a stack (y then (B, m) or (B, m, k))."""
+    n = f.r.shape[-1]
+    z, vec = _columns(y, f.r)
+    qty = apply_q_transpose(f, z)
+    w = _unpermute(f, solve_triangular(f.r, qty[..., :n, :], lower=False))
+    return w[..., 0] if vec else w
 
 
 # ---------------------------------------------------------------------------
@@ -437,36 +466,43 @@ def svd(a):
 # ---------------------------------------------------------------------------
 
 def _symmetric_part(m):
-    """Return (M + M^T) / 2; NotSymmetric if ||M - M^T||_F > 10 u ||M||_F.
+    """Return (M + M^T) / 2 of a matrix or of each matrix of a stack;
+    NotSymmetric if ||M - M^T||_F > 10 u ||M||_F.
 
     The norms are taken of M / max|M| and the halves are added, so huge
     entries cannot overflow.
     """
-    m = as_matrix(m, "m")
-    if m.shape[0] != m.shape[1]:
+    m = _as_array(m, "m", (2, 3))
+    if m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch("matrix must be square")
-    scale = np.max(np.abs(m)) if m.size else 0.0
-    if scale > 0.0:
-        s = m / scale
-        if np.sqrt(np.sum((s - s.T) ** 2)) > 10.0 * U * np.sqrt(np.sum(s * s)):
+    if m.size:
+        scale = np.max(np.abs(m), axis=(-2, -1), keepdims=True)
+        s = m / np.where(scale > 0.0, scale, 1.0)
+        if np.any(np.sqrt(np.sum((s - s.mT) ** 2, axis=(-2, -1)))
+                  > 10.0 * U * np.sqrt(np.sum(s * s, axis=(-2, -1)))):
             raise NotSymmetric("matrix is not symmetric to working precision")
-    return 0.5 * m + 0.5 * m.T
+    return 0.5 * m + 0.5 * m.mT
 
 
 def sym_spectral_norm(m):
-    """Largest |eigenvalue| of a symmetric matrix.
+    """Largest |eigenvalue| of a symmetric matrix, or of each matrix of a
+    (B, n, n) stack (result (B,)).
 
     The eigenvalues come from LAPACK's symmetric eigensolver
-    (``np.linalg.eigvalsh``), which is backward stable, so the result
+    (``np.linalg.eigvalsh``, one call for a stack, each matrix's values
+    bitwise its own call's), which is backward stable, so the result
     carries an absolute error of a small multiple of u ||M||_2.  Asymmetry
     beyond 10 u ||M||_F raises NotSymmetric; smaller asymmetry is
     symmetrized away.  The zero matrix returns 0.0.
     """
     m = _symmetric_part(m)
-    if not m.any():
-        return 0.0
+    nonzero = m.any(axis=(-2, -1))
+    if not nonzero.any():
+        return 0.0 if m.ndim == 2 else np.zeros(m.shape[0])
     w = np.linalg.eigvalsh(m)
-    return float(max(-w[0], w[-1]))
+    low, high = -w[..., 0], w[..., -1]
+    out = np.where(nonzero, np.where(high > low, high, low), 0.0)
+    return float(out) if m.ndim == 2 else out
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,13 @@ float spacing.
 
 from fractions import Fraction
 import math
+import pathlib
 
 import numpy as np
 
-from qlskit import linalg as la, problems
+from qlskit import analysis, bench, linalg as la, problems
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def frac_matrix(a):
@@ -146,3 +149,62 @@ def svd_stack_mismatches():
     return [name for name, stack in svd_stacks().items()
             if not all(np.array_equal(got, la.svd(a))
                        for got, a in zip(la.svd(stack), stack))]
+
+
+def analysis_groups():
+    """Two same-shape groups, each with a (B, n) stack of iterates: the
+    ten problems of configs/table.json (40 x 20) and set_p p00, p09, p19,
+    p29 and p39 of seed 1729 (100 x 50, kappa 1 to 1e10).  Each iterate is
+    x_exact perturbed by a relative 1e-12 to 1e-6."""
+    table = bench.build_problems(
+        bench.parse_config(str(ROOT / "configs" / "table.json")))
+    set_p = problems.generate_problem_set_p(seed=1729)
+    groups = {"table": table, "set_p": [set_p[i] for i in (0, 9, 19, 29, 39)]}
+    rng = np.random.default_rng(29)
+    out = {}
+    for name, probs in groups.items():
+        scale = np.logspace(-12, -6, len(probs))[:, None]
+        xs = np.stack([p.x_exact for p in probs])
+        out[name] = (probs, xs * (1.0 + scale * rng.standard_normal(xs.shape)))
+    return out
+
+
+def analysis_stack_mismatches(eps=2.0 ** -47):
+    """(group, what, index) wherever ``relative_backward_error`` or
+    ``forward_error_estimates`` (all methods, or one key at a time) is
+    not bitwise the one-problem formulas of ``analysis_reference``: in
+    B = 1 calls, in one call on the group, and with the group run in
+    chunks of two problems."""
+    import analysis_reference as ref
+
+    bad = []
+    whole = analysis.STACK_BYTES
+    for name, (probs, xs) in analysis_groups().items():
+        want = {"eta": [ref.relative_backward_error(p, x)
+                        for p, x in zip(probs, xs)]}
+        est = [ref.forward_error_estimates(p, x, eps) for p, x in zip(probs, xs)]
+        for key in ("cg", "cglsi", "cglseps"):
+            want[key] = want[key + " of all"] = [e[key] for e in est]
+        calls = {"single": lambda fn, *args, **kw: [
+            fn(p, x, *args, **kw) for p, x in zip(probs, xs)]}
+        calls["stack"] = calls["chunks"] = (
+            lambda fn, *args, **kw: fn(probs, xs, *args, **kw))
+        m, n = probs[0].a.shape
+        for label, call in calls.items():
+            if label == "chunks":
+                analysis.STACK_BYTES = 2 * 8 * (2 * m + 2 * n + 1) * n
+            try:
+                got = {"eta": call(analysis.relative_backward_error)}
+                full = call(analysis.forward_error_estimates, eps)
+                for key in ("cg", "cglsi", "cglseps"):
+                    one = call(analysis.forward_error_estimates, eps,
+                               methods=(key,))
+                    got[key] = [e[key] for e in one]
+                    got[key + " of all"] = [e[key] for e in full]
+            finally:
+                analysis.STACK_BYTES = whole
+            bad += [(name, f"{label} {what}", i)
+                    for what, vals in got.items()
+                    for i, (g, w) in enumerate(zip(vals, want[what]))
+                    if g.hex() != w.hex()]
+    return bad

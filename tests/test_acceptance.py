@@ -302,9 +302,10 @@ def test_c11_bench_output_is_deterministic(tmp_path):
                          "--out", str(out)]) == 0
         outs.append(out.read_bytes())
 
-    def drop_wall_time(blob):
-        lines = blob.decode().splitlines()
-        return [",".join(f for i, f in enumerate(ln.split(",")) if i != 10)
-                for ln in lines]
+    def drop_times(blob):
+        # The wall-clock columns are the only ones that may differ.
+        rows = [ln.split(",") for ln in blob.decode().splitlines()]
+        clocks = {rows[0].index(k) for k in ("wall_time_ns", "analysis_time_ns")}
+        return [[f for i, f in enumerate(row) if i not in clocks] for row in rows]
 
-    assert drop_wall_time(outs[0]) == drop_wall_time(outs[1])
+    assert drop_times(outs[0]) == drop_times(outs[1])

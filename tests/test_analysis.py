@@ -1,10 +1,15 @@
 """Condition numbers, backward errors, bounds, perturbation construction."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from conftest import ROOT
 
 from qlskit import analysis, direct, iterative, problems
 from qlskit.errors import (
@@ -14,6 +19,8 @@ from qlskit.errors import (
     ZeroVector,
 )
 from helpers import (
+    analysis_groups,
+    analysis_stack_mismatches,
     commutation_matrix,
     frac_matrix,
     frac_solve,
@@ -455,3 +462,48 @@ def test_construct_perturbation_validation():
     with pytest.raises(InvalidParameter):
         analysis.construct_perturbation(p, np.ones(2), np.ones(2),
                                         root="median")
+
+
+def test_group_calls_are_bitwise_their_single_calls():
+    # One-problem calls, and a group of same-shape problems with a (B, n)
+    # stack of iterates, whole or in chunks, give per problem exactly the
+    # value of the one-problem formulas in analysis_reference.
+    assert analysis_stack_mismatches() == []
+
+
+@pytest.mark.parametrize("core", ["Haswell", "SkylakeX", "Sandybridge",
+                                  "Prescott"])
+def test_group_bitwise_under_each_blas_kernel(core):
+    # The stacked products, factorizations and solves reach the kernels of
+    # the one-problem calls under every OpenBLAS core.
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                           str(ROOT / "tests")]))
+    code = "import helpers\nprint(helpers.analysis_stack_mismatches())\n"
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    if run.returncode < 0:
+        pytest.skip(f"{core} kernel cannot run here (signal {-run.returncode})")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_group_call_validation():
+    probs, xs = analysis_groups()["table"]
+    other = zero_problem(np.eye(2))
+    for fn in (analysis.relative_backward_error,
+               analysis.forward_error_estimates):
+        with pytest.raises(DimensionMismatch):
+            fn(probs[:2] + [other], xs[:3])
+        with pytest.raises(DimensionMismatch):
+            fn(probs[:2], xs[:3])
+        with pytest.raises(DimensionMismatch):
+            fn(probs[:2], xs[0])
+        with pytest.raises(DimensionMismatch):
+            fn([], np.zeros((0, 20)))
+    zeroed = xs[:3].copy()
+    zeroed[1] = 0.0
+    with pytest.raises(ZeroVector):
+        analysis.forward_error_estimates(probs[:3], zeroed)
+    assert analysis.forward_error_estimates(probs[:2], xs[:2], methods=()) == [{}, {}]

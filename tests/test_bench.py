@@ -9,9 +9,11 @@ import os
 import numpy as np
 import pytest
 
-from qlskit import bench, direct, iterative, linalg, problems
-from qlskit.errors import (ConfigError, EmptyInput, InvalidParameter,
-                           MissingConfiguration, RankDeficient)
+from helpers import analysis_groups
+from qlskit import analysis, bench, direct, iterative, linalg, problems
+from qlskit.errors import (ConfigError, DenominatorVanishes, EmptyInput,
+                           InvalidParameter, MissingConfiguration,
+                           RankDeficient)
 from qlskit.problems import QlsProblem
 
 U = np.finfo(float).eps / 2
@@ -333,7 +335,7 @@ MIXED_SHAPES = {
 
 def test_run_suite_batches_match_per_problem_runs(monkeypatch):
     # Solver by solver, the problems of each shape go to one Krylov batch;
-    # run one problem at a time instead, every record but wall_time_ns
+    # run one problem at a time instead, every record but its clock times
     # is the same.
     cfg = bench.parse_config(MIXED_SHAPES)
     real = iterative.solve_batch
@@ -353,7 +355,7 @@ def test_run_suite_batches_match_per_problem_runs(monkeypatch):
     single = bench.run_suite(cfg)
     assert len(batched) == len(single) == 41 * len(bench.SOLVERS)
     for a, b in zip(batched, single):
-        b.wall_time_ns = a.wall_time_ns
+        b.wall_time_ns, b.analysis_time_ns = a.wall_time_ns, a.analysis_time_ns
         assert records_equal(a, b), (a, b)
 
 
@@ -552,7 +554,7 @@ def test_record_schema_is_the_dataclass_fields(tmp_path):
     recs = [
         bench.BenchRecord("p0", 4, 2, float("inf"), "QR", 0, float("inf"),
                           float("nan"), float("nan"), residual_gap=None,
-                          wall_time_ns=5, status="error"),
+                          wall_time_ns=5, status="error", analysis_time_ns=3),
         bench.BenchRecord("p1", 6, 3, 12.5, "CGLSI", 9, 1e-300, 2.5e-17,
                           -float("inf"), residual_gap=3e-16, wall_time_ns=7,
                           status="failed"),
@@ -571,7 +573,51 @@ def test_record_schema_is_the_dataclass_fields(tmp_path):
     assert [list(o) for o in objs] == [[
         "problemId", "m", "n", "kappaA", "solver", "iterations", "relError",
         "etaBar", "estimate", "residualGapFinal", "wallTimeNanos", "status",
+        "analysisTimeNanos",
     ]] * 2
     assert objs[0]["kappaA"] is None and objs[0]["residualGapFinal"] is None
     assert objs[1]["estimate"] is None and objs[1]["residualGapFinal"] == 3e-16
     assert objs[1]["relError"] == 1e-300 and objs[1]["iterations"] == 9
+    assert objs[0]["analysisTimeNanos"] == 3 and objs[1]["analysisTimeNanos"] == 0
+
+
+def test_record_stage_isolates_a_failing_member(monkeypatch):
+    # The record stage runs once per group; where the group call raises,
+    # each member runs alone.  A zero iterate (ZeroVector) and a planted
+    # DenominatorVanishes give that member a NaN estimate, a planted
+    # RankDeficient in its backward error a NaN eta_bar, and every other
+    # value is bitwise the member's own call.
+    probs, xs = analysis_groups()["table"]
+    eps, key = 2.0 ** -47, "cglseps"
+    xs = xs.copy()
+    xs[1] = 0.0
+    den_member, rank_member = probs[4], probs[7]
+    real_sm, real_gram = analysis._sm_terms, analysis._gram_factor
+
+    def sm_terms(d, eps):
+        if any(q is den_member for q in d.probs):
+            raise DenominatorVanishes("planted")
+        return real_sm(d, eps)
+
+    def gram_factor(d, x, r, eps, *thetas):
+        if any(q is rank_member for q in d.probs) and eps == 0.0:
+            raise RankDeficient("planted")
+        return real_gram(d, x, r, eps, *thetas)
+
+    monkeypatch.setattr(analysis, "_sm_terms", sm_terms)
+    monkeypatch.setattr(analysis, "_gram_factor", gram_factor)
+    outcomes = [iterative.SolveOutcome(x, 5, None) for x in xs]
+    refs = [(p.kappa(), p.x_exact) for p in probs]
+    recs = bench._records("CGLSEPS", probs, refs, outcomes, 7, eps)
+    for i, (p, x, rec) in enumerate(zip(probs, xs, recs)):
+        assert (rec.problem_id, rec.iterations, rec.wall_time_ns) == (p.label, 5, 7)
+        assert rec.status == ("failed" if i == 1 else "ok")
+        if i == 7:
+            assert math.isnan(rec.eta_bar)
+        else:
+            assert rec.eta_bar.hex() == analysis.relative_backward_error(p, x).hex()
+        if i in (1, 4):
+            assert math.isnan(rec.estimate)
+        else:
+            want = analysis.forward_error_estimates(p, x, eps, methods=(key,))
+            assert rec.estimate.hex() == want[key].hex()

@@ -584,3 +584,58 @@ def test_ldlt_two_by_two_pivot_does_not_overflow():
     assert np.allclose(x, [5.0, 3.0], rtol=1e-15)
     assert 2 in fb.blocks
     assert np.allclose(xb, [1.0, -2.0, 3.0], rtol=1e-13)
+
+
+def _same(x, y):
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_stacked_kernels_are_bitwise_their_single_calls():
+    # qr_factorize (with and without pivoting), qr_lstsq, qr_gram_solve,
+    # solve_triangular and sym_spectral_norm take a (B, ...) stack, and
+    # each matrix's result is bitwise its own call's.
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((5, 9, 4)) * np.logspace(0, 6, 4)
+    a[2] = np.ldexp(a[2], 400)  # scaled apart from the others when pivoted
+    y, rhs = rng.standard_normal((5, 9)), rng.standard_normal((5, 4, 3))
+    for pivoting in (False, True):
+        f = la.qr_factorize(a, pivoting=pivoting)
+        for b in range(5):
+            one = la.qr_factorize(a[b], pivoting=pivoting)
+            for k in ("reflectors", "tau", "r", "perm"):
+                assert _same(getattr(f, k)[b], getattr(one, k))
+            assert _same(la.qr_lstsq(f, y)[b], la.qr_lstsq(one, y[b]))
+            assert _same(la.qr_gram_solve(f, rhs)[b],
+                         la.qr_gram_solve(one, rhs[b]))
+            assert _same(la.qr_gram_solve(f, rhs[..., 0])[b],
+                         la.qr_gram_solve(one, rhs[b, :, 0]))
+    t = la.qr_factorize(a).r
+    for lower in (False, True):
+        tt = t.mT if lower else t
+        vec = la.solve_triangular(tt, rhs[..., 0], lower=lower)
+        mat = la.solve_triangular(tt, rhs, lower=lower)
+        for b in range(5):
+            assert _same(vec[b], la.solve_triangular(tt[b], rhs[b, :, 0], lower=lower))
+            assert _same(mat[b], la.solve_triangular(tt[b], rhs[b], lower=lower))
+    g = a.mT @ a
+    g[3] = 0.0
+    norms = la.sym_spectral_norm(g)
+    assert norms.shape == (5,) and norms[3] == 0.0
+    assert all(norms[b] == la.sym_spectral_norm(g[b]) for b in range(5))
+
+
+def test_stacked_kernels_raise_for_any_member():
+    a = np.random.default_rng(42).standard_normal((3, 4, 2))
+    a[1, :, 1] = a[1, :, 0]
+    with pytest.raises(RankDeficient):
+        la.qr_factorize(a)
+    t = np.stack([np.eye(2), np.diag([1.0, 0.0])])
+    with pytest.raises(SingularDiagonal):
+        la.solve_triangular(t, np.ones((2, 2)))
+    with pytest.raises(DimensionMismatch):
+        la.solve_triangular(t, np.ones((3, 2)))
+    with pytest.raises(NotSymmetric):
+        la.sym_spectral_norm(np.stack([np.eye(2), np.triu(np.ones((2, 2)))]))
+    with pytest.raises(InvalidParameter):
+        la.sym_spectral_norm(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
