@@ -111,25 +111,14 @@ def _chunks(probs):
     return [slice(lo, lo + size) for lo in range(0, len(probs), size)]
 
 
-def _base_qr(probs):
-    """The cached QR factors of each problem's A, as one stack."""
-    fs = [p.qr() for p in probs]
-    return la.QrFactorization(*(np.stack([getattr(f, k) for f in fs])
-                                for k in ("reflectors", "tau", "r", "perm")))
-
-
-def _eps_qr(d, eps):
-    """QR of each [A; eps c^T] (eps already a power of two)."""
-    return la.qr_factorize(np.concatenate([d.a, eps * d.c[:, None, :]], axis=1))
-
-
 # ---------------------------------------------------------------------------
 # Structured condition numbers
 # ---------------------------------------------------------------------------
 
-def _structured_cond(d, x, f, eps):
-    """sqrt(||Mbar||) per problem of stack `d` at the rows of x, f the
-    stacked QR of [A; eps c^T] (of A at eps = 0).
+def _structured_cond(d, x, eps):
+    """sqrt(||Mbar||) per problem of stack `d` at the rows of x, through
+    one stacked QR of [A; eps c^T] (of A alone at eps = 0; eps already a
+    power of two).
 
     With W = (A^T A + eps^2 c c^T)^-1 and r = b - A x,
 
@@ -140,6 +129,8 @@ def _structured_cond(d, x, f, eps):
     W A^T r is the least-squares solution of [A; eps c^T] z = (r, 0).
     """
     count, m, n = d.a.shape
+    f = la.qr_factorize(d.a if eps == 0.0 else
+                        np.concatenate([d.a, eps * d.c[:, None, :]], axis=1))
     r = d.residual(x)
     w = la.qr_gram_solve(f, np.broadcast_to(np.eye(n), (count, n, n)))
     b1 = la.qr_lstsq(f, np.pad(r, ((0, 0), (0, f.shape[-2] - m))))
@@ -159,14 +150,13 @@ def _structured_cond(d, x, f, eps):
 def structured_cond_base(p, x):
     """Absolute condition number of the solution at x (Mbar at eps = 0)."""
     x = _check_x(p, x)
-    return float(_structured_cond(_Stack([p]), x[None], _base_qr([p]), 0.0)[0])
+    return float(_structured_cond(_Stack([p]), x[None], 0.0)[0])
 
 
 def structured_cond_eps(p, x, eps=DEFAULT_EPS):
     """Absolute condition number of the regularized solution map at x."""
     x = _check_x(p, x)
-    eps, d = eps_weight(eps)[0], _Stack([p])
-    return float(_structured_cond(d, x[None], _eps_qr(d, eps), eps)[0])
+    return float(_structured_cond(_Stack([p]), x[None], eps_weight(eps)[0])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +315,7 @@ def minimum_norm_perturbation(p, xtilde, theta1=1.0, theta2=1.0):
 def _sm_terms(d, eps):
     """(w, den) per problem of stack `d`: w = (A^T A)^-1 c and
     den = 1 + eps^2 c^T w > 0."""
-    w = la.qr_gram_solve(_base_qr(d.probs), d.c)
+    w = la.qr_gram_solve(la.qr_factorize(d.a), d.c)
     den = 1.0 + eps * eps * _dot(d.c, w)
     if not (den > 0.0).all():
         raise DenominatorVanishes(f"1 + eps^2 c^T w = {den.min():.3e}")
@@ -383,32 +373,36 @@ def cg_inadequacy_indicator(p, x):
     return float((nb * na + nc) / (bracket * problem_data_norm(p)))
 
 
+def _rank_one_norm(u, v):
+    """Spectral norm of I + u v^T per row pair of two (B, k) stacks, by
+    restriction to span{u, v}; one when u or v is zero.
+
+    With Q = [q1, q2] orthonormal, q1 along u, the restriction is the 2x2
+    S = Q^T Q + (Q^T u)(Q^T v)^T.  When v lies along u, q2 = 0 leaves S
+    one nonzero entry, which the 2x2 formula returns exactly.
+    """
+    nu, nv = _norm(u), _norm(v)
+    q1 = _unit(u, nu)
+    vperp = v - _dot(q1, v)[:, None] * q1
+    nvp = _norm(vperp)
+    # Q as (B, k, 2) columns, so its products meet the BLAS calls of the
+    # one-pair expressions.
+    q = np.stack([q1, _unit(vperp, np.where(nvp > 1e-15 * nv, nvp, 0.0))],
+                 axis=2)
+    s = q.mT @ q + _outer(_mv(q.mT, u), _mv(q.mT, v))
+    # Largest singular value of a 2x2 without forming the Gram matrix.
+    smax = 0.5 * (np.hypot(s[:, 0, 0] + s[:, 1, 1], s[:, 0, 1] - s[:, 1, 0])
+                  + np.hypot(s[:, 0, 0] - s[:, 1, 1], s[:, 0, 1] + s[:, 1, 0]))
+    return np.where((nu > 0.0) & (nv > 0.0), np.maximum(1.0, smax), 1.0)
+
+
 def rank_one_identity_norm(u, v):
     """Spectral norm of I + u v^T by restriction to span{u, v}."""
     u = la.as_vector(u, "u")
     v = la.as_vector(v, "v")
     if u.shape != v.shape:
         raise DimensionMismatch("u and v must have equal length")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 1.0
-    q1 = u / nu
-    vperp = v - float(q1 @ v) * q1
-    nvp = np.linalg.norm(vperp)
-    if nvp <= 1e-15 * nv:
-        basis = q1[:, None]
-    else:
-        basis = np.column_stack([q1, vperp / nvp])
-    small = basis.T @ basis + np.outer(basis.T @ u, basis.T @ v)
-    if small.shape[0] == 1:
-        smax = abs(small[0, 0])
-    else:
-        # Largest singular value of a 2x2 without forming the Gram matrix.
-        s = np.hypot(small[0, 0] + small[1, 1], small[0, 1] - small[1, 0])
-        d = np.hypot(small[0, 0] - small[1, 1], small[0, 1] + small[1, 0])
-        smax = 0.5 * (s + d)
-    return float(max(1.0, smax))
+    return float(_rank_one_norm(u[None], v[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +449,7 @@ def forward_error_estimates(p, xhat, eps=DEFAULT_EPS,
         d, x, nxp = _Stack(probs[part]), xs[part], nx[part]
         if want & {"cg", "cglsi"}:
             etab = _norm(_eta(d, x, 0.0, 1.0, 1.0, 1.0)[0])
-            base = _structured_cond(d, x, _base_qr(d.probs), 0.0) * etab / nxp
+            base = _structured_cond(d, x, 0.0) * etab / nxp
             if "cglsi" in want:
                 out["cglsi"] += base.tolist()
             if "cg" in want:
@@ -466,11 +460,9 @@ def forward_error_estimates(p, xhat, eps=DEFAULT_EPS,
                 out["cg"] += (base + floor / nxp).tolist()
         if "cglseps" in want:
             w, den = _sm_terms(d, eps)
-            amplify = np.array([
-                rank_one_identity_norm(-(eps * eps / dk) * wk, ck)
-                for wk, dk, ck in zip(w, den.tolist(), d.c)])
+            amplify = _rank_one_norm(-(eps * eps / den)[:, None] * w, d.c)
             etab_e = _norm(_eta(d, x, eps, 1.0, 1.0, 1.0)[0])
-            cond_e = _structured_cond(d, x, _eps_qr(d, eps), eps)
+            cond_e = _structured_cond(d, x, eps)
             out["cglseps"] += (_sm_bound(d, w, den, eps)
                                + cond_e * etab_e * amplify / nxp).tolist()
     rows = [{k: v[i] for k, v in out.items()} for i in range(len(probs))]

@@ -40,6 +40,7 @@ from . import analysis, direct, iterative, linalg, problems
 from .errors import (
     ConfigError,
     EmptyInput,
+    InvalidParameter,
     MissingConfiguration,
     QlskitError,
     RankDeficient,
@@ -289,10 +290,12 @@ def parse_config(source):
         raise ConfigError("config.solvers: must be a non-empty list")
     solvers = check_solvers(solvers, "config.solvers")
     seed = _want(obj, "seed", (int,), "config")
-    eps = _want(obj, "eps", (float, int), "config", positive=True)
-    if eps is not None and not eps <= problems.MAX_EPS:
-        raise ConfigError(f"config.eps: must be at most {problems.MAX_EPS}, "
-                          f"got {eps!r}")
+    eps = _want(obj, "eps", (float, int), "config")
+    if eps is not None:
+        try:
+            problems.eps_weight(eps)
+        except InvalidParameter as exc:
+            raise ConfigError(f"config.eps: {exc}") from None
     tol = _want(obj, "tol", (float, int), "config", positive=True)
     maxit = _want(obj, "maxIterations", (int,), "config", positive=True)
     patience = _want(obj, "patience", (int,), "config", positive=True)
@@ -398,8 +401,8 @@ def solve(solver, probs, eps, control):
 
 def _rel_error(x, xref):
     """||x - xref|| / ||xref||, or ||x|| when xref is zero."""
-    nref = np.linalg.norm(xref)
-    return float(np.linalg.norm(x - xref) / (nref if nref > 0 else 1.0))
+    nref = linalg.safe_norm(xref)
+    return linalg.safe_norm(x - xref) / (nref if nref > 0 else 1.0)
 
 
 def _each(fn, probs, xs):

@@ -1,12 +1,14 @@
 """Direct solvers for A^T A x = A^T b + c.
 
 All four return the solution vector.  ``solve_qr`` and ``solve_sm``
-share the problem's cached unpivoted QR factorization; the other two
-factor a derived matrix per call.  Data whose largest magnitude lies
-outside 2^+-``linalg.SAFE_EXPONENT`` is first scaled by powers of two,
-as the Krylov engine scales it, and x is scaled back; both are exact.
+factor A by unpivoted QR; the other two factor a derived matrix.  Data
+whose largest magnitude lies outside 2^+-``linalg.SAFE_EXPONENT`` is
+first scaled by powers of two, as the Krylov engine scales it, and x is
+scaled back; both are exact.
 ``solve_qr_eps`` leaves that to the pivoted QR of its stacked matrix.
 """
+
+import math
 
 import numpy as np
 
@@ -32,7 +34,7 @@ def _in_range(p):
 def solve_qr(p):
     """Semi-normal equations: R^T R x = A^T b + c with R from QR of A."""
     q, ea, es = _in_range(p)
-    f = q.qr()
+    f = la.qr_factorize(q.a)
     rhs = q.a.T @ q.b + q.c
     return np.ldexp(la.qr_gram_solve(f, rhs), es - ea)
 
@@ -53,25 +55,30 @@ def solve_sm(p, eps=DEFAULT_EPS):
         x = y - eps^2 (c^T y) / (1 + eps^2 c^T w) * w,   y = x_dagger + w.
 
     ``eps=0`` returns the base solution x_dagger + w itself; any other
-    eps goes through ``problems.eps_weight`` (InvalidParameter outside
-    (0, 1], rounded to a power of two as the stacked system rounds it).
-    Raises DenominatorVanishes if 1 + eps^2 c^T w is not positive.
+    eps goes through ``problems.eps_weight`` (rounded to a power of two
+    as the stacked system rounds it; InvalidParameter unless that lies
+    in [2^-1023, 1]).  Raises DenominatorVanishes if 1 + eps^2 c^T w is
+    not positive.
     """
     if eps != 0.0:
         eps = eps_weight(eps)[0]
     q, ea, es = _in_range(p)
-    f = q.qr()
-    x_dagger = la.qr_lstsq(f, q.b)
-    w = la.qr_gram_solve(f, q.c)
-    y = x_dagger + w
-    if eps == 0.0:
+    f = la.qr_factorize(q.a)
+    # w is solved for c_hat = 2^-ec p.c, of largest magnitude near one
+    # however far b's scale is from c's: q.c, w = 2^(ec-ea-es) c_hat, w_hat.
+    ec = int(np.frexp(np.abs(p.c).max())[1])
+    c_hat = np.ldexp(p.c, -ec)
+    w_hat = la.qr_gram_solve(f, c_hat)
+    y = la.qr_lstsq(f, q.b) + np.ldexp(w_hat, ec - ea - es)
+    if eps == 0.0 or not c_hat.any():
         return np.ldexp(y, es - ea)
-    # q's c^T w and c^T y are 2^-2es those of p; eps stays p's weight.
-    den = 1.0 + np.ldexp(eps * eps * float(q.c @ w), 2 * es)
-    if den <= 0.0:
-        raise DenominatorVanishes(f"1 + eps^2 c^T w = {den:.3e}")
-    alpha = eps * eps / den
-    return np.ldexp(y - np.ldexp(alpha * float(q.c @ y), 2 * es) * w, es - ea)
+    # The correction (c^T y) / (eps^-2 + c^T w) w in c_hat's units; eps^-2
+    # there is 2^e, +inf or 0 where the correction or eps^-2 is negligible.
+    e = -2 * (math.frexp(eps)[1] - 1 + ec - ea)
+    den = float(c_hat @ w_hat) + (math.inf if e > 1023 else math.ldexp(1.0, e))
+    if not den > 0.0:
+        raise DenominatorVanishes(f"1 + eps^2 c^T w <= 0 (scaled: {den:.3e})")
+    return np.ldexp(y - (float(c_hat @ y) / den) * w_hat, es - ea)
 
 
 def solve_aug(p, scale=None):

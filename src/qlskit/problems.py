@@ -20,9 +20,10 @@ from .errors import DimensionMismatch, InvalidParameter, RankDeficient
 # so scaling c by eps and 1/eps is exact in binary64.
 DEFAULT_EPS = 2.0 ** -47
 
-# Largest regularization weight: above one the row eps c^T outweighs A,
-# and eps^2 terms overflow long before eps does.
-MAX_EPS = 1.0
+# Largest and smallest regularization weights: above one the row eps c^T
+# outweighs A, and eps^2 terms overflow long before eps does; below
+# 2^-1023 the row's right-hand side 1/eps overflows.
+MAX_EPS, MIN_EPS = 1.0, 2.0 ** -1023
 
 # Default seed for the benchmark problem collection.
 DEFAULT_SET_SEED = 1729
@@ -48,9 +49,9 @@ class QlsProblem:
     """One instance of A^T A x = A^T b + c.
 
     `x_exact` is the construction solution when known (None otherwise);
-    `label` identifies the instance in benchmark records.  The singular
-    values and the QR factors are computed lazily and cached on the
-    instance.
+    `label` identifies the instance in benchmark records.  A problem is
+    its data plus its singular values, computed lazily and cached on the
+    instance; code that needs a factorization of A computes its own.
     """
 
     a: np.ndarray
@@ -59,7 +60,6 @@ class QlsProblem:
     x_exact: np.ndarray = None
     label: str = ""
     _sigma: np.ndarray = field(default=None, repr=False, compare=False)
-    _qr: la.QrFactorization = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.a = la.as_matrix(self.a, "a")
@@ -87,11 +87,6 @@ class QlsProblem:
 
     def residual(self, x):
         return self.b - self.a @ x
-
-    def qr(self):
-        if self._qr is None:
-            self._qr = la.qr_factorize(self.a)
-        return self._qr
 
     def singular_values(self):
         if self._sigma is None:
@@ -122,8 +117,8 @@ class QlsProblem:
             return
         rhs = self.a.T @ self.b + self.c
         lhs = self.a.T @ (self.a @ self.x_exact)
-        tol = VERIFY_FACTOR * la.U * self.kappa() ** 2 * np.linalg.norm(rhs)
-        err = np.linalg.norm(lhs - rhs)
+        tol = VERIFY_FACTOR * la.U * self.kappa() ** 2 * la.safe_norm(rhs)
+        err = la.safe_norm(lhs - rhs)
         if err > tol:
             raise InvalidParameter(
                 f"x_exact violates the normal equations: {err:.3e} > {tol:.3e}"
@@ -286,12 +281,14 @@ class AugmentedSystem:
 
 
 def eps_weight(eps):
-    """(eps rounded to a power of two, whether it moved); eps in (0, MAX_EPS]."""
-    if not 0.0 < eps <= MAX_EPS:
-        raise InvalidParameter(f"eps must be in (0, {MAX_EPS}], got {eps!r}")
-    if is_power_of_two(eps):
-        return eps, False
-    return nearest_power_of_two(eps), True
+    """(eps rounded to a power of two, whether it moved); the rounded eps
+    must lie in [MIN_EPS, MAX_EPS]."""
+    moved = 0.0 < eps <= MAX_EPS and not is_power_of_two(eps)
+    weight = nearest_power_of_two(eps) if moved else eps
+    if not MIN_EPS <= weight <= MAX_EPS:
+        raise InvalidParameter(f"eps must round to a power of two in "
+                               f"[2^-1023, {MAX_EPS}], got {eps!r}")
+    return weight, moved
 
 
 def build_eps_system(p, eps=DEFAULT_EPS):

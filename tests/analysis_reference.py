@@ -61,13 +61,13 @@ def relative_backward_error(p, x):
 def forward_error_estimates(p, x, eps):
     """All three estimates of one problem at x."""
     nx = np.linalg.norm(x)
-    base = (_cond(p, x, p.qr(), 0.0) * _eta_norm(p, x, 0.0, 1.0, 1.0, 1.0)
-            / nx)
+    base = (_cond(p, x, la.qr_factorize(p.a), 0.0)
+            * _eta_norm(p, x, 0.0, 1.0, 1.0, 1.0) / nx)
     na, kap = p.sigma_max(), p.kappa()
     floor = la.U * kap * kap * (np.linalg.norm(p.b) / na
                                 + np.linalg.norm(p.c) / (na * na))
     eps = eps_weight(eps)[0]
-    w = la.qr_gram_solve(p.qr(), p.c)
+    w = la.qr_gram_solve(la.qr_factorize(p.a), p.c)
     den = 1.0 + eps * eps * float(p.c @ w)
     amplify = analysis.rank_one_identity_norm(-(eps * eps / den) * w, p.c)
     sm = eps * eps * np.linalg.norm(p.c) * np.linalg.norm(w) / den

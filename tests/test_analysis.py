@@ -11,7 +11,7 @@ import pytest
 
 from conftest import ROOT
 
-from qlskit import analysis, direct, iterative, problems
+from qlskit import analysis, direct, iterative, linalg, problems
 from qlskit.errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -487,6 +487,28 @@ def test_group_bitwise_under_each_blas_kernel(core):
         pytest.skip(f"{core} kernel cannot run here (signal {-run.returncode})")
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("methods, kinds", [(("cglsi",), 2),
+                                             (("cglseps",), 3)])
+def test_estimates_factor_each_chunk_once_per_kind(monkeypatch, methods,
+                                                   kinds):
+    # Every QR of the record stage (of the backward-error factor F^T and
+    # of A; of [A; eps c^T] too for "cglseps") is one stacked call per
+    # chunk of the group, never one call per problem.
+    probs, xs = analysis_groups()["table"]
+    m, n = probs[0].a.shape
+    monkeypatch.setattr(analysis, "STACK_BYTES",
+                        4 * 8 * (2 * m + 2 * n + 1) * n)
+    real, shapes = linalg.qr_factorize, []
+
+    def spy(a, pivoting=False):
+        shapes.append(np.shape(a)[:-2])
+        return real(a, pivoting)
+
+    monkeypatch.setattr(linalg, "qr_factorize", spy)
+    analysis.forward_error_estimates(probs, xs, methods=methods)
+    assert sorted(shapes) == sorted([(4,), (4,), (2,)] * kinds)
 
 
 def test_group_call_validation():

@@ -272,6 +272,20 @@ def test_solve_extreme_scale_file(tmp_path, capsys, scale):
         assert np.abs(x - want).max() <= 1e-10 * np.abs(want).max(), solver
 
 
+def test_solve_measures_the_error_on_huge_data(tmp_path, capsys):
+    # b, c and x_exact near 1e300: the construction check and the error
+    # take their norms without squaring entries into overflow.
+    p = problems.assemble_problem(8, 4, problems.sigma_c2(4, 0.5, 2.0),
+                                  np.array([0.5, -1.0, 0.25, 2.0]), seed=3)
+    huge = problems.QlsProblem(p.a, 1e300 * p.b, 1e300 * p.c,
+                               x_exact=1e300 * p.x_exact, label="huge")
+    path = tmp_path / "huge.qls"
+    problems.save_problem(huge, str(path))
+    assert cli.main(["solve", str(path), "--solver", "QR"]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("rel_error=")[1].split()[0]) <= 1e-12
+
+
 def test_solve_zero_column_exits_numerical(tmp_path, capsys):
     # sigma_min = 0: kappa raises RankDeficient, not ZeroDivisionError.
     a = np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
@@ -453,7 +467,8 @@ def gen_problem(tmp_path, capsys):
     for command in ("bench", "solve", "trace")
     for flag, key in (("--tol=-1", "config.tol"),
                       ("--maxit=0", "config.maxIterations"),
-                      ("--eps=2", "config.eps"))
+                      ("--eps=2", "config.eps"),
+                      ("--eps=1e-320", "config.eps"))
     if not (command == "trace" and key == "config.eps")  # trace has no --eps
 ])
 def test_bad_run_setting_exits_config_naming_its_key(tmp_path, capsys,

@@ -150,12 +150,13 @@ DIRECT = (direct.solve_qr, direct.solve_qr_eps, direct.solve_sm,
           direct.solve_aug)
 
 
-@pytest.mark.parametrize("scale", [1e-170, 1e200])
+@pytest.mark.parametrize("scale", [1e-180, 1e-170, 1e200])
 def test_direct_solvers_extreme_scale_data(scale):
     # Unscaled, every solver overflowed at both scales (in A^T b near
     # 1e200, in the triangular solves near 1e-170).  Scaled by powers of
     # two at entry, each lands on the least-squares solution; any
-    # RuntimeWarning fails the test.
+    # RuntimeWarning fails the test.  At 1e-180 SM's eps^-2 underflows in
+    # the scaled units, where c = 0 must still add no correction.
     p = problems.QlsProblem(a=scale * A0, b=np.ones(3), c=np.zeros(2))
     want = np.linalg.lstsq(p.a, p.b, rcond=None)[0]
     for solve in DIRECT:
@@ -183,17 +184,21 @@ def test_direct_out_of_range_scaling_is_exact(ka, kb):
         assert np.array_equal(solve(big), np.ldexp(solve(base), kb - ka))
 
 
-@pytest.mark.parametrize("k", [-116, 116])
-def test_eps_solvers_keep_the_weight_on_out_of_range_data(k):
-    # b and c near 2^k, outside the safe range, are scaled at entry; the
-    # eps weight must stay that of the unscaled stacked system.  Exact
-    # reference: the eps-shifted Gram system in rational arithmetic.
-    p = problems.QlsProblem(a=A0, b=np.ldexp([0.75, -0.5, 0.625], k),
-                            c=np.ldexp([0.5, -0.875], k))
+@pytest.mark.parametrize(
+    "kb, kc", [pytest.param(k, k, id=str(k)) for k in (-600, -116, 116, 600)]
+    + [(600, 0)])
+def test_eps_solvers_keep_the_weight_on_out_of_range_data(kb, kc):
+    # b near 2^kb and c near 2^kc, outside the safe range, are scaled at
+    # entry; the eps weight must stay that of the unscaled stacked system,
+    # and SM's rank-one correction must neither overflow nor underflow,
+    # also where b's scale lies far from c's.  Exact reference: the
+    # eps-shifted Gram system in rational arithmetic.
+    p = problems.QlsProblem(a=A0, b=np.ldexp([0.75, -0.5, 0.625], kb),
+                            c=np.ldexp([0.5, -0.875], kc))
     want = np.array([float(v) for v in
                      rational_solution(p.a, p.b, p.c, eps=0.5)])
     solvers = [direct.solve_sm]
-    if k < 0:
+    if kc <= 0:
         # At 2^116 the eps row outweighs A by 2^115, past the pivoted
         # QR's rank check.
         solvers.append(direct.solve_qr_eps)
@@ -202,10 +207,11 @@ def test_eps_solvers_keep_the_weight_on_out_of_range_data(k):
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max(), solve
 
 
-@pytest.mark.parametrize("eps", [1e300, 2.0, -0.5, float("nan")])
+@pytest.mark.parametrize("eps", [1e300, 2.0, -0.5, float("nan"), 1e-320])
 def test_sm_eps_outside_range_raises(eps):
     # SM and its proximity bound take eps through problems.eps_weight, as
-    # the stacked system does; eps = 1e300 returned [nan, nan] before.
+    # the stacked system does; eps = 1e300 returned [nan, nan] before, and
+    # 1e-320 rounds below 2^-1023, where 1/eps overflows.
     p = problems.QlsProblem(a=A0, b=np.ones(3), c=np.array([1.0, -2.0]))
     with pytest.raises(InvalidParameter):
         direct.solve_sm(p, eps)
