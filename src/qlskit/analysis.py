@@ -19,6 +19,7 @@ of its own call.
 
 import numpy as np
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg as la
 from .errors import (
@@ -68,6 +69,11 @@ class _Stack:
 
     def residual(self, x):
         return self.b - _mv(self.a, x)
+
+    @cached_property
+    def qr(self):
+        """The QR of each A, factored once for every use in the stack."""
+        return la.qr_factorize(self.a)
 
 
 def _mv(a, x):
@@ -129,8 +135,8 @@ def _structured_cond(d, x, eps):
     W A^T r is the least-squares solution of [A; eps c^T] z = (r, 0).
     """
     count, m, n = d.a.shape
-    f = la.qr_factorize(d.a if eps == 0.0 else
-                        np.concatenate([d.a, eps * d.c[:, None, :]], axis=1))
+    f = d.qr if eps == 0.0 else la.qr_factorize(
+        np.concatenate([d.a, eps * d.c[:, None, :]], axis=1))
     r = d.residual(x)
     w = la.qr_gram_solve(f, np.broadcast_to(np.eye(n), (count, n, n)))
     b1 = la.qr_lstsq(f, np.pad(r, ((0, 0), (0, f.shape[-2] - m))))
@@ -315,7 +321,7 @@ def minimum_norm_perturbation(p, xtilde, theta1=1.0, theta2=1.0):
 def _sm_terms(d, eps):
     """(w, den) per problem of stack `d`: w = (A^T A)^-1 c and
     den = 1 + eps^2 c^T w > 0."""
-    w = la.qr_gram_solve(la.qr_factorize(d.a), d.c)
+    w = la.qr_gram_solve(d.qr, d.c)
     den = 1.0 + eps * eps * _dot(d.c, w)
     if not (den > 0.0).all():
         raise DenominatorVanishes(f"1 + eps^2 c^T w = {den.min():.3e}")

@@ -52,10 +52,12 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 # The one solver table: name -> (Krylov method or None, call, estimate
-# key).  call(p, eps, control) solves one problem: a Krylov one returns
-# its SolveOutcome, a direct one x.  The estimate key names the
-# forward-error estimate of analysis.forward_error_estimates that fits
-# the solver.  Solvers are looked up through their modules at call time.
+# key).  call(p, eps, control): a Krylov call solves one problem and
+# returns its SolveOutcome; a direct call solves one problem or a list of
+# same-shape problems and returns x or the list of x, as the `direct`
+# solvers do.  The estimate key names the forward-error estimate of
+# analysis.forward_error_estimates that fits the solver.  Solvers are
+# looked up through their modules at call time.
 SOLVER_TABLE = {
     "CG": ("cg", lambda p, eps, control: iterative.cg_base(p, control),
            "cg"),
@@ -381,21 +383,23 @@ def _family_problems(config, idx, fam, loaded):
 
 def solve(solver, probs, eps, control):
     """Run `solver` on problems of one shape: per problem, a SolveOutcome
-    or the QlskitError that stopped it.  A direct solver's outcome has
-    ``iterations=0`` and ``status="direct"``.  A Krylov method solves the
-    problems as one ``iterative.batched`` block, whose time a trace books
-    to the first problem's call."""
+    or the QlskitError that stopped it.  A direct solver solves the
+    problems in one group call, and alone where that raises (``_each``);
+    its outcome has ``iterations=0`` and ``status="direct"``.  A Krylov
+    method solves the problems as one ``iterative.batched`` block, whose
+    time a trace books to the first problem's call."""
     method, call, _ = SOLVER_TABLE[solver]
+    if method is None:
+        return [x if isinstance(x, QlskitError) else
+                iterative.SolveOutcome(x, 0, None, status="direct")
+                for x in _each(lambda ps: call(ps, eps, control), probs)]
     out = []
-    with iterative.batched(method, probs) if method else nullcontext():
+    with iterative.batched(method, probs):
         for p in probs:
             try:
-                o = call(p, eps, control)
-                if method is None:
-                    o = iterative.SolveOutcome(o, 0, None, status="direct")
+                out.append(call(p, eps, control))
             except QlskitError as exc:
-                o = exc
-            out.append(o)
+                out.append(exc)
     return out
 
 
@@ -405,15 +409,17 @@ def _rel_error(x, xref):
     return linalg.safe_norm(x - xref) / (nref if nref > 0 else 1.0)
 
 
-def _each(fn, probs, xs):
-    """fn's list of values on the group, or, when the group raises, each
-    member's own value, NaN where its own call raises too."""
+def _each(fn, probs, *stacks):
+    """fn(probs, *stacks), the list of its values on the group, or, when
+    that raises, each member's own value (its row of each stack), or the
+    QlskitError its own call raised."""
     try:
-        return fn(probs, xs)
-    except QlskitError:
+        return fn(probs, *stacks)
+    except QlskitError as exc:
         if len(probs) == 1:
-            return [float("nan")]
-        return [_each(fn, [p], x[None])[0] for p, x in zip(probs, xs)]
+            return [exc]
+        return [_each(fn, [p], *(s[i:i + 1] for s in stacks))[0]
+                for i, p in enumerate(probs)]
 
 
 def _records(solver, probs, refs, outcomes, wall, eps):
@@ -439,7 +445,8 @@ def _records(solver, probs, refs, outcomes, wall, eps):
                     ps, xs, eps, methods=(key,))]))
         for column, fn in stages:
             for i, value in zip(live, _each(fn, ps, xs)):
-                column[i] = value
+                column[i] = (float("nan") if isinstance(value, QlskitError)
+                             else value)
     spent = (time.perf_counter_ns() - t0) // len(probs)
     out = []
     for i, (p, (kappa, _), o, rel) in enumerate(zip(probs, refs, outcomes, rels)):

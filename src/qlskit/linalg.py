@@ -9,10 +9,10 @@ serves the stacked-system solver, the Jacobi preconditioner and the
 problem generator), `svd`, one-sided Jacobi singular values of a matrix
 or a stack (round-robin, after row-sorted pivoted QRs), accurate for
 small singular values, and the Bunch-Kaufman LDLT with 1x1 and 2x2
-diagonal blocks.  Every QR keeps compact Householder reflectors, so
-products with Q or its transpose never form Q; the Householder QR and
-those products also take a (B, m, n) stack, each matrix bitwise its own
-call.
+diagonal blocks, which no solver calls (AUG uses LAPACK's LU).  Every
+QR keeps compact Householder reflectors, so products with Q or its
+transpose never form Q; the Householder QR and those products also
+take a (B, m, n) stack, each matrix bitwise its own call.
 """
 
 import math

@@ -14,7 +14,7 @@ import pathlib
 
 import numpy as np
 
-from qlskit import analysis, bench, linalg as la, problems
+from qlskit import analysis, bench, direct, linalg as la, problems
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -207,4 +207,24 @@ def analysis_stack_mismatches(eps=2.0 ** -47):
                     for what, vals in got.items()
                     for i, (g, w) in enumerate(zip(vals, want[what]))
                     if g.hex() != w.hex()]
+    return bad
+
+
+def direct_stack_mismatches():
+    """(group, solver, how, index) wherever a group call of a direct
+    solver, on a group of ``analysis_groups`` whole (in stacks of
+    ``linalg.STACK_CHUNK``) or in slices of two problems, does not give a
+    problem the bits of its own call."""
+    bad = []
+    for name, (probs, _) in analysis_groups().items():
+        for solve in (direct.solve_qr, direct.solve_qr_eps, direct.solve_sm,
+                      direct.solve_aug):
+            want = [solve(p) for p in probs]
+            calls = {"whole": solve(probs),
+                     "pairs": [x for lo in range(0, len(probs), 2)
+                               for x in solve(probs[lo:lo + 2])]}
+            bad += [(name, solve.__name__, how, i)
+                    for how, xs in calls.items()
+                    for i, (x, w) in enumerate(zip(xs, want, strict=True))
+                    if not np.array_equal(x, w)]
     return bad

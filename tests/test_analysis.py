@@ -490,12 +490,14 @@ def test_group_bitwise_under_each_blas_kernel(core):
 
 
 @pytest.mark.parametrize("methods, kinds", [(("cglsi",), 2),
-                                             (("cglseps",), 3)])
+                                             (("cglseps",), 3),
+                                             (("cg", "cglsi", "cglseps"), 4)])
 def test_estimates_factor_each_chunk_once_per_kind(monkeypatch, methods,
                                                    kinds):
     # Every QR of the record stage (of the backward-error factor F^T and
     # of A; of [A; eps c^T] too for "cglseps") is one stacked call per
-    # chunk of the group, never one call per problem.
+    # chunk of the group, never one call per problem, and A is factored
+    # once per chunk however many estimates use it.
     probs, xs = analysis_groups()["table"]
     m, n = probs[0].a.shape
     monkeypatch.setattr(analysis, "STACK_BYTES",
@@ -503,12 +505,14 @@ def test_estimates_factor_each_chunk_once_per_kind(monkeypatch, methods,
     real, shapes = linalg.qr_factorize, []
 
     def spy(a, pivoting=False):
-        shapes.append(np.shape(a)[:-2])
+        shapes.append(np.shape(a))
         return real(a, pivoting)
 
     monkeypatch.setattr(linalg, "qr_factorize", spy)
     analysis.forward_error_estimates(probs, xs, methods=methods)
-    assert sorted(shapes) == sorted([(4,), (4,), (2,)] * kinds)
+    assert sorted(s[:-2] for s in shapes) == sorted([(4,), (4,), (2,)] * kinds)
+    assert sorted(s for s in shapes if s[-2:] == (m, n)) == [
+        (2, m, n), (4, m, n), (4, m, n)]
 
 
 def test_group_call_validation():

@@ -296,6 +296,17 @@ def test_solve_zero_column_exits_numerical(tmp_path, capsys):
     assert "zero singular value" in capsys.readouterr().err
 
 
+def test_solve_singular_saddle_matrix_exits_numerical(tmp_path, capsys):
+    # A rank-one A makes AUG's saddle matrix exactly singular: LAPACK's
+    # error reaches the command as Breakdown, not as a traceback.
+    a = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    p = problems.QlsProblem(a, np.array([1.0, 2.0, 3.0]), np.array([1.0, -1.0]))
+    path = tmp_path / "rank_one.qls"
+    problems.save_problem(p, str(path))
+    assert cli.main(["solve", str(path), "--solver", "AUG"]) == 3
+    assert "singular augmented matrix" in capsys.readouterr().err
+
+
 def test_solve_zero_stored_solution_measures_absolute_error(tmp_path,
                                                           capsys):
     # b orthogonal to range(A) and c = 0: x = 0.  The error is then taken

@@ -1,11 +1,17 @@
 """Direct solvers: semi-normal QR, eps-shifted QR, rank-one update, KKT."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from qlskit import analysis, direct, iterative, problems
-from qlskit.errors import InvalidParameter
-from helpers import frac_norm, rational_solution
+from conftest import ROOT
+from qlskit import analysis, bench, direct, iterative, linalg, problems
+from qlskit.errors import Breakdown, DimensionMismatch, InvalidParameter
+from helpers import direct_stack_mismatches, frac_norm, rational_solution
 
 U = np.finfo(float).eps / 2
 
@@ -217,3 +223,85 @@ def test_sm_eps_outside_range_raises(eps):
         direct.solve_sm(p, eps)
     with pytest.raises(InvalidParameter):
         analysis.sm_proximity_bound(p, eps)
+
+
+# Rank one, so the saddle matrix [[s I, A], [A^T, 0]] is singular at any s.
+RANK_ONE = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+
+
+def test_singular_saddle_matrix_is_breakdown():
+    # LAPACK's LinAlgError becomes the package's typed Breakdown, alone
+    # and inside a group, where the others keep their own call's x.
+    singular = problems.QlsProblem(a=RANK_ONE, b=np.array([1.0, 2.0, 3.0]),
+                                   c=np.array([1.0, -1.0]))
+    others = [problems.QlsProblem(a=A0, b=np.array([1.0, 2.0, 3.0]),
+                                  c=np.array([1.0, -1.0])),
+              problems.QlsProblem(a=A0 / 8, b=np.ones(3), c=np.zeros(2))]
+    for scale in (1.0, None):
+        with pytest.raises(Breakdown):
+            direct.solve_aug(singular, scale=scale)
+        with pytest.raises(Breakdown):
+            direct.solve_aug([others[0], singular, others[1]], scale=scale)
+    outcomes = bench.solve("AUG", [others[0], singular, others[1]],
+                           problems.DEFAULT_EPS, iterative.IterationControl())
+    assert isinstance(outcomes[1], Breakdown)
+    for o, p in zip(outcomes[::2], others):
+        assert o.status == "direct"
+        assert np.array_equal(o.x, direct.solve_aug(p))
+
+
+def test_direct_group_calls_are_bitwise_their_single_calls():
+    # QR, QREPS, SM and AUG on the table and set_p groups: a group call,
+    # whole or in slices, gives each problem exactly its own call's x.
+    assert direct_stack_mismatches() == []
+
+
+@pytest.mark.parametrize("core", ["Haswell", "SkylakeX", "Sandybridge",
+                                  "Prescott"])
+def test_direct_group_bitwise_under_each_blas_kernel(core):
+    # The stacked factorizations and solves reach the kernels of the
+    # one-problem calls under every OpenBLAS core.
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                           str(ROOT / "tests")]))
+    code = "import helpers\nprint(helpers.direct_stack_mismatches())\n"
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    if run.returncode < 0:
+        pytest.skip(f"{core} kernel cannot run here (signal {-run.returncode})")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_direct_groups_factor_in_stacks(monkeypatch):
+    # A 40-problem group: QREPS makes one pivoted QR per stack of
+    # STACK_CHUNK problems, and AUG no LDLT at all.
+    probs = problems.generate_problem_set_p(seed=1729)
+    real, pivoted = linalg.qr_factorize, []
+
+    def spy(a, pivoting=False):
+        if pivoting:
+            pivoted.append(np.shape(a)[0])
+        return real(a, pivoting)
+
+    def no_ldlt(m):
+        raise AssertionError("AUG called the LDLT")
+
+    monkeypatch.setattr(linalg, "qr_factorize", spy)
+    monkeypatch.setattr(linalg, "ldlt_factorize", no_ldlt)
+    direct.solve_qr_eps(probs)
+    direct.solve_aug(probs)
+    assert len(pivoted) == math.ceil(len(probs) / linalg.STACK_CHUNK)
+    assert sum(pivoted) == len(probs)
+
+
+def test_direct_group_validation():
+    p = problems.QlsProblem(a=A0, b=np.ones(3), c=np.zeros(2))
+    other = problems.QlsProblem(a=np.eye(2), b=np.ones(2), c=np.zeros(2))
+    for solve in DIRECT:
+        with pytest.raises(DimensionMismatch):
+            solve([p, other])
+        with pytest.raises(DimensionMismatch):
+            solve([])
+        assert np.array_equal(solve((p,))[0], solve(p))
