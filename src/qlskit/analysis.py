@@ -9,17 +9,15 @@ base quantity is the eps one at eps = 0.  The backward error never
 forms the n x (mn+m+n) Jacobian J of the residual map: an n x (2m+2n+1)
 factor F with F F^T = J J^T carries all it needs.  No solver is invoked.
 
-Every body works on a stack of same-shape problems (``_Stack``) with one
-iterate per problem, so each factorization, solve and eigenvalue problem
-runs once per stack; a one-problem call is the B = 1 stack.
-``relative_backward_error`` and ``forward_error_estimates`` also take a
-whole group, chunked by ``STACK_BYTES``, and give per problem the bits
-of its own call.
+Every body works on a ``problems.Stack`` with one iterate per problem,
+so each factorization, solve and eigenvalue problem runs once per stack.
+Through ``problems.grouped`` each function takes one problem or a group,
+chunked by ``STACK_BYTES``, and gives per problem the bits of its own
+call.  Only ``relative_backward_error`` works on the in-range data.
 """
 
 import numpy as np
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import linalg as la
 from .errors import (
@@ -29,7 +27,7 @@ from .errors import (
     NoRealRoot,
     ZeroVector,
 )
-from .problems import DEFAULT_EPS, eps_weight
+from .problems import DEFAULT_EPS, eps_weight, grouped
 
 
 def problem_data_norm(p):
@@ -37,13 +35,6 @@ def problem_data_norm(p):
     return float(np.sqrt(
         np.sum(p.a * p.a) + float(p.b @ p.b) + float(p.c @ p.c)
     ))
-
-
-def _check_x(p, x):
-    x = la.as_vector(x, "x")
-    if x.shape[0] != p.n:
-        raise DimensionMismatch("x length does not match column count")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -55,27 +46,13 @@ def _check_x(p, x):
 STACK_BYTES = 1 << 20
 
 
-class _Stack:
-    """A, b and c of same-shape problems stacked as (B, m, n), (B, m) and
-    (B, n).  Products go through `_mv` and `_dot`, which meet the BLAS
-    calls of the one-problem expressions, so every value of a stack is
-    bitwise that of its B = 1 stack."""
-
-    def __init__(self, probs):
-        self.probs = probs
-        self.a = np.stack([p.a for p in probs])
-        self.b = np.stack([p.b for p in probs])
-        self.c = np.stack([p.c for p in probs])
-
-    def residual(self, x):
-        return self.b - _mv(self.a, x)
-
-    @cached_property
-    def qr(self):
-        """The QR of each A, factored once for every use in the stack."""
-        return la.qr_factorize(self.a)
+def _chunk(m, n):
+    return max(1, STACK_BYTES // (8 * (2 * m + 2 * n + 1) * n))
 
 
+# Products go through `_mv` and `_dot`, which meet the BLAS calls of the
+# one-problem expressions, so every value of a stack is bitwise that of
+# its B = 1 stack.
 def _mv(a, x):
     """a @ x per matrix of a stack (one gemv each)."""
     return (a @ x[..., None])[..., 0]
@@ -93,28 +70,6 @@ def _norm(v):
 
 def _outer(u, v):
     return u[..., :, None] * v[..., None, :]
-
-
-def _group(p, x):
-    """(problems, (B, n) iterates, single) of a call on one problem and
-    its vector, or on a sequence of same-shape problems and a (B, n)
-    stack of iterates, one row per problem."""
-    if not isinstance(p, (list, tuple)):
-        return [p], _check_x(p, x)[None], True
-    probs = list(p)
-    if len({q.a.shape for q in probs}) != 1:
-        raise DimensionMismatch("a group needs problems of one shape")
-    xs = la.as_matrix(x, "x")
-    if xs.shape != (len(probs), probs[0].n):
-        raise DimensionMismatch("x needs one row per problem of the group")
-    return probs, xs, False
-
-
-def _chunks(probs):
-    """Slices of the group whose backward-error factors fill STACK_BYTES."""
-    m, n = probs[0].a.shape
-    size = max(1, STACK_BYTES // (8 * (2 * m + 2 * n + 1) * n))
-    return [slice(lo, lo + size) for lo in range(0, len(probs), size)]
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +90,7 @@ def _structured_cond(d, x, eps):
     W A^T r is the least-squares solution of [A; eps c^T] z = (r, 0).
     """
     count, m, n = d.a.shape
-    f = d.qr if eps == 0.0 else la.qr_factorize(
-        np.concatenate([d.a, eps * d.c[:, None, :]], axis=1))
+    f = d.qr if eps == 0.0 else la.qr_factorize(d.eps_system(eps).a)
     r = d.residual(x)
     w = la.qr_gram_solve(f, np.broadcast_to(np.eye(n), (count, n, n)))
     b1 = la.qr_lstsq(f, np.pad(r, ((0, 0), (0, f.shape[-2] - m))))
@@ -153,16 +107,16 @@ def _structured_cond(d, x, eps):
     return np.sqrt(la.sym_spectral_norm(mbar))
 
 
-def structured_cond_base(p, x):
+@grouped(_chunk, iterate=True)
+def structured_cond_base(d, x):
     """Absolute condition number of the solution at x (Mbar at eps = 0)."""
-    x = _check_x(p, x)
-    return float(_structured_cond(_Stack([p]), x[None], 0.0)[0])
+    return _structured_cond(d, x, 0.0).tolist()
 
 
-def structured_cond_eps(p, x, eps=DEFAULT_EPS):
+@grouped(_chunk, iterate=True)
+def structured_cond_eps(d, x, eps=DEFAULT_EPS):
     """Absolute condition number of the regularized solution map at x."""
-    x = _check_x(p, x)
-    return float(_structured_cond(_Stack([p]), x[None], eps_weight(eps)[0])[0])
+    return _structured_cond(d, x, eps_weight(eps)[0]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +177,8 @@ def _eta(d, xtilde, eps, theta1, theta2, theta_a):
     return la.solve_triangular(f.r.mT, h, lower=True), r, f
 
 
-def linearized_backward_error(p, xtilde, theta1=1.0, theta2=1.0,
+@grouped(_chunk, iterate=True)
+def linearized_backward_error(d, xtilde, theta1=1.0, theta2=1.0,
                               theta_a=1.0):
     """Minimum norm of the linearized perturbations admitting xtilde.
 
@@ -232,21 +187,18 @@ def linearized_backward_error(p, xtilde, theta1=1.0, theta2=1.0,
     The thetas weight the perturbation components against each other;
     theta = inf semantics (frozen data) are not supported here.
     """
-    return _eta_norm(p, xtilde, 0.0, theta1, theta2, theta_a)
+    return _norm(_eta(d, xtilde, 0.0, theta1, theta2, theta_a)[0]).tolist()
 
 
-def linearized_backward_error_eps(p, xtilde, eps=DEFAULT_EPS,
+@grouped(_chunk, iterate=True)
+def linearized_backward_error_eps(d, xtilde, eps=DEFAULT_EPS,
                                   theta1=1.0, theta2=1.0, theta_a=1.0):
     """Backward error of xtilde for the stacked regularized system.
 
     The residual gains the term -eps^2 (c^T xtilde) c.
     """
-    return _eta_norm(p, xtilde, eps_weight(eps)[0], theta1, theta2, theta_a)
-
-
-def _eta_norm(p, x, eps, *thetas):
-    z = _eta(_Stack([p]), _check_x(p, x)[None], eps, *thetas)[0]
-    return float(_norm(z)[0])
+    return _norm(_eta(d, xtilde, eps_weight(eps)[0], theta1, theta2,
+                      theta_a)[0]).tolist()
 
 
 def _weight(v):
@@ -254,28 +206,22 @@ def _weight(v):
     return np.divide(1.0, v, out=np.ones_like(v), where=v > 0.0)
 
 
-def relative_backward_error(p, xtilde):
+@grouped(_chunk, iterate=True)
+def relative_backward_error(d, xtilde):
     """Backward error with every component measured against its data norm.
 
     Weights are 1/||A||_F, 1/||b||, 1/||c|| so the result is the
     dimensionless size of the smallest admitting perturbation relative
     to the data; a backward-stable iterate scores a small multiple of
     the unit roundoff.  Zero data components fall back to weight one.
-
-    `p` is one problem and `xtilde` its vector, or `p` a sequence of
-    same-shape problems and `xtilde` a (B, n) stack of their iterates;
-    the group is evaluated stack by stack and gives a list of values,
-    each bitwise its problem's own call.
+    It is evaluated on the in-range data, where its value is the same.
     """
-    probs, xs, single = _group(p, xtilde)
-    out = []
-    for part in _chunks(probs):
-        d = _Stack(probs[part])
-        naf = np.sqrt(np.sum(d.a * d.a, axis=(1, 2)))
-        z = _eta(d, xs[part], 0.0, _weight(_norm(d.b)), _weight(_norm(d.c)),
-                 _weight(naf))[0]
-        out += _norm(z).tolist()
-    return out[0] if single else out
+    x = np.ldexp(xtilde, (d.ea - d.es)[:, None])
+    d = d.in_range()
+    naf = np.sqrt(np.sum(d.a * d.a, axis=(1, 2)))
+    z = _eta(d, x, 0.0, _weight(_norm(d.b)), _weight(_norm(d.c)),
+             _weight(naf))[0]
+    return _norm(z).tolist()
 
 
 def eta_one(xtilde, theta1=1.0, theta2=1.0):
@@ -299,19 +245,19 @@ class PerturbationTriple:
         ))
 
 
-def minimum_norm_perturbation(p, xtilde, theta1=1.0, theta2=1.0):
+@grouped(_chunk, iterate=True)
+def minimum_norm_perturbation(d, xtilde, theta1=1.0, theta2=1.0):
     """Smallest linearized perturbation triple admitting xtilde.
 
     Returns (E, f, g) with (A+E)^T (b+f - (A+E) xtilde) + c + g = 0 up
     to second order in the perturbation.
     """
-    xtilde = _check_x(p, xtilde)
-    z, r, f = _eta(_Stack([p]), xtilde[None], 0.0, theta1, theta2, 1.0)
+    z, r, f = _eta(d, xtilde, 0.0, theta1, theta2, 1.0)
     # y = (J J^T)^-1 h; the triple is -J^T y, mapped back to data units.
-    y = la.solve_triangular(f.r[0], z[0])
-    ay = p.a @ y
-    return PerturbationTriple(e=np.outer(ay, xtilde) - np.outer(r[0], y),
-                              f=-ay / theta1 ** 2, g=-y / theta2 ** 2)
+    y = la.solve_triangular(f.r, z)
+    return [PerturbationTriple(e=np.outer(ay, x) - np.outer(ri, yi),
+                               f=-ay / theta1 ** 2, g=-yi / theta2 ** 2)
+            for ay, x, ri, yi in zip(_mv(d.a, y), xtilde, r, y)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +278,15 @@ def _sm_bound(d, w, den, eps):
     return eps * eps * _norm(d.c) * _norm(w) / den
 
 
-def sm_proximity_bound(p, eps=DEFAULT_EPS):
+@grouped(_chunk)
+def sm_proximity_bound(d, eps=DEFAULT_EPS):
     """Distance bound between the regularized and base solutions.
 
     ||x_eps - x|| <= eps^2 ||c|| ||w|| / (1 + eps^2 c^T w) with
     w = (A^T A)^-1 c.
     """
-    eps, d = eps_weight(eps)[0], _Stack([p])
-    return float(_sm_bound(d, *_sm_terms(d, eps), eps)[0])
+    eps = eps_weight(eps)[0]
+    return _sm_bound(d, *_sm_terms(d, eps), eps).tolist()
 
 
 def initial_rounding_bound(p):
@@ -359,24 +306,20 @@ def initial_rounding_bound(p):
     ))
 
 
-def cg_inadequacy_indicator(p, x):
+@grouped(_chunk, iterate=True)
+def cg_inadequacy_indicator(d, x):
     """Ratio of the formed-once right-hand side's weight to the data size.
 
     Values near one mean the single rounding of A^T b + c carries as
     much weight as the data itself, so methods that never revisit b and
     c cannot do better than that rounding allows.
     """
-    x = _check_x(p, x)
-    r = p.residual(x)
-    nb = np.linalg.norm(p.b)
-    nc = np.linalg.norm(p.c)
-    nx = np.linalg.norm(x)
-    na = p.sigma_max()
-    bracket = (
-        1.0 + np.linalg.norm(r) + 2.0 * np.sqrt(nc * nx)
-        + (1.0 + nx) * p.sigma_min()
-    )
-    return float((nb * na + nc) / (bracket * problem_data_norm(p)))
+    nb, nc, nx = _norm(d.b), _norm(d.c), _norm(x)
+    na, smin, dn = np.array([(p.sigma_max(), p.sigma_min(),
+                              problem_data_norm(p)) for p in d.probs]).T
+    bracket = (1.0 + _norm(d.residual(x)) + 2.0 * np.sqrt(nc * nx)
+               + (1.0 + nx) * smin)
+    return ((nb * na + nc) / (bracket * dn)).tolist()
 
 
 def _rank_one_norm(u, v):
@@ -415,7 +358,8 @@ def rank_one_identity_norm(u, v):
 # Forward error estimates
 # ---------------------------------------------------------------------------
 
-def forward_error_estimates(p, xhat, eps=DEFAULT_EPS,
+@grouped(_chunk, iterate=True)
+def forward_error_estimates(d, xhat, eps=DEFAULT_EPS,
                             methods=("cg", "cglsi", "cglseps")):
     """Computable forward-error estimates evaluated at one iterate.
 
@@ -434,45 +378,36 @@ def forward_error_estimates(p, xhat, eps=DEFAULT_EPS,
       no amount of further iteration removes.
 
     `methods` limits the work to what the caller needs; "cg" implies
-    the "cglsi" computation.  With a sequence of same-shape problems
-    and a (B, n) stack of iterates, as in `relative_backward_error`,
-    the result is a list of such dicts, one per problem, each bitwise
-    its problem's own call; every factorization, solve and eigenvalue
-    problem then runs once per stack.
+    the "cglsi" computation.  A group gives a list of such dicts.
     """
-    probs, xs, single = _group(p, xhat)
     want = set(methods)
     unknown = want - {"cg", "cglsi", "cglseps"}
     if unknown:
         raise InvalidParameter(f"unknown methods: {sorted(unknown)}")
-    nx = _norm(xs)
+    x, nx = xhat, _norm(xhat)
     if not nx.all():
         raise ZeroVector("estimates need a nonzero iterate")
+    out = {}
+    if want & {"cg", "cglsi"}:
+        etab = _norm(_eta(d, x, 0.0, 1.0, 1.0, 1.0)[0])
+        base = _structured_cond(d, x, 0.0) * etab / nx
+        if "cglsi" in want:
+            out["cglsi"] = base.tolist()
+        if "cg" in want:
+            na = np.array([q.sigma_max() for q in d.probs])
+            kap = np.array([q.kappa() for q in d.probs])
+            floor = la.U * kap * kap * (_norm(d.b) / na
+                                        + _norm(d.c) / (na * na))
+            out["cg"] = (base + floor / nx).tolist()
     if "cglseps" in want:
         eps = eps_weight(eps)[0]
-    out = {k: [] for k in ("cglsi", "cg", "cglseps") if k in want}
-    for part in _chunks(probs):
-        d, x, nxp = _Stack(probs[part]), xs[part], nx[part]
-        if want & {"cg", "cglsi"}:
-            etab = _norm(_eta(d, x, 0.0, 1.0, 1.0, 1.0)[0])
-            base = _structured_cond(d, x, 0.0) * etab / nxp
-            if "cglsi" in want:
-                out["cglsi"] += base.tolist()
-            if "cg" in want:
-                na = np.array([q.sigma_max() for q in d.probs])
-                kap = np.array([q.kappa() for q in d.probs])
-                floor = la.U * kap * kap * (_norm(d.b) / na
-                                            + _norm(d.c) / (na * na))
-                out["cg"] += (base + floor / nxp).tolist()
-        if "cglseps" in want:
-            w, den = _sm_terms(d, eps)
-            amplify = _rank_one_norm(-(eps * eps / den)[:, None] * w, d.c)
-            etab_e = _norm(_eta(d, x, eps, 1.0, 1.0, 1.0)[0])
-            cond_e = _structured_cond(d, x, eps)
-            out["cglseps"] += (_sm_bound(d, w, den, eps)
-                               + cond_e * etab_e * amplify / nxp).tolist()
-    rows = [{k: v[i] for k, v in out.items()} for i in range(len(probs))]
-    return rows[0] if single else rows
+        w, den = _sm_terms(d, eps)
+        amplify = _rank_one_norm(-(eps * eps / den)[:, None] * w, d.c)
+        etab_e = _norm(_eta(d, x, eps, 1.0, 1.0, 1.0)[0])
+        cond_e = _structured_cond(d, x, eps)
+        out["cglseps"] = (_sm_bound(d, w, den, eps)
+                          + cond_e * etab_e * amplify / nx).tolist()
+    return [{k: v[i] for k, v in out.items()} for i in range(len(x))]
 
 
 @dataclass
@@ -500,10 +435,9 @@ def conditioning_report(p, x=None, eps=DEFAULT_EPS):
     if x is None:
         from .direct import solve_qr
         x = solve_qr(p)
-    x = _check_x(p, x)
+    ac = structured_cond_base(p, x)  # checks x
     dn = problem_data_norm(p)
     nx = np.linalg.norm(x)
-    ac = structured_cond_base(p, x)
     ace = structured_cond_eps(p, x, eps)
     return ConditioningReport(
         kappa=p.kappa(),
@@ -542,10 +476,9 @@ def construct_perturbation(p, xtilde, v, z=None, root="smaller"):
     Raises NoRealRoot when the quadratic has no real solution and
     ZeroVector for zero v or xtilde.
     """
-    xtilde = _check_x(p, xtilde)
-    v = la.as_vector(v, "v")
-    if v.shape[0] != p.m:
-        raise DimensionMismatch("v length does not match row count")
+    xtilde, v = la.as_vector(xtilde, "xtilde"), la.as_vector(v, "v")
+    if (xtilde.shape[0], v.shape[0]) != (p.n, p.m):
+        raise DimensionMismatch("xtilde and v need n and m entries")
     if root not in ("smaller", "larger"):
         raise InvalidParameter("root must be 'smaller' or 'larger'")
     vv = float(v @ v)

@@ -11,9 +11,9 @@ step generator (``_cg_steps``, ``_cgls_steps``, ``_minres_steps``)
 advances every active problem one iteration; ``_drive`` holds the stop
 rule and each best iterate as arrays of the active problems, copies an
 iterate when its best index moves and drops stopped problems from its
-own and the generator's arrays.  Data whose
-largest magnitude lies outside 2^+-``linalg.SAFE_EXPONENT`` is first
-scaled by a power of two, which is exact.
+own and the generator's arrays.  The data, the eps system too, comes
+stacked and scaled in range by powers of two (exact) by
+``problems.Stack``, as the direct solvers take it.
 
 A run stops as "converged" when the recurred residual falls below
 ``tol`` (default 100 u) times its initial value, "stalled" after
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg as la
 from .errors import DimensionMismatch, InvalidParameter, QlskitError
-from .problems import DEFAULT_EPS, eps_weight
+from .problems import DEFAULT_EPS, Stack, eps_weight
 
 DEFAULT_TOL = 100.0 * la.U
 
@@ -254,27 +254,20 @@ def _minres_steps(a, b, c, x):
         keep = yield (phibar,), broke, (sol[:, m:],)
 
 
-def _start(method, probs, control, history, eps):
-    """Stack and scale the data; the step generator, limits and exponents.
+def _start(method, s, control, history, eps):
+    """The step generator, limits and exponents of stack `s`.
 
-    "cgls" ignores c; "cgls_eps" stacks [A; eps c^T], (b, 1/eps).  A is
-    scaled by 2^-ea, b by 2^-es and c by 2^-(ea+es), and CG's formed
+    "cgls" ignores c; "cgls_eps" runs on the stack's eps system.  The
+    data is brought in range by its stack's exponents, and CG's formed
     right-hand side by its own 2^-er.  Only the generator keeps A."""
-    count, (m, n) = len(probs), probs[0].a.shape
-    tol, maxit, x0, patience = (control or IterationControl()).resolve(n)
-    b = np.stack([p.b for p in probs])[:, :, None]
-    c = None if method == "cgls" else np.stack([p.c for p in probs])[:, :, None]
-    a = np.empty((count, m + (method == "cgls_eps"), n))
-    np.stack([p.a for p in probs], out=a[:, :m])
+    tol, maxit, x0, patience = (control or IterationControl()).resolve(
+        s.a.shape[2])
     if method == "cgls_eps":
-        a[:, m:] = eps * c.mT
-        b = np.concatenate([b, np.full((count, 1, 1), 1.0 / eps)], axis=1)
-        c = None
-    ea = la.scale_exponent(a, axis=(1, 2))
-    es = la.scale_exponent(b if c is None else np.concatenate(
-        [b, np.ldexp(c, -ea)], axis=1), axis=(1, 2))
-    a, b = (np.ldexp(a, -ea) if ea.any() else a), np.ldexp(b, -es)
-    c = None if c is None else np.ldexp(c, -(ea + es))
+        s = s.eps_system(eps_weight(eps)[0])
+    q = s.in_range()
+    a, b = q.a, q.b[..., None]
+    c = None if method in ("cgls", "cgls_eps") else q.c[..., None]
+    ea, es = s.ea[:, None, None], s.es[:, None, None]
     ex, en = es - ea, ea + es  # x = 2^ex x', recurred norm = 2^en norm'
     if method == "cg":
         rhs = a.mT @ b + c
@@ -299,10 +292,8 @@ def solve_batch(method, probs, control=None, eps=DEFAULT_EPS, history=False):
     """
     if method not in ("cg", "cgls", "cgls_i", "cgls_eps", "minres"):
         raise InvalidParameter(f"unknown Krylov method {method!r}")
-    if len({p.a.shape for p in probs}) != 1:
-        raise DimensionMismatch("a batch needs problems of one shape")
-    eps = eps_weight(eps)[0] if method == "cgls_eps" else None
-    steps, limits, ex, en, es = _start(method, probs, control, history, eps)
+    steps, limits, ex, en, es = _start(method, Stack(probs), control,
+                                       history, eps)
     kept, best_k, codes, hists = _drive(steps, len(probs), *limits, history)
     xs, outs = np.ldexp(kept[0], ex)[:, :, 0], []
     for i, p in enumerate(probs):
@@ -369,8 +360,8 @@ def cgls(a, b, control=None):
     a, b = la.as_matrix(a, "a"), la.as_vector(b, "b")
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch("b length does not match row count")
-    return solve_batch("cgls", [SimpleNamespace(a=a, b=b)], control,
-                       history=True)[0]
+    return solve_batch("cgls", [SimpleNamespace(a=a, b=b, c=np.zeros(
+        a.shape[1]))], control, history=True)[0]
 
 
 def cgls_eps(p, eps=DEFAULT_EPS, control=None):

@@ -5,8 +5,11 @@ solving A^T A x = A^T b + c, equivalently minimizing
 0.5 ||A x - b||^2 - c^T x.  Synthetic instances are built from a
 prescribed singular spectrum and deterministic orthogonal factors, with
 b chosen so a known integer-entry solution is exact up to roundoff.
+``Stack`` is the stacked view of same-shape problems that the solvers
+and the analysis share, and ``grouped`` their one-or-group convention.
 """
 
+import functools
 import itertools
 import math
 
@@ -253,6 +256,107 @@ def assemble_problem(m, n, sigma, c, kind=1, seed=0, label="", u=None, v=None):
 
 
 # ---------------------------------------------------------------------------
+# Stacks of same-shape problems
+# ---------------------------------------------------------------------------
+
+def _one_shape(probs):
+    """The (m, n) that every problem of a nonempty group shares."""
+    shapes = {p.a.shape for p in probs}
+    if len(shapes) != 1:
+        raise DimensionMismatch("a group needs problems of one shape")
+    return shapes.pop()
+
+
+class Stack:
+    """A, b and c of same-shape problems `probs` (or the stacks `data`)
+    as (B, m, n), (B, m) and (B, n) stacks.
+
+    `ea` and `es` are, per problem, the exponents that bring the data in
+    range (``linalg.scale_exponent``; 0 for data already in range): A by
+    2^-ea, b by 2^-es and c by 2^-(ea+es), so that x = 2^(es-ea) x'.
+    """
+
+    def __init__(self, probs, data=None):
+        if data is None:
+            _one_shape(probs)
+            data = [np.stack([getattr(p, k) for p in probs]) for k in "abc"]
+        self.probs, (self.a, self.b, self.c) = probs, data
+        self.ea = la.scale_exponent(self.a, axis=(1, 2))[:, 0, 0]
+        self.es = la.scale_exponent(np.concatenate(
+            [self.b, np.ldexp(self.c, -self.ea[:, None])], axis=1), axis=1)[:, 0]
+
+    def in_range(self):
+        """The stack of the scaled data; the stack itself if none is due."""
+        if not (self.ea.any() or self.es.any()):
+            return self
+        ea, es = self.ea[:, None], self.es[:, None]
+        return Stack(self.probs, (np.ldexp(self.a, -ea[:, :, None]),
+                                  np.ldexp(self.b, -es),
+                                  np.ldexp(self.c, -(ea + es))))
+
+    def unscale(self, x):
+        """The (B, n) solutions 2^(es-ea) x' of in-range solutions x'."""
+        return np.ldexp(x, (self.es - self.ea)[:, None])
+
+    def residual(self, x):
+        return self.b - (self.a @ x[..., None])[..., 0]
+
+    @functools.cached_property
+    def qr(self):
+        """The QR of each A, factored once for every use of the stack."""
+        return la.qr_factorize(self.a)
+
+    def eps_system(self, eps):
+        """[A; eps c^T], (b, 1/eps) as a stack whose c is zero; eps is a
+        power of two, so both scalings of c are exact."""
+        col = np.full((len(self.b), 1), 1.0 / eps)
+        return Stack(self.probs, (
+            np.concatenate([self.a, eps * self.c[:, None]], axis=1),
+            np.concatenate([self.b, col], axis=1), np.zeros_like(self.c)))
+
+    def augmented(self, scale):
+        """The saddle matrices [[s I, A], [A^T, 0]] and right-hand sides
+        (b, -c/s) for the (B,) scales s, as two stacks."""
+        if not (np.isfinite(scale) & (scale > 0.0)).all():
+            raise InvalidParameter("scale must be positive and finite")
+        count, m, n = self.a.shape
+        k = np.zeros((count, m + n, m + n))
+        k[:, :m, :m] = scale[:, None, None] * np.eye(m)
+        k[:, :m, m:], k[:, m:, :m] = self.a, self.a.mT
+        return k, np.concatenate([self.b, -self.c / scale[:, None]], axis=1)
+
+
+def grouped(size=None, iterate=False):
+    """Decorator: a body that maps a `Stack` (with `iterate`, and a (B, n)
+    stack of iterates) to a list of values becomes a function of one
+    problem (and its vector), giving one value, or of a list or tuple of
+    same-shape problems (and a (B, n) stack), giving the list, run in
+    stacks of `size(m, n)` problems (default ``linalg.STACK_CHUNK``),
+    read at each call."""
+    def wrap(body):
+        @functools.wraps(body)
+        def call(p, *args, **kwargs):
+            single = not isinstance(p, (list, tuple))
+            probs = [p] if single else list(p)
+            m, n = _one_shape(probs)
+            if iterate:  # the iterate, positional or by its name
+                x, *args = args or [kwargs.pop(body.__code__.co_varnames[1])]
+                x = (la.as_vector(x, "x")[None] if single
+                     else la.as_matrix(x, "x"))
+                if x.shape != (len(probs), n):
+                    raise DimensionMismatch("x needs one row per problem")
+            step, out = la.STACK_CHUNK if size is None else size(m, n), []
+            for lo in range(0, len(probs), step):
+                part = (x[lo:lo + step], *args) if iterate else args
+                out.extend(body(Stack(probs[lo:lo + step]), *part, **kwargs))
+            return out[0] if single else out
+
+        return call
+
+    return wrap
+
+
+# ---------------------------------------------------------------------------
 # Derived systems
 # ---------------------------------------------------------------------------
 
@@ -292,24 +396,19 @@ def eps_weight(eps):
 
 
 def build_eps_system(p, eps=DEFAULT_EPS):
+    """``Stack.eps_system`` of one problem, eps rounded by `eps_weight`."""
     eps, adjusted = eps_weight(eps)
-    a_eps = np.vstack([p.a, eps * p.c])
-    b_eps = np.append(p.b, 1.0 / eps)
-    return EpsSystem(a_eps, b_eps, eps, adjusted)
+    s = Stack([p]).eps_system(eps)
+    return EpsSystem(s.a[0], s.b[0], eps, adjusted)
 
 
 def build_augmented(p, scale=None):
+    """The saddle system of one problem (``Stack.augmented``); the default
+    scale is sigma_min(A) / sqrt(2)."""
     if scale is None:
         scale = p.sigma_min() / np.sqrt(2.0)
-    if not (scale > 0.0 and math.isfinite(scale)):
-        raise InvalidParameter("scale must be positive and finite")
-    m, n = p.m, p.n
-    k = np.zeros((m + n, m + n))
-    k[:m, :m] = scale * np.eye(m)
-    k[:m, m:] = p.a
-    k[m:, :m] = p.a.T
-    rhs = np.concatenate([p.b, -p.c / scale])
-    return AugmentedSystem(k, rhs, float(scale))
+    k, rhs = Stack([p]).augmented(np.array([scale], dtype=float))
+    return AugmentedSystem(k[0], rhs[0], float(scale))
 
 
 # ---------------------------------------------------------------------------

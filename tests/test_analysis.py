@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -533,3 +534,24 @@ def test_group_call_validation():
     with pytest.raises(ZeroVector):
         analysis.forward_error_estimates(probs[:3], zeroed)
     assert analysis.forward_error_estimates(probs[:2], xs[:2], methods=()) == [{}, {}]
+
+
+@pytest.mark.parametrize("ka, kb, kc", [(0, 996, 996), (600, 0, 600),
+                                        (-300, 500, 200)])
+def test_relative_backward_error_is_finite_and_exact_far_from_unit_scale(
+        ka, kb, kc):
+    # A scaled by 2^ka, b by 2^kb and c by 2^kc = 2^(ka+kb) is exact and
+    # scales x by 2^(kb-ka); the relative backward error does not change.
+    # It is evaluated on the in-range data, so it gives the unscaled bits,
+    # alone and in a group, with no overflow (any warning fails).
+    probs, xs = analysis_groups()["table"]
+    big = [problems.QlsProblem(np.ldexp(p.a, ka), np.ldexp(p.b, kb),
+                               np.ldexp(p.c, kc)) for p in probs[:3]]
+    xbig = np.ldexp(xs[:3], kb - ka)
+    want = analysis.relative_backward_error(probs[:3], xs[:3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = analysis.relative_backward_error(big[0], xbig[0])
+        group = analysis.relative_backward_error(big, xbig)
+    assert one.hex() == want[0].hex()
+    assert [g.hex() for g in group] == [w.hex() for w in want]

@@ -305,3 +305,25 @@ def test_direct_group_validation():
         with pytest.raises(DimensionMismatch):
             solve([])
         assert np.array_equal(solve((p,))[0], solve(p))
+
+
+def test_aug_takes_sigma_from_the_problem_on_scaled_data(monkeypatch):
+    # set_p 1729 with A and c scaled by 2^k, outside the safe range, and
+    # sigma seeded scaled with them: AUG's scale is the problem's own
+    # sigma_min / sqrt(2) brought in range, so no Jacobi SVD runs and
+    # every x is exactly 2^-k times the unscaled one.
+    probs = problems.generate_problem_set_p(seed=1729)
+    want = direct.solve_aug(probs)
+    calls = []
+    real = linalg.svd
+    monkeypatch.setattr(linalg, "svd", lambda a: calls.append(a) or real(a))
+    for k in (120, -300):
+        scaled = []
+        for p in probs:
+            q = problems.QlsProblem(np.ldexp(p.a, k), p.b, np.ldexp(p.c, k))
+            q.seed_spectrum(np.ldexp(p.singular_values(), k))
+            scaled.append(q)
+        got = direct.solve_aug(scaled)
+        assert calls == []
+        assert all(np.array_equal(x, np.ldexp(w, -k))
+                   for x, w in zip(got, want)), k

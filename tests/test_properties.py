@@ -1,8 +1,11 @@
-"""Property tests: the .qls round trip and the Jacobi singular values."""
+"""Property tests: the .qls round trip, the Jacobi singular values and
+the direct solvers against exact scalings and the rational oracle."""
 
+import math
 import os
 import string
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from qlskit import linalg as la, problems  # noqa: E402
+from qlskit import direct, linalg as la, problems  # noqa: E402
+from helpers import random_integer_problem, rational_solution  # noqa: E402
 
 U = np.finfo(float).eps / 2
 
@@ -66,3 +70,65 @@ def test_svd_agrees_with_lapack(m, n, data):
     assert s.shape == want.shape
     assert np.all(np.diff(s) <= 0.0)
     assert np.all(np.abs(s - want) <= 4 * max(m, n) * U * want[0])
+
+
+# Small full-rank integer problems (entries in [-9, 9], kappa <= 1e4),
+# each from a drawn seed.
+INTEGER_PROBLEMS = st.builds(
+    lambda seed, n, extra: random_integer_problem(
+        np.random.default_rng(seed), n + extra, n, kappa_max=1e4),
+    st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 3))
+EPS = 2.0 ** -10
+
+
+def _sm_base(p):
+    return direct.solve_sm(p, 0.0)
+
+
+def _sm_eps(p):
+    return direct.solve_sm(p, EPS)
+
+
+def _qr_eps(p):
+    return direct.solve_qr_eps(p, EPS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(INTEGER_PROBLEMS, st.integers(-400, 400), st.integers(-400, 400))
+def test_direct_solvers_are_exactly_equivariant(p, alpha, beta):
+    # A by 2^alpha, b by 2^beta and c by 2^(alpha+beta) is exact and maps
+    # x to 2^(beta-alpha) x; every entry stays normal for these draws.
+    # QR, SM at eps = 0 and AUG give exactly that x.  QREPS and SM at
+    # eps > 0 keep the eps row's right-hand side 1/eps, so eps has the
+    # units of b and only beta = 0 is exact for them.
+    def scaled(a, b):
+        return problems.QlsProblem(np.ldexp(p.a, a), np.ldexp(p.b, b),
+                                   np.ldexp(p.c, a + b))
+
+    for solve, beta_ok in ((direct.solve_qr, True), (_sm_base, True),
+                           (direct.solve_aug, True), (_qr_eps, False),
+                           (_sm_eps, False)):
+        b = beta if beta_ok else 0
+        want = np.ldexp(solve(p), b - alpha)
+        assert np.array_equal(solve(scaled(alpha, b)), want), solve.__name__
+
+
+@settings(max_examples=40, deadline=None)
+@given(INTEGER_PROBLEMS)
+def test_direct_solvers_meet_the_rational_oracle(p):
+    # Each solver's error against the exact solution x* of its own system
+    # (the eps-shifted one for QREPS and SM at eps > 0) is within
+    # 1e3 u kappa^2 (||x*|| + ||b|| / ||A|| + ||c|| / ||A||^2), the first-
+    # order bound in the data's units.  The data terms matter where
+    # A^T b + c cancels: these draws include x* = 0.
+    na = p.sigma_max()
+    scale = 1e3 * U * p.kappa() ** 2
+    for solve, eps in ((direct.solve_qr, None), (_sm_base, None),
+                       (direct.solve_aug, None), (_qr_eps, EPS),
+                       (_sm_eps, EPS)):
+        exact = rational_solution(p.a, p.b, p.c, eps=eps)
+        x = [Fraction(float(v)) for v in solve(p)]
+        err = math.sqrt(float(sum((u - v) ** 2 for u, v in zip(x, exact))))
+        size = (math.sqrt(float(sum(v * v for v in exact)))
+                + np.linalg.norm(p.b) / na + np.linalg.norm(p.c) / na ** 2)
+        assert err <= scale * size, solve.__name__
