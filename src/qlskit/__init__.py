@@ -40,8 +40,6 @@ from .problems import (
     DEFAULT_EPS,
     QlsProblem,
     assemble_problem,
-    build_augmented,
-    build_eps_system,
     generate_problem_set_p,
     load_problem,
     orthogonal_factor,
@@ -87,7 +85,6 @@ from .bench import (
     performance_profile,
     report_table,
     run_suite,
-    trace_residual_gap,
 )
 
 __version__ = "0.1.0"
@@ -100,9 +97,9 @@ __all__ = [
     "LdltFactorization", "QrFactorization", "U",
     "ldlt_factorize", "ldlt_solve", "qr_factorize", "qr_gram_solve",
     "qr_lstsq", "svd", "sym_spectral_norm",
-    "DEFAULT_EPS", "QlsProblem", "assemble_problem", "build_augmented",
-    "build_eps_system", "generate_problem_set_p", "load_problem",
-    "orthogonal_factor", "save_problem", "sigma_c1", "sigma_c2",
+    "DEFAULT_EPS", "QlsProblem", "assemble_problem",
+    "generate_problem_set_p", "load_problem", "orthogonal_factor",
+    "save_problem", "sigma_c1", "sigma_c2",
     "IterationControl", "SolveOutcome", "cg_base", "cgls", "cgls_eps",
     "cgls_i", "minres_augmented", "solve_batch",
     "solve_aug", "solve_qr", "solve_qr_eps", "solve_sm",
@@ -114,6 +111,6 @@ __all__ = [
     "sm_proximity_bound", "structured_cond_base", "structured_cond_eps",
     "BenchRecord", "ExperimentConfig", "ProfileCurve", "emit_profile_svg",
     "emit_records", "load_records", "parse_config", "performance_profile",
-    "report_table", "run_suite", "trace_residual_gap",
+    "report_table", "run_suite",
     "__version__",
 ]

@@ -708,9 +708,3 @@ def report_table(records):
         if idx == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
-
-
-def trace_residual_gap(p, ctrl=None):
-    """Per-iteration recurred-vs-true residual distance of CGLSI."""
-    outcome = iterative.cgls_i(p, control=ctrl)
-    return [float(g) for g in outcome.true_residual_gap_history]

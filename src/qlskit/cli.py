@@ -24,7 +24,7 @@ import os
 import sys
 from contextlib import nullcontext
 
-from . import bench, problems
+from . import bench, iterative, problems
 from .errors import ConfigError, MissingConfiguration, QlskitError
 
 _EXIT_CONFIG = 1
@@ -122,9 +122,9 @@ def _cmd_table(args):
 
 def _cmd_trace(args):
     config, p = _one_problem(args)
-    gaps = bench.trace_residual_gap(p, config.control())
+    gaps = iterative.cgls_i(p, config.control()).true_residual_gap_history
     rows = [["iteration", "gap"]] + [
-        [str(k + 1), repr(g)] for k, g in enumerate(gaps)
+        [str(k + 1), repr(g)] for k, g in enumerate(gaps.tolist())
     ]
     with (open(args.out, "w", newline="") if args.out
           else nullcontext(sys.stdout)) as fh:

@@ -189,7 +189,9 @@ def _cg_steps(a, rhs, x):
 
 def _cgls_steps(a, b, x, shift=None, gaps=False):
     """CGLS on min ||a x - b||, r = a^T d (+ shift); `gaps` adds ||b - a x - d||.
-    x, d and p_dir are updated in place."""
+    x, d and p_dir are updated in place.  The row vectors whose norms are
+    taken (t = a p_dir and the gap) are formed in ``linalg._aligned_stack``s,
+    each at the alignment of its own call whatever the row count."""
     d = b - a @ x
     p_dir = rho = broke = None
     while True:
@@ -197,7 +199,8 @@ def _cgls_steps(a, b, x, shift=None, gaps=False):
         if shift is not None:
             r += shift
         rho_new = r.mT @ r
-        g = (b - a @ x) - d if gaps else None
+        if gaps:
+            g = np.subtract(b - a @ x, d, out=la._aligned_stack(*b.shape))
         series = (np.sqrt(rho_new),) + ((np.sqrt(g.mT @ g),) if gaps else ())
         keep = yield series, broke, (x, d)
         a, b, x, d, r, rho_new, shift, p_dir, rho = _take(
@@ -208,7 +211,7 @@ def _cgls_steps(a, b, x, shift=None, gaps=False):
             p_dir *= rho_new / rho
             p_dir += r
         rho = rho_new
-        t = a @ p_dir
+        t = np.matmul(a, p_dir, out=la._aligned_stack(*b.shape))
         tt = t.mT @ t
         broke = tt <= 0.0
         alpha = rho / np.where(broke, np.inf, tt)
@@ -217,25 +220,32 @@ def _cgls_steps(a, b, x, shift=None, gaps=False):
 
 
 def _minres_steps(a, b, c, x):
-    """MINRES (Paige-Saunders) on [[I, A], [A^T, 0]] (r, x) = (b, -c); the x block.
+    """MINRES (Paige-Saunders) on [[I, A], [A^T, 0]] (r, x) = (b, -c).
 
-    A zero Lanczos beta makes phibar zero (converged); r1 = 0 and oldb = 1
-    make the first three-term update exactly y - 0."""
+    Only the x blocks of the iterate and of the direction w are carried;
+    their r blocks are never read.  A zero Lanczos beta makes phibar zero
+    (converged); r1 = 0 and oldb = 1 make the first three-term update
+    exactly y - 0."""
     m = a.shape[1]
 
-    def op(y):
-        return np.concatenate([y[:, :m] + a @ y[:, m:], a.mT @ y[:, :m]], axis=1)
+    def op(v):
+        out = np.empty_like(v)
+        np.matmul(a, v[:, m:], out=out[:, :m])
+        out[:, :m] += v[:, :m]
+        np.matmul(a.mT, v[:, :m], out=out[:, m:])
+        return out
 
-    sol = np.concatenate([b - a @ x, x], axis=1)
-    y = r2 = np.concatenate([b, -c], axis=1) - op(sol)
+    y = r2 = np.concatenate([b, -c], axis=1) - op(
+        np.concatenate([b - a @ x, x], axis=1))
     beta = phibar = np.sqrt(y.mT @ y)
-    keep = yield (phibar,), None, (sol[:, m:],)
+    keep = yield (phibar,), None, (x,)
     dbar = epsln = sn = np.zeros_like(beta)
     oldb, cs = np.ones_like(beta), -np.ones_like(beta)
-    r1 = w = w2 = np.zeros_like(y)
+    r1 = np.zeros_like(y)
+    w = w2 = np.zeros_like(x)
     while True:
-        a, sol, y, r1, r2, w, w2, oldb, beta, dbar, epsln, phibar, cs, sn = _take(
-            keep, a, sol, y, r1, r2, w, w2, oldb, beta, dbar, epsln, phibar, cs, sn)
+        a, x, y, r1, r2, w, w2, oldb, beta, dbar, epsln, phibar, cs, sn = _take(
+            keep, a, x, y, r1, r2, w, w2, oldb, beta, dbar, epsln, phibar, cs, sn)
         v = y / beta
         y = op(v) - (beta / oldb) * r1
         alfa = v.mT @ y
@@ -249,9 +259,9 @@ def _minres_steps(a, b, c, x):
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
         w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        sol = sol + phi * w
-        keep = yield (phibar,), broke, (sol[:, m:],)
+        w = (v[:, m:] - oldeps * w1 - delta * w2) / gamma
+        x = x + phi * w
+        keep = yield (phibar,), broke, (x,)
 
 
 def _start(method, s, control, history, eps):

@@ -47,6 +47,17 @@ def nearest_power_of_two(x):
     return 2.0 ** (e - 1) if m < 0.75 else 2.0 ** e
 
 
+def eps_weight(eps):
+    """(eps rounded to a power of two, whether it moved); the rounded eps
+    must lie in [MIN_EPS, MAX_EPS]."""
+    moved = 0.0 < eps <= MAX_EPS and not is_power_of_two(eps)
+    weight = nearest_power_of_two(eps) if moved else eps
+    if not MIN_EPS <= weight <= MAX_EPS:
+        raise InvalidParameter(f"eps must round to a power of two in "
+                               f"[2^-1023, {MAX_EPS}], got {eps!r}")
+    return weight, moved
+
+
 @dataclass
 class QlsProblem:
     """One instance of A^T A x = A^T b + c.
@@ -316,7 +327,8 @@ class Stack:
 
     def augmented(self, scale):
         """The saddle matrices [[s I, A], [A^T, 0]] and right-hand sides
-        (b, -c/s) for the (B,) scales s, as two stacks."""
+        (b, -c/s) for the (B,) scales s, as two stacks; for any s the
+        solution is (r/s, x), r = b - A x."""
         if not (np.isfinite(scale) & (scale > 0.0)).all():
             raise InvalidParameter("scale must be positive and finite")
         count, m, n = self.a.shape
@@ -354,61 +366,6 @@ def grouped(size=None, iterate=False):
         return call
 
     return wrap
-
-
-# ---------------------------------------------------------------------------
-# Derived systems
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EpsSystem:
-    """Stacked system [A; eps c^T], (b, 1/eps); eps an exact power of two."""
-
-    a_eps: np.ndarray
-    b_eps: np.ndarray
-    eps: float
-    adjusted: bool = False
-
-
-@dataclass
-class AugmentedSystem:
-    """Symmetric saddle system [[scale I, A], [A^T, 0]].
-
-    The right-hand side is (b, -c/scale): the x block of the solution
-    then solves the base problem for any scale, and the leading block
-    recovers the residual divided by scale.
-    """
-
-    k: np.ndarray
-    rhs: np.ndarray
-    scale: float
-
-
-def eps_weight(eps):
-    """(eps rounded to a power of two, whether it moved); the rounded eps
-    must lie in [MIN_EPS, MAX_EPS]."""
-    moved = 0.0 < eps <= MAX_EPS and not is_power_of_two(eps)
-    weight = nearest_power_of_two(eps) if moved else eps
-    if not MIN_EPS <= weight <= MAX_EPS:
-        raise InvalidParameter(f"eps must round to a power of two in "
-                               f"[2^-1023, {MAX_EPS}], got {eps!r}")
-    return weight, moved
-
-
-def build_eps_system(p, eps=DEFAULT_EPS):
-    """``Stack.eps_system`` of one problem, eps rounded by `eps_weight`."""
-    eps, adjusted = eps_weight(eps)
-    s = Stack([p]).eps_system(eps)
-    return EpsSystem(s.a[0], s.b[0], eps, adjusted)
-
-
-def build_augmented(p, scale=None):
-    """The saddle system of one problem (``Stack.augmented``); the default
-    scale is sigma_min(A) / sqrt(2)."""
-    if scale is None:
-        scale = p.sigma_min() / np.sqrt(2.0)
-    k, rhs = Stack([p]).augmented(np.array([scale], dtype=float))
-    return AugmentedSystem(k[0], rhs[0], float(scale))
 
 
 # ---------------------------------------------------------------------------

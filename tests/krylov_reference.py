@@ -130,6 +130,12 @@ def minres_steps(a, b, c, x):
         yield sol[m:], phibar
 
 
+def eps_system(p, eps):
+    """[A; eps c^T], (b, 1/eps) of p, for a power of two eps."""
+    assert np.frexp(eps)[0] == 0.5, "eps must be a power of two"
+    return np.vstack([p.a, eps * p.c]), np.append(p.b, 1.0 / eps)
+
+
 def solve(method, p, control, eps):
     """The reference outcome of `method` (a solve_batch name) on p."""
     tol, maxit, x0, patience = control.resolve(p.n)
@@ -139,8 +145,7 @@ def solve(method, p, control, eps):
     if method == "minres":
         return drive(minres_steps(p.a, p.b, p.c, x0), *limits)
     if method == "cgls_eps":
-        sys_ = problems.build_eps_system(p, eps)
-        return drive(cgls_steps(sys_.a_eps, sys_.b_eps, x0), *limits)
+        return drive(cgls_steps(*eps_system(p, eps), x0), *limits)
     gaps = []
     return drive(cgls_steps(p.a, p.b, x0, p.c, gaps), *limits, gaps=gaps)
 
@@ -203,8 +208,7 @@ def short_control():
 def unscaled(method, p, eps):
     """Whether the engine runs `method` on p's data as given (no scaling)."""
     if method == "cgls_eps":
-        sys_ = problems.build_eps_system(p, eps)
-        arrays = [sys_.a_eps, sys_.b_eps]
+        arrays = list(eps_system(p, eps))
     else:
         arrays = [p.a, np.concatenate([p.b, p.c])]
     if method == "cg":

@@ -109,10 +109,11 @@ def test_structured_cond_eps_flat_where_classical_blows_up():
     vals, classical = [], []
     for eps in grid:
         vals.append(analysis.structured_cond_eps(p, x, eps))
-        sys_ = problems.build_eps_system(p, eps)
+        sys_ = problems.Stack([p]).eps_system(eps)
+        a_eps, b_eps = sys_.a[0], sys_.b[0]
         xe = direct.solve_qr_eps(p, eps)
-        res = np.linalg.norm(sys_.b_eps - sys_.a_eps @ xe)
-        smax = np.linalg.svd(sys_.a_eps, compute_uv=False)
+        res = np.linalg.norm(b_eps - a_eps @ xe)
+        smax = np.linalg.svd(a_eps, compute_uv=False)
         kap = smax[0] / smax[-1]
         classical.append(kap ** 2 * res / (smax[0] * np.linalg.norm(xe)))
     assert max(vals) / min(vals) <= 1.5

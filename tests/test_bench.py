@@ -544,7 +544,7 @@ def test_trace_residual_gap_stays_at_roundoff():
     sigma = np.sort(rng.random(4) + 0.2)[::-1]
     p = problems.assemble_problem(8, 4, sigma, rng.standard_normal(4),
                                   kind=4, seed=13)
-    gaps = bench.trace_residual_gap(p)
+    gaps = iterative.cgls_i(p).true_residual_gap_history
     assert len(gaps) >= 1
     assert np.all(np.isfinite(gaps))
     assert max(gaps) <= 100 * U

@@ -367,18 +367,14 @@ def test_batch_rejects_mixed_shapes_and_unknown_methods():
         iterative.solve_batch("lsqr", probs)
 
 
-@pytest.mark.parametrize("core", [
-    "Haswell", "SkylakeX", "Sandybridge",
-    # Prescott's ddot sums a vector that starts 8 bytes off a 16-byte
-    # boundary in another order; a batch of odd-length vectors (CGLSEPS
-    # here, 17 rows) puts every other problem there.
-    pytest.param("Prescott", marks=pytest.mark.xfail(
-        reason="ddot result depends on 16-byte alignment")),
-])
+@pytest.mark.parametrize("core", ["Haswell", "SkylakeX", "Sandybridge",
+                                  "Prescott"])
 def test_batch_bitwise_under_each_blas_kernel(core):
     # A batch is bitwise its B = 1 calls only if the stacked operations
     # reach the same kernels; a short run of the mixed batch checks that
-    # under each OpenBLAS core.
+    # under each OpenBLAS core.  Prescott's ddot sums a vector that starts
+    # 8 bytes off a 16-byte boundary in another order, so CGLSEPS's rows
+    # (17 here) hold their own call's alignment in the batch.
     env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
                                            str(ROOT / "tests")]))

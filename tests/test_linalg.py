@@ -521,7 +521,8 @@ def test_ldlt_reconstruction_set_p_augmented(index):
     # set_p p18 and p19 (kappa 3e9 and 1e10): Schur updates that let the
     # two triangles of the working copy drift apart miss here by ~1e-3
     p = problems.generate_problem_set_p(seed=1729)[index]
-    k = problems.build_augmented(p).k
+    scale = np.array([p.sigma_min() / np.sqrt(2.0)])
+    (k,), _ = problems.Stack([p]).augmented(scale)
     f = la.ldlt_factorize(k)
     back = f.l @ f.d @ f.l.T
     err = np.linalg.norm(back - k[np.ix_(f.perm, f.perm)]) / np.linalg.norm(k)

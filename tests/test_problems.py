@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import ROOT
-from qlskit import bench
+from qlskit import bench, direct
 from qlskit import linalg as la
 from qlskit import problems
 from qlskit.errors import DimensionMismatch, InvalidParameter, RankDeficient
@@ -140,25 +140,29 @@ def test_verify_construction_rejects_wrong_solution():
 def test_build_eps_system_layout():
     p = problems.QlsProblem(a=np.eye(2), b=np.array([1.0, 2.0]),
                             c=np.array([1.0, 2.0]))
-    sys_ = problems.build_eps_system(p, 0.5)
-    assert np.allclose(sys_.a_eps[:2], np.eye(2))
-    assert np.allclose(sys_.a_eps[2], [0.5, 1.0])
-    assert sys_.b_eps[-1] == 2.0
-    assert np.allclose(sys_.b_eps[:2], p.b)
-    assert sys_.eps == 0.5 and not sys_.adjusted
+    assert problems.eps_weight(0.5) == (0.5, False)
+    sys_ = problems.Stack([p]).eps_system(0.5)
+    assert np.allclose(sys_.a[0, :2], np.eye(2))
+    assert np.allclose(sys_.a[0, 2], [0.5, 1.0])
+    assert sys_.b[0, -1] == 2.0
+    assert np.allclose(sys_.b[0, :2], p.b)
+    assert not sys_.c.any()
 
 
 def test_build_eps_system_rounds_to_power_of_two():
     p = problems.QlsProblem(a=np.eye(2), b=np.ones(2), c=np.ones(2))
-    sys_ = problems.build_eps_system(p, 0.3)
-    assert sys_.eps == 0.25 and sys_.adjusted
-    assert problems.is_power_of_two(sys_.eps)
+    eps, adjusted = problems.eps_weight(0.3)
+    assert eps == 0.25 and adjusted
+    assert problems.is_power_of_two(eps)
+    sys_ = problems.Stack([p]).eps_system(eps)
+    assert np.array_equal(sys_.a[0, 2], [0.25, 0.25])
+    assert np.array_equal(sys_.b[0, 2], 4.0)
     # Above one the row eps c^T outweighs A and eps^2 overflows: 1e300
     # is refused before anything is formed.
     for eps in (0.0, 1e300, 2.0, float("inf"), float("nan")):
         with pytest.raises(InvalidParameter, match="eps"):
-            problems.build_eps_system(p, eps)
-    assert problems.build_eps_system(p, 1.0).eps == 1.0
+            problems.eps_weight(eps)
+    assert problems.eps_weight(1.0) == (1.0, False)
 
 
 def test_eps_scaling_is_exact():
@@ -176,8 +180,8 @@ def test_eps_system_zero_c_minimizer():
     b = rng.standard_normal(5)
     p = problems.QlsProblem(a=a, b=b, c=np.zeros(3))
     for eps in (2.0 ** -10, 2.0 ** -30):
-        sys_ = problems.build_eps_system(p, eps)
-        x = np.linalg.lstsq(sys_.a_eps, sys_.b_eps, rcond=None)[0]
+        sys_ = problems.Stack([p]).eps_system(eps)
+        x = np.linalg.lstsq(sys_.a[0], sys_.b[0], rcond=None)[0]
         want = np.linalg.lstsq(a, b, rcond=None)[0]
         assert np.allclose(x, want, atol=1e-10)
 
@@ -199,26 +203,31 @@ def test_hat_system_normal_equations_at_exact():
 def test_build_augmented_hand_case():
     p = problems.QlsProblem(a=np.array([[1.0]]), b=np.array([2.0]),
                             c=np.array([1.0]))
-    aug = problems.build_augmented(p, scale=1.0)
-    assert np.allclose(aug.k, [[1.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(aug.rhs, [2.0, -1.0])
-    f = la.ldlt_factorize(aug.k)
-    z = la.ldlt_solve(f, aug.rhs)
+    (k,), (rhs,) = problems.Stack([p]).augmented(np.array([1.0]))
+    assert np.allclose(k, [[1.0, 1.0], [1.0, 0.0]])
+    assert np.allclose(rhs, [2.0, -1.0])
+    f = la.ldlt_factorize(k)
+    z = la.ldlt_solve(f, rhs)
     assert abs(z[1] - 3.0) < 1e-13  # x = 3 solves 1*x = 2 + 1
 
 
 def test_build_augmented_default_scale_and_invariance():
+    # AUG's default scale is sigma_min / sqrt(2); the x block solves the
+    # problem at that scale and at one alike.
     rng = np.random.default_rng(25)
     p = problems.assemble_problem(6, 3, (1.0, 0.7, 0.5), rng.standard_normal(3),
                                   kind=4, seed=9)
-    aug = problems.build_augmented(p)
-    assert abs(aug.scale - p.sigma_min() / np.sqrt(2.0)) < 1e-12
-    x_default = la.ldlt_solve(la.ldlt_factorize(aug.k), aug.rhs)[p.m:]
-    one = problems.build_augmented(p, scale=1.0)
-    x_one = la.ldlt_solve(la.ldlt_factorize(one.k), one.rhs)[p.m:]
+    scale = p.sigma_min() / np.sqrt(2.0)
+    assert np.array_equal(direct.solve_aug(p), direct.solve_aug(p, scale=scale))
+    k, rhs = problems.Stack([p, p]).augmented(np.array([scale, 1.0]))
+    assert np.array_equal(k[0, :p.m, :p.m], scale * np.eye(p.m))
+    assert np.array_equal(rhs[0, p.m:], -p.c / scale)
+    x_default, x_one = (la.ldlt_solve(la.ldlt_factorize(ki), ri)[p.m:]
+                        for ki, ri in zip(k, rhs))
     assert np.allclose(x_default, x_one, atol=1e-10 * np.linalg.norm(x_one))
-    with pytest.raises(InvalidParameter):
-        problems.build_augmented(p, scale=0.0)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(InvalidParameter):
+            problems.Stack([p]).augmented(np.array([bad]))
 
 
 def test_set_p_cardinality_and_coverage():
