@@ -50,22 +50,9 @@ def _chunk(m, n):
     return max(1, STACK_BYTES // (8 * (2 * m + 2 * n + 1) * n))
 
 
-# Products go through `_mv` and `_dot`, which meet the BLAS calls of the
-# one-problem expressions, so every value of a stack is bitwise that of
-# its B = 1 stack.
-def _mv(a, x):
-    """a @ x per matrix of a stack (one gemv each)."""
-    return (a @ x[..., None])[..., 0]
-
-
-def _dot(u, v):
-    """u . v per row of two (B, k) stacks (one dot each)."""
-    return (u[..., None, :] @ v[..., None])[..., 0, 0]
-
-
 def _norm(v):
     """2-norm per row of a (B, k) stack, as np.linalg.norm of the row."""
-    return np.sqrt(_dot(v, v))
+    return np.sqrt(la.dot(v, v))
 
 
 def _outer(u, v):
@@ -94,14 +81,14 @@ def _structured_cond(d, x, eps):
     r = d.residual(x)
     w = la.qr_gram_solve(f, np.broadcast_to(np.eye(n), (count, n, n)))
     b1 = la.qr_lstsq(f, np.pad(r, ((0, 0), (0, f.shape[-2] - m))))
-    b2 = _mv(w, x)
+    b2 = la.mv(w, x)
     # In Python floats: their ** 2 is libm's pow, not numpy's square.
     lead = np.array([(1.0 - 2.0 * eps * cx) ** 2 + rr for cx, rr in
-                     zip(_dot(d.c, x).tolist(), _dot(r, r).tolist())])
-    wc = _mv(w, d.c)
+                     zip(la.dot(d.c, x).tolist(), la.dot(r, r).tolist())])
+    wc = la.mv(w, d.c)
     middle = w - (eps * eps) * _outer(wc, wc)
     mbar = (lead[:, None, None] * la.qr_gram_solve(f, w)
-            + (1.0 + _dot(x, x))[:, None, None] * middle
+            + (1.0 + la.dot(x, x))[:, None, None] * middle
             - (_outer(b1, b2) + _outer(b2, b1)))
     mbar = 0.5 * (mbar + mbar.mT)
     return np.sqrt(la.sym_spectral_norm(mbar))
@@ -149,11 +136,11 @@ def _gram_factor(d, xtilde, r, eps, theta1, theta2, theta_a):
     nr, nx = _norm(r), _norm(xtilde)
     xh, rh = _unit(xtilde, nx), _unit(r, nr)
     eye = np.eye(n)
-    c_block = ((1.0 - eps * eps * _dot(c, xtilde))[:, None, None] * eye
+    c_block = ((1.0 - eps * eps * la.dot(c, xtilde))[:, None, None] * eye
                - (eps * eps) * _outer(c, xtilde))
     # F^T row block by row block; each block is the transpose of F's.
     ft = np.empty((count, 2 * m + 2 * n + 1, n))
-    ft[:, :1] = ((nr[:, None] * xh - nx[:, None] * _mv(a.mT, rh))[:, None]
+    ft[:, :1] = ((nr[:, None] * xh - nx[:, None] * la.mv(a.mT, rh))[:, None]
                  / ta)
     ft[:, 1:n + 1] = (nr[:, None, None] / ta) * (eye - _outer(xh, xh))
     ft[:, n + 1:n + m + 1] = (-nx[:, None, None] / ta) * (
@@ -171,8 +158,8 @@ def _eta(d, xtilde, eps, theta1, theta2, theta_a):
     backward error and R^-1 z = (J J^T)^-1 h.
     """
     r = d.residual(xtilde)
-    h = (_mv(d.a.mT, r) + d.c
-         - (eps * eps * _dot(d.c, xtilde))[:, None] * d.c)
+    h = (la.mv(d.a.mT, r) + d.c
+         - (eps * eps * la.dot(d.c, xtilde))[:, None] * d.c)
     f = _gram_factor(d, xtilde, r, eps, theta1, theta2, theta_a)
     return la.solve_triangular(f.r.mT, h, lower=True), r, f
 
@@ -257,7 +244,7 @@ def minimum_norm_perturbation(d, xtilde, theta1=1.0, theta2=1.0):
     y = la.solve_triangular(f.r, z)
     return [PerturbationTriple(e=np.outer(ay, x) - np.outer(ri, yi),
                                f=-ay / theta1 ** 2, g=-yi / theta2 ** 2)
-            for ay, x, ri, yi in zip(_mv(d.a, y), xtilde, r, y)]
+            for ay, x, ri, yi in zip(la.mv(d.a, y), xtilde, r, y)]
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +255,7 @@ def _sm_terms(d, eps):
     """(w, den) per problem of stack `d`: w = (A^T A)^-1 c and
     den = 1 + eps^2 c^T w > 0."""
     w = la.qr_gram_solve(d.qr, d.c)
-    den = 1.0 + eps * eps * _dot(d.c, w)
+    den = 1.0 + eps * eps * la.dot(d.c, w)
     if not (den > 0.0).all():
         raise DenominatorVanishes(f"1 + eps^2 c^T w = {den.min():.3e}")
     return w, den
@@ -332,13 +319,13 @@ def _rank_one_norm(u, v):
     """
     nu, nv = _norm(u), _norm(v)
     q1 = _unit(u, nu)
-    vperp = v - _dot(q1, v)[:, None] * q1
+    vperp = v - la.dot(q1, v)[:, None] * q1
     nvp = _norm(vperp)
     # Q as (B, k, 2) columns, so its products meet the BLAS calls of the
     # one-pair expressions.
     q = np.stack([q1, _unit(vperp, np.where(nvp > 1e-15 * nv, nvp, 0.0))],
                  axis=2)
-    s = q.mT @ q + _outer(_mv(q.mT, u), _mv(q.mT, v))
+    s = q.mT @ q + _outer(la.mv(q.mT, u), la.mv(q.mT, v))
     # Largest singular value of a 2x2 without forming the Gram matrix.
     smax = 0.5 * (np.hypot(s[:, 0, 0] + s[:, 1, 1], s[:, 0, 1] - s[:, 1, 0])
                   + np.hypot(s[:, 0, 0] - s[:, 1, 1], s[:, 0, 1] + s[:, 1, 0]))

@@ -15,8 +15,6 @@ and scale x back exactly; ``solve_qr_eps`` leaves that to the pivoted QR
 of its stacked matrix.
 """
 
-import math
-
 import numpy as np
 
 from . import linalg as la
@@ -28,7 +26,7 @@ from .problems import DEFAULT_EPS, eps_weight, grouped
 def solve_qr(s):
     """Semi-normal equations: R^T R x = A^T b + c with R from QR of A."""
     q = s.in_range()
-    rhs = (q.a.mT @ q.b[..., None])[..., 0] + q.c
+    rhs = la.mv(q.a.mT, q.b) + q.c
     return s.unscale(la.qr_gram_solve(q.qr, rhs))
 
 
@@ -64,18 +62,19 @@ def solve_sm(s, eps=DEFAULT_EPS):
     w_hats = la.qr_gram_solve(q.qr, c_hats)
     ys = la.qr_lstsq(q.qr, q.b) + np.ldexp(w_hats,
                                            (ecs - s.ea - s.es)[:, None])
-    for y, c_hat, w_hat, ec in zip(ys, c_hats, w_hats, (ecs - s.ea).tolist()):
-        if eps != 0.0 and c_hat.any():
-            # The correction (c^T y) / (eps^-2 + c^T w) w in c_hat's units;
-            # eps^-2 there is 2^e, +inf or 0 where the correction or eps^-2
-            # is negligible (ec here is the exponent of c_hat over ea's).
-            e = -2 * (math.frexp(eps)[1] - 1 + ec)
-            den = float(c_hat @ w_hat) + (math.inf if e > 1023
-                                          else math.ldexp(1.0, e))
-            if not den > 0.0:
-                raise DenominatorVanishes(
-                    f"1 + eps^2 c^T w <= 0 (scaled: {den:.3e})")
-            y -= (float(c_hat @ y) / den) * w_hat
+    if eps != 0.0:
+        # The correction (c^T y) / (eps^-2 + c^T w) w in c_hat's units, none
+        # where c = 0; eps^-2 there is 2^e, +inf or 0 where the correction or
+        # eps^-2 is negligible (ecs - ea: c_hat's exponent over ea's).
+        e = -2 * (np.frexp(eps)[1] - 1 + ecs - s.ea)
+        nz = c_hats.any(axis=1)
+        den = np.where(nz, la.dot(c_hats, w_hats) + np.where(
+            e > 1023, np.inf, np.ldexp(1.0, np.minimum(e, 1023))), 1.0)
+        if not (den > 0.0).all():
+            raise DenominatorVanishes(
+                f"1 + eps^2 c^T w <= 0 (scaled: {den.min():.3e})")
+        ys -= np.where(nz[:, None],
+                       (la.dot(c_hats, ys) / den)[:, None] * w_hats, 0.0)
     return s.unscale(ys)
 
 

@@ -92,14 +92,11 @@ class SolveOutcome:
     residual_gap: float = None
 
 
-def _take(keep, a, *arrays):
-    """Rows `keep` (ascending) of each stacked array; all when keep is None.
-    The first, held by the caller alone (A), moves into its leading rows."""
+def _take(keep, *arrays):
+    """Rows `keep` of each array (None stays None); all if keep is None."""
     if keep is None:
-        return (a,) + arrays
-    for j, i in enumerate(keep):
-        a[j] = a[i]
-    return [a[:len(keep)]] + [v if v is None else v[keep] for v in arrays]
+        return arrays
+    return [v if v is None else v[keep] for v in arrays]
 
 
 def _drive(steps, count, tol, maxit, patience, history):
@@ -190,7 +187,7 @@ def _cg_steps(a, rhs, x):
 def _cgls_steps(a, b, x, shift=None, gaps=False):
     """CGLS on min ||a x - b||, r = a^T d (+ shift); `gaps` adds ||b - a x - d||.
     x, d and p_dir are updated in place.  The row vectors whose norms are
-    taken (t = a p_dir and the gap) are formed in ``linalg._aligned_stack``s,
+    taken (t = a p_dir and the gap) are formed in ``linalg.aligned_stack``s,
     each at the alignment of its own call whatever the row count."""
     d = b - a @ x
     p_dir = rho = broke = None
@@ -200,7 +197,7 @@ def _cgls_steps(a, b, x, shift=None, gaps=False):
             r += shift
         rho_new = r.mT @ r
         if gaps:
-            g = np.subtract(b - a @ x, d, out=la._aligned_stack(*b.shape))
+            g = np.subtract(b - a @ x, d, out=la.aligned_stack(*b.shape))
         series = (np.sqrt(rho_new),) + ((np.sqrt(g.mT @ g),) if gaps else ())
         keep = yield series, broke, (x, d)
         a, b, x, d, r, rho_new, shift, p_dir, rho = _take(
@@ -211,7 +208,7 @@ def _cgls_steps(a, b, x, shift=None, gaps=False):
             p_dir *= rho_new / rho
             p_dir += r
         rho = rho_new
-        t = np.matmul(a, p_dir, out=la._aligned_stack(*b.shape))
+        t = np.matmul(a, p_dir, out=la.aligned_stack(*b.shape))
         tt = t.mT @ t
         broke = tt <= 0.0
         alpha = rho / np.where(broke, np.inf, tt)
@@ -269,7 +266,7 @@ def _start(method, s, control, history, eps):
 
     "cgls" ignores c; "cgls_eps" runs on the stack's eps system.  The
     data is brought in range by its stack's exponents, and CG's formed
-    right-hand side by its own 2^-er.  Only the generator keeps A."""
+    right-hand side by its own 2^-er."""
     tol, maxit, x0, patience = (control or IterationControl()).resolve(
         s.a.shape[2])
     if method == "cgls_eps":

@@ -112,7 +112,7 @@ def _tall(a):
     return a
 
 
-def _aligned_stack(count, rows, cols):
+def aligned_stack(count, rows, cols):
     """Uninitialized (count, rows, cols) stack whose matrices each start on
     a 16-byte boundary, as a fresh array does.  Some BLAS kernels (Katmai,
     Prescott) sum a vector in another order when it starts 8 bytes off
@@ -120,6 +120,18 @@ def _aligned_stack(count, rows, cols):
     own call only at the alignment its own call has."""
     size = rows * cols
     return np.empty((count, size + size % 2))[:, :size].reshape(count, rows, cols)
+
+
+# Stacked products that meet the BLAS calls of the one-problem expressions,
+# so every value of a stack is bitwise that of its B = 1 stack.
+def mv(a, x):
+    """a @ x per matrix of a stack (one gemv each)."""
+    return (a @ x[..., None])[..., 0]
+
+
+def dot(u, v):
+    """u . v per row of two (B, k) stacks (one dot each)."""
+    return (u[..., None, :] @ v[..., None])[..., 0, 0]
 
 
 def _reflect(dst, tw, t, act):
@@ -145,7 +157,7 @@ def householder_qr(a, pivoting=False):
     each step, so the pivot order is deterministic.  A stack runs each
     step for all its matrices in one numpy call per operation; every
     matrix and work vector sits at the alignment of its own call (see
-    `_aligned_stack`), so each matrix's R, reflectors, tau and perm are
+    `aligned_stack`), so each matrix's R, reflectors, tau and perm are
     bitwise those of its own call, and a 2-d input is the B = 1 case.
     This loop serves the pivoted `qr_factorize`, the Jacobi
     preconditioner in `svd`, and the problem generator, whose data its
@@ -153,7 +165,7 @@ def householder_qr(a, pivoting=False):
     """
     a = _tall(a)
     single = a.ndim == 2
-    v = _aligned_stack(*(a[None] if single else a).shape)
+    v = aligned_stack(*(a[None] if single else a).shape)
     v[...] = a
     tau, perm = _householder(v, pivoting)
     r = np.triu(v[:, :v.shape[2]])
@@ -163,11 +175,11 @@ def householder_qr(a, pivoting=False):
 
 
 def _householder(v, pivoting):
-    """The steps of `householder_qr` on an `_aligned_stack` v, in place:
+    """The steps of `householder_qr` on an `aligned_stack` v, in place:
     R and the reflectors overwrite v.  Returns (tau, perm)."""
     nb, m, n = v.shape
     tau, perm = np.zeros((nb, n)), np.tile(np.arange(n), (nb, 1))
-    work, each = _aligned_stack(nb, 1, m)[:, 0], np.arange(nb)
+    work, each = aligned_stack(nb, 1, m)[:, 0], np.arange(nb)
     for k in range(n):
         if pivoting:
             norms = np.einsum("bij,bij->bj", v[:, k:, k:], v[:, k:, k:])
@@ -175,7 +187,7 @@ def _householder(v, pivoting):
             v[each, :, k], v[each, :, j] = v[each, :, j], v[each, :, k]
             perm[each, k], perm[each, j] = perm[each, j], perm[each, k]
         x = v[:, k:, k]
-        sigma = np.sqrt((x[:, None] @ x[:, :, None])[:, 0, 0])
+        sigma = np.sqrt(dot(x, x))
         # No reflector (tau stays 0) only when x[1:] is exactly zero, as in
         # LAPACK's dlarfg, or when every square underflows.
         act = (sigma != 0.0) & x[:, 1:].any(axis=1)
@@ -186,7 +198,7 @@ def _householder(v, pivoting):
         w = work[:, :m - k]
         np.divide(x, np.where(act, alpha - rkk, 1.0)[:, None], out=w)
         w[:, 0] = 1.0
-        tau[:, k] = np.where(act, 2.0 / (w[:, None] @ w[:, :, None])[:, 0, 0], 0.0)
+        tau[:, k] = np.where(act, 2.0 / dot(w, w), 0.0)
         if k + 1 < n:
             t = w[:, None] @ v[:, k:, k + 1:]
             _reflect(v[:, k:, k + 1:], tau[:, k, None] * w, t,
@@ -257,9 +269,9 @@ def _apply_reflectors(f, y, transpose):
         y = y[:, None]
     if y.shape[-2] != m:
         raise DimensionMismatch(f"operand has {y.shape[-2]} rows, expected {m}")
-    z = _aligned_stack(nb, m, y.shape[-1])
+    z = aligned_stack(nb, m, y.shape[-1])
     z[...] = y
-    work = _aligned_stack(nb, 1, m)[:, 0]
+    work = aligned_stack(nb, 1, m)[:, 0]
     work[:, 0] = 1.0
     act = tau != 0.0
     some, every = act.any(axis=0).tolist(), act.all(axis=0).tolist()
@@ -418,7 +430,7 @@ def svd(a):
         for lo in range(0, nb, STACK_CHUNK):
             part = slice(lo, lo + STACK_CHUNK)
             # Sorted and scaled into a stack the QR works on in place.
-            v = _aligned_stack(*stack[part].shape)
+            v = aligned_stack(*stack[part].shape)
             np.ldexp(np.take_along_axis(stack[part], rows[part, :, None], axis=1),
                      -e[part, None, None], out=v)
             _householder(v, pivoting=True)

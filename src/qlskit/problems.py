@@ -10,6 +10,7 @@ and the analysis share, and ``grouped`` their one-or-group convention.
 """
 
 import functools
+import inspect
 import itertools
 import math
 
@@ -310,7 +311,7 @@ class Stack:
         return np.ldexp(x, (self.es - self.ea)[:, None])
 
     def residual(self, x):
-        return self.b - (self.a @ x[..., None])[..., 0]
+        return self.b - la.mv(self.a, x)
 
     @functools.cached_property
     def qr(self):
@@ -344,15 +345,19 @@ def grouped(size=None, iterate=False):
     problem (and its vector), giving one value, or of a list or tuple of
     same-shape problems (and a (B, n) stack), giving the list, run in
     stacks of `size(m, n)` problems (default ``linalg.STACK_CHUNK``),
-    read at each call."""
+    read at each call; arguments bind as in a call of the body."""
     def wrap(body):
+        bind = inspect.signature(body).bind
+
         @functools.wraps(body)
         def call(p, *args, **kwargs):
+            bound = bind(p, *args, **kwargs)
+            args, kwargs = bound.args[1:], bound.kwargs
             single = not isinstance(p, (list, tuple))
             probs = [p] if single else list(p)
             m, n = _one_shape(probs)
-            if iterate:  # the iterate, positional or by its name
-                x, *args = args or [kwargs.pop(body.__code__.co_varnames[1])]
+            if iterate:
+                x, *args = args
                 x = (la.as_vector(x, "x")[None] if single
                      else la.as_matrix(x, "x"))
                 if x.shape != (len(probs), n):

@@ -10,13 +10,39 @@ float spacing.
 
 from fractions import Fraction
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
 from qlskit import analysis, bench, direct, linalg as la, problems
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# OpenBLAS cores whose kernels the stacked-equals-single checks run under.
+CORES = ("Haswell", "SkylakeX", "Sandybridge", "Prescott")
+
+
+def run_under_core(core, code, timeout=120):
+    """Stdout of `code` run by a fresh interpreter under OpenBLAS core
+    `core`, on one BLAS thread, with RuntimeWarnings as errors.  Skips
+    when the core cannot run here (the child dies on a signal)."""
+    # Imported here: the children import this module, and pytest would
+    # add to the start-up of every one of them.
+    import pytest
+
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                           str(ROOT / "tests")]))
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                          "-c", code], env=env, capture_output=True,
+                         text=True, timeout=timeout)
+    if run.returncode < 0:
+        pytest.skip(f"{core} kernel cannot run here (signal {-run.returncode})")
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 def frac_matrix(a):

@@ -1,16 +1,12 @@
 """Condition numbers, backward errors, bounds, perturbation construction."""
 
 import math
-import os
-import subprocess
-import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import ROOT
 
 from qlskit import analysis, direct, iterative, linalg, problems
 from qlskit.errors import (
@@ -20,6 +16,7 @@ from qlskit.errors import (
     ZeroVector,
 )
 from helpers import (
+    CORES,
     analysis_groups,
     analysis_stack_mismatches,
     commutation_matrix,
@@ -27,6 +24,7 @@ from helpers import (
     frac_solve,
     frac_vector,
     random_integer_problem,
+    run_under_core,
 )
 
 U = np.finfo(float).eps / 2
@@ -473,22 +471,13 @@ def test_group_calls_are_bitwise_their_single_calls():
     assert analysis_stack_mismatches() == []
 
 
-@pytest.mark.parametrize("core", ["Haswell", "SkylakeX", "Sandybridge",
-                                  "Prescott"])
+@pytest.mark.parametrize("core", CORES)
 def test_group_bitwise_under_each_blas_kernel(core):
     # The stacked products, factorizations and solves reach the kernels of
     # the one-problem calls under every OpenBLAS core.
-    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
-                                           str(ROOT / "tests")]))
-    code = "import helpers\nprint(helpers.analysis_stack_mismatches())\n"
-    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                          "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
-    if run.returncode < 0:
-        pytest.skip(f"{core} kernel cannot run here (signal {-run.returncode})")
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    out = run_under_core(
+        core, "import helpers\nprint(helpers.analysis_stack_mismatches())\n")
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("methods, kinds", [(("cglsi",), 2),
@@ -530,6 +519,11 @@ def test_group_call_validation():
             fn(probs[:2], xs[0])
         with pytest.raises(DimensionMismatch):
             fn([], np.zeros((0, 20)))
+    # A missing iterate is a missing argument, as in any Python call.
+    with pytest.raises(TypeError):
+        analysis.relative_backward_error(probs[0])
+    with pytest.raises(TypeError):
+        analysis.forward_error_estimates(probs[:2])
     zeroed = xs[:3].copy()
     zeroed[1] = 0.0
     with pytest.raises(ZeroVector):

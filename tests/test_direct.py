@@ -1,17 +1,14 @@
 """Direct solvers: semi-normal QR, eps-shifted QR, rank-one update, KKT."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from conftest import ROOT
 from qlskit import analysis, bench, direct, iterative, linalg, problems
 from qlskit.errors import Breakdown, DimensionMismatch, InvalidParameter
-from helpers import direct_stack_mismatches, frac_norm, rational_solution
+from helpers import (CORES, direct_stack_mismatches, frac_norm,
+                     rational_solution, run_under_core)
 
 U = np.finfo(float).eps / 2
 
@@ -256,22 +253,13 @@ def test_direct_group_calls_are_bitwise_their_single_calls():
     assert direct_stack_mismatches() == []
 
 
-@pytest.mark.parametrize("core", ["Haswell", "SkylakeX", "Sandybridge",
-                                  "Prescott"])
+@pytest.mark.parametrize("core", CORES)
 def test_direct_group_bitwise_under_each_blas_kernel(core):
     # The stacked factorizations and solves reach the kernels of the
     # one-problem calls under every OpenBLAS core.
-    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
-                                           str(ROOT / "tests")]))
-    code = "import helpers\nprint(helpers.direct_stack_mismatches())\n"
-    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                          "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
-    if run.returncode < 0:
-        pytest.skip(f"{core} kernel cannot run here (signal {-run.returncode})")
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    out = run_under_core(
+        core, "import helpers\nprint(helpers.direct_stack_mismatches())\n")
+    assert out.strip() == "[]"
 
 
 def test_direct_groups_factor_in_stacks(monkeypatch):

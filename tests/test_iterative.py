@@ -1,19 +1,12 @@
 """Iterative solvers: CG on the normal equations and the CGLS family."""
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from qlskit import analysis, iterative, problems
 from qlskit.errors import DimensionMismatch, InvalidParameter
-from helpers import identity_problem
+from helpers import CORES, identity_problem, run_under_core
 import krylov_reference as kr
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 U = np.finfo(float).eps / 2
 
@@ -367,27 +360,18 @@ def test_batch_rejects_mixed_shapes_and_unknown_methods():
         iterative.solve_batch("lsqr", probs)
 
 
-@pytest.mark.parametrize("core", ["Haswell", "SkylakeX", "Sandybridge",
-                                  "Prescott"])
+@pytest.mark.parametrize("core", CORES)
 def test_batch_bitwise_under_each_blas_kernel(core):
     # A batch is bitwise its B = 1 calls only if the stacked operations
     # reach the same kernels; a short run of the mixed batch checks that
     # under each OpenBLAS core.  Prescott's ddot sums a vector that starts
     # 8 bytes off a 16-byte boundary in another order, so CGLSEPS's rows
     # (17 here) hold their own call's alignment in the batch.
-    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
-                                           str(ROOT / "tests")]))
-    code = ("import krylov_reference as kr\n"
-            "bad, seen = kr.mismatches(kr.mixed_problems(), kr.short_control())\n"
-            "print(bad)\n")
-    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                          "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
-    if run.returncode < 0:
-        pytest.skip(f"{core} kernel cannot run here (signal {-run.returncode})")
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    out = run_under_core(
+        core, "import krylov_reference as kr\n"
+        "bad, seen = kr.mismatches(kr.mixed_problems(), kr.short_control())\n"
+        "print(bad)\n")
+    assert out.strip() == "[]"
 
 
 def test_cgls_shape_error():

@@ -1,17 +1,13 @@
 """Dense kernel tests: QR, SVD, spectral norm, LDLT, triangular solve."""
 
-import os
-import subprocess
-import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import ROOT
 import qr_reference
-from helpers import svd_stack_mismatches, svd_stacks
+from helpers import CORES, run_under_core, svd_stack_mismatches, svd_stacks
 from qlskit import linalg as la, problems
 from qlskit.errors import (
     Breakdown,
@@ -436,24 +432,15 @@ def test_svd_rejects_ragged_and_4d_input():
         la.svd(np.full((2, 3, 2), np.inf))
 
 
-@pytest.mark.parametrize("core", ["Haswell", "SkylakeX", "Sandybridge",
-                                  "Prescott"])
+@pytest.mark.parametrize("core", CORES)
 def test_svd_stack_bitwise_under_each_blas_kernel(core):
     # The stacked rounds use no BLAS, and the stacked preconditioning QR
     # keeps each matrix and work vector at the alignment of its own call,
     # so under every OpenBLAS core the stack stays bitwise its per-matrix
     # calls.
-    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
-                                           str(ROOT / "tests")]))
-    code = "import helpers\nprint(helpers.svd_stack_mismatches())\n"
-    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                          "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
-    if run.returncode < 0:
-        pytest.skip(f"{core} kernel cannot run here (signal {-run.returncode})")
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    out = run_under_core(
+        core, "import helpers\nprint(helpers.svd_stack_mismatches())\n")
+    assert out.strip() == "[]"
 
 
 def test_sym_spectral_norm_hand_cases():

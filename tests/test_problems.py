@@ -2,10 +2,7 @@
 
 import ctypes
 import hashlib
-import os
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -15,6 +12,7 @@ from qlskit import bench, direct
 from qlskit import linalg as la
 from qlskit import problems
 from qlskit.errors import DimensionMismatch, InvalidParameter, RankDeficient
+from helpers import run_under_core
 
 U = np.finfo(float).eps / 2
 
@@ -541,9 +539,6 @@ def test_pinned_data_and_stacked_qr_under_each_blas_kernel(core):
     # under those and Prescott, whose dot kernels sum a vector 8 bytes
     # off a 16-byte boundary in another order, a stacked householder_qr
     # and its Q products are bitwise the one-matrix loop.
-    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
-                                           str(ROOT / "tests")]))
     pinned = ("if core in tp.DATA_DIGESTS:\n"
               "    tp.test_generated_data_is_bitwise_pinned()\n")
     code = ("import qr_reference, test_problems as tp\n"
@@ -551,13 +546,7 @@ def test_pinned_data_and_stacked_qr_under_each_blas_kernel(core):
             + (pinned if core in DATA_DIGESTS else "")
             + "print(core)\n"
             "print(qr_reference.mismatches())\n")
-    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                          "-c", code], env=env, capture_output=True,
-                         text=True, timeout=300)
-    if run.returncode < 0:
-        pytest.skip(f"{core} kernel cannot run here (signal {-run.returncode})")
-    assert run.returncode == 0, run.stderr
-    reported, bad = run.stdout.split("\n")[:2]
+    reported, bad = run_under_core(core, code, timeout=300).split("\n")[:2]
     assert bad == "[]"
     if core in DATA_DIGESTS and reported not in DATA_DIGESTS:
         pytest.skip(f"stacked QR checked; no digests for BLAS kernel {reported}")

@@ -1,5 +1,6 @@
-"""Property tests: the .qls round trip, the Jacobi singular values and
-the direct solvers against exact scalings and the rational oracle."""
+"""Property tests: the .qls round trip, the Jacobi singular values, the
+direct solvers against exact scalings, and every solver against the
+rational oracle."""
 
 import math
 import os
@@ -14,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from qlskit import direct, linalg as la, problems  # noqa: E402
+from qlskit import direct, iterative, linalg as la, problems  # noqa: E402
 from helpers import random_integer_problem, rational_solution  # noqa: E402
 
 U = np.finfo(float).eps / 2
@@ -93,6 +94,28 @@ def _qr_eps(p):
     return direct.solve_qr_eps(p, EPS)
 
 
+# Room for every Krylov run on these draws to stall at its floor and
+# return its best iterate: on 5000 draws no run reached the cap, and no
+# best iterate came later than step 82.
+FLOOR = iterative.IterationControl(tol=1e-30, max_iterations=200, patience=50)
+
+
+def _cg(p):
+    return iterative.cg_base(p, FLOOR).x
+
+
+def _cgls_i(p):
+    return iterative.cgls_i(p, FLOOR).x
+
+
+def _cgls_eps(p):
+    return iterative.cgls_eps(p, EPS, FLOOR).x
+
+
+def _minres(p):
+    return iterative.minres_augmented(p, FLOOR).x
+
+
 @settings(max_examples=40, deadline=None)
 @given(INTEGER_PROBLEMS, st.integers(-400, 400), st.integers(-400, 400))
 def test_direct_solvers_are_exactly_equivariant(p, alpha, beta):
@@ -115,9 +138,9 @@ def test_direct_solvers_are_exactly_equivariant(p, alpha, beta):
 
 @settings(max_examples=40, deadline=None)
 @given(INTEGER_PROBLEMS)
-def test_direct_solvers_meet_the_rational_oracle(p):
+def test_solvers_meet_the_rational_oracle(p):
     # Each solver's error against the exact solution x* of its own system
-    # (the eps-shifted one for QREPS and SM at eps > 0) is within
+    # (the eps-shifted one for QREPS, SM at eps > 0 and CGLSEPS) is within
     # 1e3 u kappa^2 (||x*|| + ||b|| / ||A|| + ||c|| / ||A||^2), the first-
     # order bound in the data's units.  The data terms matter where
     # A^T b + c cancels: these draws include x* = 0.
@@ -125,7 +148,8 @@ def test_direct_solvers_meet_the_rational_oracle(p):
     scale = 1e3 * U * p.kappa() ** 2
     for solve, eps in ((direct.solve_qr, None), (_sm_base, None),
                        (direct.solve_aug, None), (_qr_eps, EPS),
-                       (_sm_eps, EPS)):
+                       (_sm_eps, EPS), (_cg, None), (_cgls_i, None),
+                       (_cgls_eps, EPS), (_minres, None)):
         exact = rational_solution(p.a, p.b, p.c, eps=eps)
         x = [Fraction(float(v)) for v in solve(p)]
         err = math.sqrt(float(sum((u - v) ** 2 for u, v in zip(x, exact))))
