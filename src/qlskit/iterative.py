@@ -11,15 +11,19 @@ step generator (``_cg_steps``, ``_cgls_steps``, ``_minres_steps``)
 advances every active problem one iteration; ``_drive`` holds the stop
 rule and each best iterate as arrays of the active problems, copies an
 iterate when its best index moves and drops stopped problems from its
-own and the generator's arrays.  The data, the eps system too, comes
-stacked and scaled in range by powers of two (exact) by
-``problems.Stack``, as the direct solvers take it.
+own and the generator's arrays.  The step vectors are
+``linalg.aligned_stack``s, and ``_take`` keeps them so: some BLAS kernels
+sum a vector that starts 8 bytes off a 16-byte boundary in another order,
+so each problem's vectors keep its own call's alignment whatever their
+length.  The data, the eps system too, comes stacked and scaled in range
+by powers of two (exact) by ``problems.Stack``, as the direct solvers
+take it.
 
 A run stops as "converged" when the recurred residual falls below
 ``tol`` (default 100 u) times its initial value, "stalled" after
 ``patience`` iterations without a new best norm (default 50), "diverged"
 when the norm turns nonfinite or exceeds ``DIVERGENCE_FACTOR`` times
-its initial value, "max_iterations" at ``max_iterations`` (default
+its smallest value so far, "max_iterations" at ``max_iterations`` (default
 10 n), and "breakdown" on a zero-curvature step.  Past the attainable
 floor the iterate random-walks, so the x returned is the iterate of
 smallest recurred norm, and histories stop there.
@@ -41,10 +45,12 @@ DEFAULT_TOL = 100.0 * la.U
 STALL_PATIENCE = 50
 
 # Past its floor the recurred residual of the re-forming solvers grows
-# geometrically; a norm this far above the initial one (or a nonfinite
-# one) cannot be a stagnation plateau, so the run stops there instead of
-# wandering until the overflow threshold.
+# geometrically; a norm this far above the smallest one so far (or a
+# nonfinite one) cannot be a stagnation plateau, and the run never comes
+# back below that best norm to change the iterate it returns, so it stops
+# there instead of wandering until the overflow threshold.
 DIVERGENCE_FACTOR = 1e13
+_BIG = np.finfo(float).max
 
 STATUSES = ("converged", "stalled", "diverged", "max_iterations", "breakdown")
 
@@ -82,7 +88,9 @@ class SolveOutcome:
     """Result of an iterative solve: ``x`` is the iterate of smallest
     recurred residual norm and ``iterations`` its index; the histories hold
     one entry per iteration up to it (entry k-1 after k).  ``status`` is
-    one of STATUSES and ``residual_gap`` CGLSI's gap at x (0 at x0)."""
+    one of STATUSES, ``residual_gap`` CGLSI's gap at x (0 at x0) and
+    ``iterations_run`` the number of steps the run took, the one that
+    broke down included."""
 
     x: np.ndarray
     iterations: int
@@ -90,13 +98,23 @@ class SolveOutcome:
     true_residual_gap_history: np.ndarray = None
     status: str = "converged"
     residual_gap: float = None
+    iterations_run: int = 0
+
+
+def _aligned(v):
+    """A copy of stack `v` in a ``linalg.aligned_stack``."""
+    out = la.aligned_stack(*v.shape)
+    np.copyto(out, v)
+    return out
 
 
 def _take(keep, *arrays):
-    """Rows `keep` of each array (None stays None); all if keep is None."""
-    if keep is None:
-        return arrays
-    return [v if v is None else v[keep] for v in arrays]
+    """Rows `keep` of each stack (None stays None), in aligned stacks.
+    Mode "clip" (`keep` holds valid rows only) lets numpy write straight
+    into them; a buffered take would add a copy of A to the peak memory."""
+    return [v if v is None else np.take(
+        v, keep, axis=0, mode="clip",
+        out=la.aligned_stack(keep.size, *v.shape[1:])) for v in arrays]
 
 
 def _drive(steps, count, tol, maxit, patience, history):
@@ -104,80 +122,88 @@ def _drive(steps, count, tol, maxit, patience, history):
 
     `steps` yields (series, broke, saved): recurred norms (a gap may
     follow), zero-curvature marks and the arrays kept at the best iterate
-    (x first); it is sent the rows still running, or None."""
+    (x first); it is sent the rows still running, or None.  Returns, per
+    problem, the saved arrays at the best iterate, its index, the status
+    code, the steps run and, with `history`, the histories."""
     series, _, saved = next(steps)
     norm = series[0].ravel()
     # Per active problem: global index, best norm, its index and iterate,
     # and limits.  A run goes on while threshold < norm <= ceiling; the
-    # ceiling is capped at the largest float, so an infinite norm is out
-    # of range.  A problem's best iterate and index go out when it stops.
+    # ceiling follows the best norm, capped at the largest float, so an
+    # infinite norm is out of range.  A problem's best iterate and index
+    # and its step count go out when it stops.
     idx, best, last = np.arange(count), norm.copy(), np.zeros(count, int)
     threshold = tol * norm
-    ceiling = np.minimum(DIVERGENCE_FACTOR * norm, np.finfo(float).max)
+    ceiling = np.minimum(DIVERGENCE_FACTOR * norm, _BIG)
     kept = [s.copy() for s in saved]
     out = [s.copy() for s in saved]
-    best_k, codes = np.zeros(count, int), np.zeros(count, int)
+    best_k, codes, runs = (np.zeros(count, int) for _ in range(3))
     logs = [[tuple(v.ravel()[i] for v in series)] for i in range(count)]
     # A zero initial residual (zero right-hand side or exact x0) is solved.
     codes[norm == 0.0] = 1
-    keep = None if norm.all() else np.flatnonzero(norm)
+    keep = None if np.count_nonzero(norm) == count else np.flatnonzero(norm)
     # No run stalls before step `deadline`: the earliest last + patience.
     k, deadline = 0, patience
     while keep is None or keep.size:
         if keep is not None:
-            idx, best, last, threshold, ceiling, *kept = _take(
-                keep, idx, best, last, threshold, ceiling, *kept)
+            idx, best, last, threshold, ceiling, *kept = (
+                v[keep] for v in (idx, best, last, threshold, ceiling, *kept))
         series, broke, saved = steps.send(keep)
         k, keep = k + 1, None
-        series = [v.ravel() for v in series]
-        norm, broke = series[0], broke.ravel()
-        up = (norm < best) & ~broke
-        if up.any():
+        norm, ok = series[0].ravel(), ~broke.ravel()
+        up = (norm < best) & ok
+        if np.count_nonzero(up):
             np.copyto(best, norm, where=up)
             np.copyto(last, k, where=up)
+            np.minimum(DIVERGENCE_FACTOR * best, _BIG, out=ceiling)
             for dst, src in zip(kept, saved):
                 np.copyto(dst, src, where=up[:, None, None])
         if history:
-            for j in np.flatnonzero(~broke):
-                logs[idx[j]].append(tuple(v[j] for v in series))
+            rows = [v.ravel() for v in series]
+            for j in np.flatnonzero(ok):
+                logs[idx[j]].append(tuple(v[j] for v in rows))
         if k >= deadline:
             deadline = last.min() + patience
-        if (k >= min(maxit, deadline)
-                or not ((norm > threshold) & (norm <= ceiling) & ~broke).all()):
+        going = (norm > threshold) & (norm <= ceiling) & ok
+        if k >= min(maxit, deadline) or np.count_nonzero(going) < going.size:
             # Codes are 1 + the index into STATUSES, in order of precedence.
             div = ~np.isfinite(norm) | (norm > ceiling)
-            code = np.select([broke, div, norm <= threshold,
+            code = np.select([~ok, div, norm <= threshold,
                               k - last >= patience, k >= maxit],
                              [5, 3, 1, 2, 4])
             stop = code != 0
             codes[idx[stop]], best_k[idx[stop]] = code[stop], last[stop]
+            runs[idx[stop]] = k
             for dst, src in zip(out, kept):
                 dst[idx[stop]] = src[stop]
             keep = np.flatnonzero(~stop)
     steps.close()
     hists = [np.array(logs[i][1:best_k[i] + 1]).reshape(-1, len(series)).T
              for i in range(count)]
-    return out, best_k, codes, hists if history else None
+    return out, best_k, codes, runs, hists if history else None
 
 
 def _cg_steps(a, rhs, x):
-    """CG on A^T A x = rhs; x, r and d are updated in place."""
-    r = rhs - a.mT @ (a @ x)
+    """CG on A^T A x = rhs; x, r, d and q are updated in place."""
+    r = np.subtract(rhs, a.mT @ (a @ x), out=la.aligned_stack(*x.shape))
     rho_new = r.mT @ r
     d = rho = None
+    q = la.aligned_stack(*x.shape)
     keep = yield (np.sqrt(rho_new),), None, (x,)
     while True:
-        a, x, r, d, rho, rho_new = _take(keep, a, x, r, d, rho, rho_new)
+        if keep is not None:
+            a, x, r, d, q, rho, rho_new = _take(keep, a, x, r, d, q, rho,
+                                                rho_new)
         if d is None:
-            d = r.copy()
+            d = _aligned(r)
         else:
-            d *= rho_new / rho
-            d += r
+            np.add(r, (rho_new / rho) * d, out=d)
         rho = rho_new
-        q = a.mT @ (a @ d)
+        np.matmul(a.mT, a @ d, out=q)
         den = d.mT @ q
         broke = den <= 0.0
-        alpha = rho / np.where(broke, np.inf, den)
+        np.copyto(den, np.inf, where=broke)
+        alpha = rho / den
         x += alpha * d
         r -= alpha * q
         rho_new = r.mT @ r
@@ -186,32 +212,33 @@ def _cg_steps(a, rhs, x):
 
 def _cgls_steps(a, b, x, shift=None, gaps=False):
     """CGLS on min ||a x - b||, r = a^T d (+ shift); `gaps` adds ||b - a x - d||.
-    x, d and p_dir are updated in place.  The row vectors whose norms are
-    taken (t = a p_dir and the gap) are formed in ``linalg.aligned_stack``s,
-    each at the alignment of its own call whatever the row count."""
-    d = b - a @ x
+    x, d, r, p_dir, t = a p_dir and the gap vector g are updated in place."""
+    d = np.subtract(b, a @ x, out=la.aligned_stack(*b.shape))
+    r, t = la.aligned_stack(*x.shape), la.aligned_stack(*b.shape)
+    g = la.aligned_stack(*b.shape) if gaps else None
     p_dir = rho = broke = None
     while True:
-        r = a.mT @ d
+        np.matmul(a.mT, d, out=r)
         if shift is not None:
             r += shift
         rho_new = r.mT @ r
         if gaps:
-            g = np.subtract(b - a @ x, d, out=la.aligned_stack(*b.shape))
+            np.subtract(b - a @ x, d, out=g)
         series = (np.sqrt(rho_new),) + ((np.sqrt(g.mT @ g),) if gaps else ())
         keep = yield series, broke, (x, d)
-        a, b, x, d, r, rho_new, shift, p_dir, rho = _take(
-            keep, a, b, x, d, r, rho_new, shift, p_dir, rho)
+        if keep is not None:
+            a, b, x, d, r, t, g, rho_new, shift, p_dir, rho = _take(
+                keep, a, b, x, d, r, t, g, rho_new, shift, p_dir, rho)
         if p_dir is None:
-            p_dir = r
+            p_dir = _aligned(r)
         else:
-            p_dir *= rho_new / rho
-            p_dir += r
+            np.add(r, (rho_new / rho) * p_dir, out=p_dir)
         rho = rho_new
-        t = np.matmul(a, p_dir, out=la.aligned_stack(*b.shape))
+        np.matmul(a, p_dir, out=t)
         tt = t.mT @ t
         broke = tt <= 0.0
-        alpha = rho / np.where(broke, np.inf, tt)
+        np.copyto(tt, np.inf, where=broke)
+        alpha = rho / tt
         x += alpha * p_dir
         d -= alpha * t
 
@@ -222,42 +249,50 @@ def _minres_steps(a, b, c, x):
     Only the x blocks of the iterate and of the direction w are carried;
     their r blocks are never read.  A zero Lanczos beta makes phibar zero
     (converged); r1 = 0 and oldb = 1 make the first three-term update
-    exactly y - 0."""
+    exactly y - 0.  The Lanczos vectors r1, r2 and y, and the directions
+    w, w2 and w0, each take turns in three buffers."""
     m = a.shape[1]
 
-    def op(v):
-        out = np.empty_like(v)
+    def op(v, out):
         np.matmul(a, v[:, m:], out=out[:, :m])
         out[:, :m] += v[:, :m]
         np.matmul(a.mT, v[:, :m], out=out[:, m:])
         return out
 
-    y = r2 = np.concatenate([b, -c], axis=1) - op(
-        np.concatenate([b - a @ x, x], axis=1))
-    beta = phibar = np.sqrt(y.mT @ y)
+    shape = (len(a), m + x.shape[1], 1)
+    r2 = op(np.concatenate([b - a @ x, x], axis=1,
+                           out=la.aligned_stack(*shape)),
+            la.aligned_stack(*shape))
+    np.subtract(np.concatenate([b, -c], axis=1), r2, out=r2)
+    beta = phibar = np.sqrt(r2.mT @ r2)
     keep = yield (phibar,), None, (x,)
     dbar = epsln = sn = np.zeros_like(beta)
     oldb, cs = np.ones_like(beta), -np.ones_like(beta)
-    r1 = np.zeros_like(y)
-    w = w2 = np.zeros_like(x)
+    r1 = np.zeros_like(r2)
+    v, y = la.aligned_stack(*shape), la.aligned_stack(*shape)
+    w, w2, w0 = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
     while True:
-        a, x, y, r1, r2, w, w2, oldb, beta, dbar, epsln, phibar, cs, sn = _take(
-            keep, a, x, y, r1, r2, w, w2, oldb, beta, dbar, epsln, phibar, cs, sn)
-        v = y / beta
-        y = op(v) - (beta / oldb) * r1
+        if keep is not None:
+            (a, x, v, y, r1, r2, w, w2, w0, oldb, beta, dbar, epsln, phibar,
+             cs, sn) = _take(keep, a, x, v, y, r1, r2, w, w2, w0, oldb, beta,
+                             dbar, epsln, phibar, cs, sn)
+        np.divide(r2, beta, out=v)
+        op(v, y)
+        y -= (beta / oldb) * r1
         alfa = v.mT @ y
-        y = y - (alfa / beta) * r2
-        r1, r2, oldb, beta, oldeps = r2, y, beta, np.sqrt(y.mT @ y), epsln
+        y -= (alfa / beta) * r2
+        r1, r2, y = r2, y, r1
+        oldb, beta, oldeps = beta, np.sqrt(r2.mT @ r2), epsln
         delta, gbar = cs * dbar + sn * alfa, sn * dbar - cs * alfa
         epsln, dbar = sn * beta, -cs * beta
         gamma = np.hypot(gbar, beta)
         broke = gamma == 0.0
-        gamma = np.where(broke, np.inf, gamma)
+        np.copyto(gamma, np.inf, where=broke)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
-        w1, w2 = w2, w
-        w = (v[:, m:] - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        np.divide(v[:, m:] - oldeps * w2 - delta * w, gamma, out=w0)
+        w, w2, w0 = w0, w, w2
+        x += phi * w
         keep = yield (phibar,), broke, (x,)
 
 
@@ -282,7 +317,7 @@ def _start(method, s, control, history, eps):
         rhs, ex, en = np.ldexp(rhs, -er), ex + er, en + er
     elif method == "minres":
         en = es
-    x = np.ldexp(x0[:, None], -ex)
+    x = np.ldexp(x0[:, None], -ex, out=la.aligned_stack(len(a), x0.size, 1))
     steps = (_cg_steps(a, rhs, x) if method == "cg" else
              _minres_steps(a, b, c, x) if method == "minres" else
              _cgls_steps(a, b, x, c, history and method == "cgls_i"))
@@ -301,11 +336,13 @@ def solve_batch(method, probs, control=None, eps=DEFAULT_EPS, history=False):
         raise InvalidParameter(f"unknown Krylov method {method!r}")
     steps, limits, ex, en, es = _start(method, Stack(probs), control,
                                        history, eps)
-    kept, best_k, codes, hists = _drive(steps, len(probs), *limits, history)
+    kept, best_k, codes, runs, hists = _drive(steps, len(probs), *limits,
+                                              history)
     xs, outs = np.ldexp(kept[0], ex)[:, :, 0], []
     for i, p in enumerate(probs):
         o = SolveOutcome(
             x=xs[i], iterations=int(best_k[i]), status=STATUSES[codes[i] - 1],
+            iterations_run=int(runs[i]),
             residual_norm_history=hists and np.ldexp(hists[i][0], en[i]))
         if method == "cgls_i":
             # The gap, relative to sigma_max(A) ||x_exact|| (or ||x||), is 0

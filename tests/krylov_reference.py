@@ -14,23 +14,24 @@ from qlskit import iterative, linalg, problems
 
 
 def drive(steps, tol, maxit, patience, gaps=None):
-    """(x, iterations, status, norm history, gap history) of a step generator."""
+    """(x, iterations, status, norm history, gap history, steps run) of a
+    step generator; the step that breaks down counts as run."""
     x, norm = next(steps)
     hist = [norm]
-    threshold, ceiling = tol * norm, iterative.DIVERGENCE_FACTOR * norm
+    threshold = tol * norm
     best, best_k, stalled = norm, 0, 0
     status = "converged" if norm == 0.0 else None
     x_best = x.copy()
     k = 0
     while not status:
         step = next(steps, None)
+        k += 1
         if step is None:
             status = "breakdown"
             break
         x, norm = step
-        k += 1
         hist.append(norm)
-        if not np.isfinite(norm) or norm > ceiling:
+        if not np.isfinite(norm) or norm > iterative.DIVERGENCE_FACTOR * best:
             status = "diverged"
             break
         if norm < best:
@@ -45,7 +46,7 @@ def drive(steps, tol, maxit, patience, gaps=None):
             status = "max_iterations"
     end = best_k + 1
     gap_hist = None if gaps is None else np.array(gaps[1:end])
-    return x_best, best_k, status, np.array(hist[1:end]), gap_hist
+    return x_best, best_k, status, np.array(hist[1:end]), gap_hist, k
 
 
 def cg_steps(a, rhs, x):
@@ -159,17 +160,17 @@ PUBLIC = {
 }
 
 
-def mixed_problems():
-    """16 x 8 problems whose runs stop for every reason between them.
+def mixed_problems(m=16, n=8):
+    """m x n problems whose runs stop for every reason between them.
 
     Under ``long_control`` CGLSI and CGLSEPS diverge past their floor on
     the first three and run to the cap on "mid"; under ``short_control``
     they stall and MINRES reaches the cap on "mid".  "ls" (columns 1e100
     apart) breaks CGLS down, "shift" (a c-driven rhs on columns 1e170
     apart) breaks CG, CGLSI and MINRES down, "zero" has a zero
-    right-hand side and "exact" is solved by x0 = 1.
+    right-hand side and "exact" is solved by x0 = 1.  (As stated for
+    16 x 8; other shapes may stop for fewer reasons.)
     """
-    m, n = 16, 8
     rng = np.random.default_rng(np.random.SeedSequence([42, 9]))
     out = [
         problems.assemble_problem(m, n, np.linspace(2.0, 1.0, n),
@@ -200,9 +201,9 @@ def long_control():
                                       patience=3000)
 
 
-def short_control():
+def short_control(n=8):
     return iterative.IterationControl(tol=1e-30, max_iterations=60,
-                                      patience=8, x0=np.ones(8))
+                                      patience=8, x0=np.ones(n))
 
 
 def unscaled(method, p, eps):
@@ -236,26 +237,28 @@ def mismatches(probs, control, eps=2.0 ** -47):
             one = PUBLIC[method](p, control, eps)
             seen.add(one.status)
             if unscaled(method, p, eps):
-                x, k, status, hist, gaps = solve(method, p, control, eps)
-                want = [x, k, status, hist]
+                x, k, status, hist, gaps, run = solve(method, p, control, eps)
+                want = [x, k, run, status, hist]
                 if method == "cgls_i":
                     gaps = gaps / _gap_scale(p, x)
                     want += [gaps, float(gaps[-1]) if len(gaps) else 0.0]
             else:
-                want = [one.x, one.iterations, one.status,
-                        one.residual_norm_history]
-                if method == "cgls_i":
-                    want += [one.true_residual_gap_history, one.residual_gap]
+                want = _fields(one, method)
             for got, label in ((one, "single"), (t, "batch+history"),
                                (o, "batch")):
-                have = [got.x, got.iterations, got.status,
-                        got.residual_norm_history]
-                if method == "cgls_i":
-                    have += [got.true_residual_gap_history, got.residual_gap]
-                for j, (w, h) in enumerate(zip(want, have)):
-                    if label == "batch" and j in (3, 4):
+                for j, (w, h) in enumerate(zip(want, _fields(got, method))):
+                    if label == "batch" and j in (4, 5):
                         if h is not None:
                             bad.append((method, p.label, label, "history kept"))
                     elif not np.array_equal(w, h):
                         bad.append((method, p.label, label, j))
     return bad, seen
+
+
+def _fields(o, method):
+    """The compared fields of outcome o, in the order of `mismatches`."""
+    have = [o.x, o.iterations, o.iterations_run, o.status,
+            o.residual_norm_history]
+    if method == "cgls_i":
+        have += [o.true_residual_gap_history, o.residual_gap]
+    return have

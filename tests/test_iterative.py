@@ -224,14 +224,49 @@ def test_stall_status_under_small_patience():
 
 def test_diverged_status_past_the_floor():
     # Without a stall window CGLSI's recurred residual grows past its
-    # floor until it crosses DIVERGENCE_FACTOR times the initial norm.
+    # floor until it crosses DIVERGENCE_FACTOR times its smallest value so
+    # far, some steps after the iterate returned.
     rng = np.random.default_rng(np.random.SeedSequence([42, 9]))
     p = problems.assemble_problem(16, 8, problems.sigma_c1(8, 0.5),
                                   0.1 * rng.random(8), kind=1, seed=109)
     o = iterative.cgls_i(p, control=iterative.IterationControl(
         tol=1e-30, max_iterations=3000, patience=3000))
     assert o.status == "diverged" and 0 < o.iterations < 3000
+    assert o.iterations < o.iterations_run
     assert np.linalg.norm(o.x - p.x_exact) <= 1e-10 * np.linalg.norm(p.x_exact)
+
+
+def _norm_steps(*seqs):
+    """A step generator whose problem i yields the recurred norms seqs[i];
+    its iterate x is the step index."""
+    norms = np.array(seqs)[:, :, None, None]
+    rows, x = np.arange(len(seqs)), np.zeros((len(seqs), 1, 1))
+    keep = yield (norms[:, 0],), None, (x,)
+    for k in range(1, norms.shape[1]):
+        rows = rows if keep is None else rows[keep]
+        keep = yield ((norms[rows, k],), np.zeros((rows.size, 1, 1), bool),
+                      (np.full((rows.size, 1, 1), float(k)),))
+
+
+def test_divergence_is_measured_from_the_best_norm():
+    # Problem 0 rises to 1e12 times its best norm, comes back below it and
+    # runs on to the cap; problem 1 rises past 1e13 times its best, still
+    # below 1e13 times its initial norm, and stops there as diverged.  The
+    # scalar reference loop applies the same rule.
+    seqs = ([1.0, 1e-4, 1e8, 1e-5, 1.0], [1.0, 1e-6, 2e7, 1e-7, 1.0])
+    out, best_k, codes, runs, hists = iterative._drive(
+        _norm_steps(*seqs), 2, 1e-30, 4, 10, history=True)
+    statuses = [iterative.STATUSES[c - 1] for c in codes]
+    assert statuses == ["max_iterations", "diverged"]
+    assert best_k.tolist() == [3, 1] and runs.tolist() == [4, 2]
+    assert out[0].ravel().tolist() == [3.0, 1.0]
+    assert hists[0][0].tolist() == seqs[0][1:4]
+    assert hists[1][0].tolist() == seqs[1][1:2]
+    for seq, k, run, status in zip(seqs, best_k, runs, statuses):
+        want = kr.drive(((np.full(1, float(i)), v) for i, v in enumerate(seq)),
+                        1e-30, 4, 10)
+        assert (want[1], want[2], want[5]) == (k, status, run)
+        assert want[0][0] == k
 
 
 def test_breakdown_on_vanishing_curvature():
@@ -365,13 +400,16 @@ def test_batch_bitwise_under_each_blas_kernel(core):
     # A batch is bitwise its B = 1 calls only if the stacked operations
     # reach the same kernels; a short run of the mixed batch checks that
     # under each OpenBLAS core.  Prescott's ddot sums a vector that starts
-    # 8 bytes off a 16-byte boundary in another order, so CGLSEPS's rows
-    # (17 here) hold their own call's alignment in the batch.
+    # 8 bytes off a 16-byte boundary in another order, so every step
+    # vector holds its own call's alignment in the batch, whatever its
+    # length: CGLSEPS's rows (17, 16 and 18 here), odd n (15 x 7) and
+    # MINRES's odd m + n (17 x 8).
     out = run_under_core(
         core, "import krylov_reference as kr\n"
-        "bad, seen = kr.mismatches(kr.mixed_problems(), kr.short_control())\n"
-        "print(bad)\n")
-    assert out.strip() == "[]"
+        "print([kr.mismatches(kr.mixed_problems(m, n),\n"
+        "                     kr.short_control(n))[0]\n"
+        "       for m, n in ((16, 8), (15, 7), (17, 8))])\n")
+    assert out.strip() == "[[], [], []]"
 
 
 def test_cgls_shape_error():
