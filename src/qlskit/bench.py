@@ -1,35 +1,19 @@
 """Experiment harness: suites, records, performance profiles, reports.
 
-An experiment is a single JSON document:
-
-    {
-      "seed": 1729,
-      "eps": 7.105427357601002e-15,
-      "tol": 1e-30,
-      "maxIterations": 4000,
-      "patience": 200,
-      "solvers": ["CG", "CGLSI", "CGLSEPS"],
-      "output": "records.csv",
-      "families": [
-        {"type": "c1", "m": 40, "n": 20, "a": 2.0, "alpha": 1e-10,
-         "kind": 1, "seed": 100, "cseed": [42, 0], "label": "row1"},
-        {"type": "c2", "up": 100.0, "dw": 1e-4, "alpha": 1e-4},
-        {"type": "set_p"},
-        {"type": "file", "path": "problems/p00.qls"}
-      ]
-    }
-
-Everything except "families" is optional.  "c1"/"c2" build one
-synthetic problem each (c = alpha * uniform draw seeded by "cseed");
-"set_p" expands to the full 40-problem benchmark set; "file" loads a
-saved problem.  ``run_suite`` produces one record per (problem,
-solver), deterministic apart from wall clock times.
+An experiment is a JSON document.  Its keys, each with its type, bound
+and default, are declared once, in ``CONFIG_SCHEMA`` and
+``FAMILY_SCHEMA``; README "Configuration files" shows the same tables.
+``parse_config`` checks a document against them, and ``run_suite``
+produces one record per (problem, solver), deterministic apart from
+wall clock times.
 """
 
 import csv
 import json
 import os
+import sys
 import time
+from collections import namedtuple
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -75,17 +59,6 @@ SOLVER_TABLE = {
     "AUG": (None, lambda p, eps, control: direct.solve_aug(p), None),
 }
 SOLVERS = tuple(SOLVER_TABLE)
-
-
-def check_solvers(names, where):
-    """Return `names` as a tuple; ConfigError naming `where` on an unknown one."""
-    for name in names:
-        if name not in SOLVER_TABLE:
-            raise ConfigError(
-                f"{where}: unknown solver {name!r}; "
-                f"valid names: {', '.join(SOLVERS)}"
-            )
-    return tuple(names)
 
 
 # Above this relative error a run counts as failed (not merely inaccurate).
@@ -144,16 +117,76 @@ class ProfileCurve:
         return np.array([f for _, f in self.points])
 
 
+# ---------------------------------------------------------------------------
+# Config schema and parsing
+# ---------------------------------------------------------------------------
+
+class Rule(str):
+    """A default worked out per family: a Python expression in the
+    config's ``seed``, the family's index ``idx`` and its ``type``,
+    shown as this text in README."""
+
+
+REQUIRED = object()  # the default of a key that must be given
+
+# One config key: its type, a list of one type for a non-empty list of
+# that type; its Bound, checked on the value or on each entry; and its
+# default, a constant, REQUIRED or a Rule.
+Key = namedtuple("Key", "type bound default", defaults=(None, None))
+
+# A bound as the error and README say it, and its test.  eps_weight
+# raises InvalidParameter on an eps it cannot round.
+Bound = namedtuple("Bound", "text test")
+_POSITIVE = Bound("positive", lambda v: v > 0)
+_NON_NEGATIVE = Bound("non-negative", lambda v: v >= 0)
+_KIND = Bound("in 1..6", lambda v: 1 <= v <= 6)
+_SOLVER = Bound("one of " + ", ".join(SOLVERS), SOLVER_TABLE.__contains__)
+_EPS = Bound("a power of two in [2^-1023, 1] once rounded",
+             problems.eps_weight)
+
+CONFIG_SCHEMA = {
+    "families": Key([dict], None, REQUIRED),
+    "solvers": Key([str], _SOLVER, SOLVERS),
+    "seed": Key(int, _NON_NEGATIVE, problems.DEFAULT_SET_SEED),
+    "eps": Key(float, _EPS, problems.DEFAULT_EPS),
+    "tol": Key(float, _POSITIVE),
+    "maxIterations": Key(int, _POSITIVE),
+    "patience": Key(int, _POSITIVE),
+    "output": Key(str),
+}
+_SYNTHETIC = {
+    "m": Key(int, _POSITIVE, 40),
+    "n": Key(int, _POSITIVE, 20),
+    "alpha": Key(float, None, 1.0),
+    "kind": Key(int, _KIND, 1),
+    "seed": Key(int, _NON_NEGATIVE, Rule("seed * 100 + idx")),
+    "cseed": Key([int], _NON_NEGATIVE, Rule("[seed, idx]")),
+    "label": Key(str, None, Rule('f"{type}-{idx:02d}"')),
+}
+# The keys of each family type but "type" itself.
+FAMILY_SCHEMA = {
+    "c1": {"a": Key(float, _POSITIVE, REQUIRED), **_SYNTHETIC},
+    "c2": {"up": Key(float, _POSITIVE, REQUIRED),
+           "dw": Key(float, _POSITIVE, REQUIRED), **_SYNTHETIC},
+    "set_p": {"m": Key(int, _POSITIVE, 100), "n": Key(int, _POSITIVE, 50),
+              "seed": Key(int, _NON_NEGATIVE, Rule("seed"))},
+    "file": {"path": Key(str, None, REQUIRED), "verify": Key(bool, None, True)},
+}
+
+
 @dataclass
 class ExperimentConfig:
+    """A checked config: its families as given, and its top-level keys
+    (``maxIterations`` as ``max_iterations``), defaults from the schema."""
+
     families: list
-    solvers: tuple = SOLVERS
-    seed: int = problems.DEFAULT_SET_SEED
-    eps: float = problems.DEFAULT_EPS
-    tol: float = None
-    max_iterations: int = None
-    patience: int = None
-    output: str = None
+    solvers: tuple = CONFIG_SCHEMA["solvers"].default
+    seed: int = CONFIG_SCHEMA["seed"].default
+    eps: float = CONFIG_SCHEMA["eps"].default
+    tol: float = CONFIG_SCHEMA["tol"].default
+    max_iterations: int = CONFIG_SCHEMA["maxIterations"].default
+    patience: int = CONFIG_SCHEMA["patience"].default
+    output: str = CONFIG_SCHEMA["output"].default
 
     def control(self):
         return iterative.IterationControl(
@@ -162,37 +195,62 @@ class ExperimentConfig:
         )
 
 
-# ---------------------------------------------------------------------------
-# Config parsing
-# ---------------------------------------------------------------------------
+def _check(val, kind, bound, where):
+    """ConfigError naming `where` unless `val` has type `kind`, is finite
+    and keeps `bound`."""
+    if isinstance(kind, list):
+        if not isinstance(val, list) or not val:
+            raise ConfigError(f"{where}: must be a non-empty list, got {val!r}")
+        for i, entry in enumerate(val):
+            _check(entry, kind[0], bound, f"{where}[{i}]")
+        return
+    # A bool is no int here, and an int is a float.
+    if (isinstance(val, bool) != (kind is bool)
+            or not isinstance(val, (float, int) if kind is float else kind)):
+        raise ConfigError(f"{where}: expected {kind.__name__}, "
+                          f"got {type(val).__name__}")
+    # NaN fails the test, and so does an int too large for binary64.
+    if kind is float and not abs(val) <= sys.float_info.max:
+        raise ConfigError(f"{where}: must be finite, got {val!r}")
+    try:
+        ok = bound is None or bound.test(val)
+    except InvalidParameter:
+        ok = False
+    if not ok:
+        raise ConfigError(f"{where}: must be {bound.text}, got {val!r}")
 
-_TOP_KEYS = {"families", "solvers", "seed", "eps", "tol", "maxIterations",
-             "patience", "output"}
-_FAMILY_KEYS = {
-    "c1": {"type", "m", "n", "a", "alpha", "kind", "seed", "cseed", "label"},
-    "c2": {"type", "m", "n", "up", "dw", "alpha", "kind", "seed", "cseed",
-           "label"},
-    "set_p": {"type", "m", "n", "seed"},
-    "file": {"type", "path", "verify"},
-}
-# Default (m, n) of the generated families.
-_SHAPE = {"c1": (40, 20), "c2": (40, 20), "set_p": (100, 50)}
 
-
-def _want(obj, key, kinds, where, required=False, positive=False):
-    if key not in obj:
-        if required:
+def _walk(obj, schema, where):
+    """ConfigError naming `where.key` for an unknown key of `obj`, a
+    missing required one, or a value that `schema` does not allow."""
+    for key in obj:
+        if key not in schema:
+            raise ConfigError(f"{where}.{key}: unknown field")
+    for key, spec in schema.items():
+        if key in obj:
+            _check(obj[key], spec.type, spec.bound, f"{where}.{key}")
+        elif spec.default is REQUIRED:
             raise ConfigError(f"{where}.{key}: required field is missing")
-        return None
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, kinds):
-        raise ConfigError(
-            f"{where}.{key}: expected {kinds[0].__name__}, "
-            f"got {type(val).__name__}"
-        )
-    if positive and not val > 0:
-        raise ConfigError(f"{where}.{key}: must be positive, got {val!r}")
-    return val
+
+
+def _values(obj, schema, **names):
+    """Each key of `schema`: obj's value (a float key's as float), or its
+    default, a Rule worked out on `names`."""
+    out = {}
+    for key, spec in schema.items():
+        if key in obj:
+            out[key] = float(obj[key]) if spec.type is float else obj[key]
+        else:
+            out[key] = (eval(spec.default, {}, names)
+                        if isinstance(spec.default, Rule) else spec.default)
+    return out
+
+
+def family_values(fam, idx, seed):
+    """Every key of family `idx` of a config whose seed is `seed`, absent
+    ones at their defaults."""
+    return _values(fam, FAMILY_SCHEMA[fam["type"]], seed=seed, idx=idx,
+                   type=fam["type"])
 
 
 def read_config(source):
@@ -225,93 +283,35 @@ def read_config(source):
 
 
 def parse_config(source):
-    """Validate a config document (dict, JSON text, or str/PathLike path).
+    """Check a config document (dict, JSON text, or str/PathLike path)
+    against the schema; return its ExperimentConfig.
 
-    Raises ConfigError naming the offending field path, e.g.
-    "families[2].up: must be positive", and for any other kind of source.
+    Raises ConfigError naming the offending key, e.g.
+    "families[2].up: must be positive, got 0", and for any other kind of
+    source.  Beyond the schema, three rules tie keys together: m >= n
+    (defaults included), set_p n >= 2, and c2 dw < up.
     """
     obj = read_config(source)
-    extra = set(obj) - _TOP_KEYS
-    if extra:
-        raise ConfigError(f"config.{sorted(extra)[0]}: unknown field")
-    fams = obj.get("families")
-    if not isinstance(fams, list) or not fams:
-        raise ConfigError("config.families: must be a non-empty list")
-    for idx, fam in enumerate(fams):
+    _walk(obj, CONFIG_SCHEMA, "config")
+    top = _values(obj, CONFIG_SCHEMA)
+    for idx, fam in enumerate(obj["families"]):
         where = f"families[{idx}]"
-        if not isinstance(fam, dict):
-            raise ConfigError(f"{where}: must be an object")
         ftype = fam.get("type")
-        if ftype not in _FAMILY_KEYS:
-            raise ConfigError(
-                f"{where}.type: expected one of {sorted(_FAMILY_KEYS)}, "
-                f"got {ftype!r}"
-            )
-        extra = set(fam) - _FAMILY_KEYS[ftype]
-        if extra:
-            raise ConfigError(f"{where}.{sorted(extra)[0]}: unknown field "
-                              f"for type {ftype!r}")
-        _want(fam, "m", (int,), where, positive=True)
-        _want(fam, "n", (int,), where, positive=True)
-        if ftype in _SHAPE:
-            m, n = fam.get("m", _SHAPE[ftype][0]), fam.get("n", _SHAPE[ftype][1])
-            if m < n:
-                raise ConfigError(f"{where}.m: must be at least n = {n}, got {m}")
-            if ftype == "set_p" and n < 2:
-                raise ConfigError(f"{where}.n: set_p needs n >= 2, got {n}")
-        if ftype == "c1":
-            _want(fam, "a", (float, int), where, required=True, positive=True)
-        elif ftype == "c2":
-            up = _want(fam, "up", (float, int), where, required=True,
-                       positive=True)
-            dw = _want(fam, "dw", (float, int), where, required=True,
-                       positive=True)
-            if dw >= up:
-                raise ConfigError(f"{where}.dw: must be less than up")
-        elif ftype == "file":
-            _want(fam, "path", (str,), where, required=True)
-            if not isinstance(fam.get("verify", True), bool):
-                raise ConfigError(f"{where}.verify: expected bool, "
-                                  f"got {type(fam['verify']).__name__}")
-        if ftype in ("c1", "c2"):
-            _want(fam, "alpha", (float, int), where)
-            kind = _want(fam, "kind", (int,), where)
-            if kind is not None and not 1 <= kind <= 6:
-                raise ConfigError(f"{where}.kind: must be in 1..6")
-            _want(fam, "seed", (int,), where)
-            cseed = fam.get("cseed")
-            if cseed is not None:
-                if (not isinstance(cseed, list) or not cseed
-                        or not all(isinstance(v, int) and not isinstance(v, bool)
-                                   for v in cseed)):
-                    raise ConfigError(
-                        f"{where}.cseed: must be a non-empty list of ints")
-            _want(fam, "label", (str,), where)
-    solvers = obj.get("solvers", list(SOLVERS))
-    if not isinstance(solvers, list) or not solvers:
-        raise ConfigError("config.solvers: must be a non-empty list")
-    solvers = check_solvers(solvers, "config.solvers")
-    seed = _want(obj, "seed", (int,), "config")
-    eps = _want(obj, "eps", (float, int), "config")
-    if eps is not None:
-        try:
-            problems.eps_weight(eps)
-        except InvalidParameter as exc:
-            raise ConfigError(f"config.eps: {exc}") from None
-    tol = _want(obj, "tol", (float, int), "config", positive=True)
-    maxit = _want(obj, "maxIterations", (int,), "config", positive=True)
-    patience = _want(obj, "patience", (int,), "config", positive=True)
-    output = _want(obj, "output", (str,), "config")
-    return ExperimentConfig(
-        families=fams,
-        solvers=solvers,
-        seed=problems.DEFAULT_SET_SEED if seed is None else seed,
-        eps=problems.DEFAULT_EPS if eps is None else float(eps),
-        tol=None if tol is None else float(tol),
-        max_iterations=maxit,
-        patience=patience,
-        output=output,
-    )
+        if ftype not in FAMILY_SCHEMA:
+            raise ConfigError(f"{where}.type: expected one of "
+                              f"{sorted(FAMILY_SCHEMA)}, got {ftype!r}")
+        _walk({k: v for k, v in fam.items() if k != "type"},
+              FAMILY_SCHEMA[ftype], where)
+        v = family_values(fam, idx, top["seed"])
+        if "m" in v and v["m"] < v["n"]:
+            raise ConfigError(f"{where}.m: must be at least n = {v['n']}, "
+                              f"got {v['m']}")
+        if ftype == "set_p" and v["n"] < 2:
+            raise ConfigError(f"{where}.n: set_p needs n >= 2, got {v['n']}")
+        if ftype == "c2" and v["dw"] >= v["up"]:
+            raise ConfigError(f"{where}.dw: must be less than up")
+    top["max_iterations"] = top.pop("maxIterations")
+    return ExperimentConfig(**dict(top, solvers=tuple(top["solvers"])))
 
 
 def build_problems(config):
@@ -350,31 +350,23 @@ def build_problems(config):
 
 def _family_problems(config, idx, fam, loaded):
     """The problems of family `idx`; `loaded` is its file's problem or None."""
-    ftype = fam["type"]
+    ftype, v = fam["type"], family_values(fam, idx, config.seed)
     if ftype == "file":
-        p = loaded or problems.load_problem(fam["path"], verify=False)
-        if fam.get("verify", True):
+        p = loaded or problems.load_problem(v["path"], verify=False)
+        if v["verify"]:
             p.verify_construction()
         return [p]
-    m = fam.get("m", _SHAPE[ftype][0])
-    n = fam.get("n", _SHAPE[ftype][1])
     if ftype == "set_p":
-        return problems.generate_problem_set_p(
-            seed=fam.get("seed", config.seed), m=m, n=n)
+        return problems.generate_problem_set_p(seed=v["seed"], m=v["m"],
+                                               n=v["n"])
     if ftype == "c1":
-        sigma = problems.sigma_c1(n, float(fam["a"]))
+        sigma = problems.sigma_c1(v["n"], v["a"])
     else:
-        sigma = problems.sigma_c2(n, float(fam["dw"]), float(fam["up"]))
-    alpha = float(fam.get("alpha", 1.0))
-    cseed = fam.get("cseed", [config.seed, idx])
-    rng = np.random.default_rng(np.random.SeedSequence(list(cseed)))
-    c = alpha * rng.random(n)
-    return [problems.assemble_problem(
-        m, n, sigma, c,
-        kind=fam.get("kind", 1),
-        seed=fam.get("seed", config.seed * 100 + idx),
-        label=fam.get("label", f"{ftype}-{idx:02d}"),
-    )]
+        sigma = problems.sigma_c2(v["n"], v["dw"], v["up"])
+    c = v["alpha"] * problems.seeded_rng(*v["cseed"]).random(v["n"])
+    return [problems.assemble_problem(v["m"], v["n"], sigma, c,
+                                      kind=v["kind"], seed=v["seed"],
+                                      label=v["label"])]
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +468,8 @@ def run_suite(config):
     """
     if not isinstance(config, ExperimentConfig):
         config = parse_config(config)
-    solvers = check_solvers(config.solvers, "config.solvers")
+    spec = CONFIG_SCHEMA["solvers"]  # a config built in code is checked too
+    _check(list(config.solvers), spec.type, spec.bound, "config.solvers")
     probs = build_problems(config)
     refs = []
     for p in probs:
@@ -492,7 +485,7 @@ def run_suite(config):
     for i, p in enumerate(probs):
         groups.setdefault((p.m, p.n), []).append(i)
     records = []
-    for solver in solvers:
+    for solver in config.solvers:
         for members in groups.values():
             t0 = time.perf_counter_ns()
             outcomes = solve(solver, [probs[i] for i in members], config.eps,

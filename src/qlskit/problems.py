@@ -162,13 +162,20 @@ def sigma_c2(n, dw, up):
     return np.linspace(dw, up, n)
 
 
+def seeded_rng(*entropy):
+    """numpy's generator of SeedSequence(entropy); every seed enters here,
+    and a negative one raises InvalidParameter, not numpy's ValueError."""
+    if min(entropy) < 0:
+        raise InvalidParameter(f"seed must be non-negative, got {list(entropy)}")
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
 def _seeded_factors(dim, specs):
     """Q factors, column signs fixed by diag(R) > 0, of the seeded
     Gaussian matrices of `specs` ((kind, seed) pairs), as one stack."""
     g = np.empty((len(specs), dim, dim))
     for b, (kind, seed) in enumerate(specs):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), kind, dim]))
-        rng.standard_normal(out=g[b])
+        seeded_rng(seed, kind, dim).standard_normal(out=g[b])
     f, g = la.householder_qr(g), None
     q = la.apply_q(f, np.eye(dim))
     q *= np.copysign(1.0, np.diagonal(f.r, axis1=1, axis2=2))[:, None]
@@ -401,6 +408,7 @@ def generate_problem_set_p(seed=DEFAULT_SET_SEED, m=100, n=50):
     """
     # Every factor of one order comes from one orthogonal_factors call;
     # the loop drops each pair once its problem is built.
+    units = [seeded_rng(seed, idx).random(n) for idx in range(40)]
     specs = [(1 + idx % 6, seed * 100 + idx) for idx in range(40)]
     us = orthogonal_factors(m, specs)
     vs = orthogonal_factors(n, [(kind, s + 1) for kind, s in specs])
@@ -422,22 +430,20 @@ def generate_problem_set_p(seed=DEFAULT_SET_SEED, m=100, n=50):
             sigma = sigma_c2(n, dw, up)
             tag = f"up{up:.6g}-dw{dw:.6g}"
         kind, prob_seed = specs[idx]
-        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        unit = rng.random(n)
         u, v, us[idx], vs[idx] = us[idx], vs[idx], None, None
         x_norm = np.linalg.norm(np.arange(n, dtype=float))
         style = idx % 3
         chosen = None
         for s in _C_MAGNITUDES:
             lo, hi = _c_band(style, s)
-            cand = lo + (hi - lo) * unit
+            cand = lo + (hi - lo) * units[idx]
             rho = np.linalg.norm((v.T @ cand) / sigma)
             if rho <= 0.5 * np.max(sigma) * x_norm:
                 chosen = cand
                 break
         if chosen is None:
             lo, hi = _c_band(style, _C_MAGNITUDES[-1])
-            chosen = lo + (hi - lo) * unit
+            chosen = lo + (hi - lo) * units[idx]
         label = f"p{idx:02d}-{family}-{tag}-k{kind}-s{prob_seed}"
         # u and v are the factors assemble_problem would build again.
         problems.append(assemble_problem(m, n, sigma, chosen, label=label, u=u, v=v))

@@ -92,9 +92,11 @@ def test_solver_table_is_the_only_name_list():
     assert bench.SOLVERS == ("CG", "CGLSI", "CGLSEPS", "MINRES", "QR",
                              "QREPS", "SM", "AUG")
     assert bench.SOLVERS == tuple(bench.SOLVER_TABLE)
-    assert bench.check_solvers(["QR", "CG"], "x") == ("QR", "CG")
-    with pytest.raises(ConfigError, match="x: unknown solver 'NOPE'"):
-        bench.check_solvers(["QR", "NOPE"], "x")
+    cfg = bench.parse_config(small_config(solvers=["QR", "CG"]))
+    assert cfg.solvers == ("QR", "CG")
+    with pytest.raises(ConfigError, match=r"config\.solvers\[1\]: must be "
+                       r"one of CG, CGLSI, .*, AUG, got 'NOPE'"):
+        bench.parse_config(small_config(solvers=["QR", "NOPE"]))
     # A config built in code is checked against the same table.
     cfg = bench.ExperimentConfig(families=small_config()["families"],
                                  solvers=("CG", "NOPE"))

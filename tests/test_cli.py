@@ -493,6 +493,53 @@ def test_bad_run_setting_exits_config_naming_its_key(tmp_path, capsys,
     assert key in capsys.readouterr().err
 
 
+C1 = {"type": "c1", "m": 8, "n": 4, "a": 1.5}
+# Values that only the schema's bounds catch: negative seeds, which
+# numpy's SeedSequence rejects with a plain ValueError, and non-finite
+# numbers, which json.loads reads.  Each is (config changes, the key its
+# error must name).
+ESCAPES = {
+    "seed-1": ({"seed": -1}, "config.seed"),
+    "cseed-1": ({"families": [dict(C1, cseed=[-1])]}, "families[0].cseed"),
+    "set_p-seed-5": ({"families": [{"type": "set_p", "m": 12, "n": 6,
+                                    "seed": -5}]}, "families[0].seed"),
+    "kind3-seed-5": ({"families": [dict(C1, kind=3, seed=-5)]},
+                     "families[0].seed"),
+    "a-inf": ({"families": [dict(C1, a=float("inf"))]}, "families[0].a"),
+    "alpha-nan": ({"families": [dict(C1, alpha=float("nan"))]},
+                  "families[0].alpha"),
+    "up-inf": ({"families": [{"type": "c2", "m": 8, "n": 4, "dw": 0.1,
+                              "up": float("inf")}]}, "families[0].up"),
+    "tol-inf": ({"tol": float("inf")}, "config.tol"),
+}
+
+
+@pytest.mark.parametrize("command, change, key", [
+    *[pytest.param(command, change, key, id=f"{command}-{name}")
+      for command in ("bench", "gen")
+      for name, (change, key) in ESCAPES.items()],
+    ("gen", "--seed -1", "config.seed"),
+    ("bench", "--seed -1", "config.seed"),
+    ("bench", "--tol inf", "config.tol"),
+    ("solve", "--tol inf", "config.tol"),
+    ("trace", "--tol inf", "config.tol"),
+])
+def test_config_escapes_exit_config_naming_the_key(tmp_path, capsys,
+                                                   command, change, key):
+    # A change is written into the config file (as JSON, so Infinity and
+    # NaN), a flag is laid over it; either way the run stops at exit 1.
+    if isinstance(change, dict):
+        argv = [command, "--config", write_config(tmp_path, **change)]
+    elif command in ("solve", "trace"):
+        argv = [command, gen_problem(tmp_path, capsys)[1], *change.split()]
+    else:
+        argv = [command, "--config", write_config(tmp_path), *change.split()]
+    if command == "gen":
+        argv += ["--out", str(tmp_path / "probs")]
+    assert cli.main(argv) == 1
+    assert key in capsys.readouterr().err
+
+
 def test_solve_rejects_a_solver_list(tmp_path, capsys):
     _, problem = gen_problem(tmp_path, capsys)
     assert cli.main(["solve", problem, "--solver", "CG,QR"]) == 1
@@ -552,6 +599,24 @@ def test_readme_flag_table_matches_the_parser():
                    for a in sp._actions if a.dest != "help"]
             for name, sp in sub.choices.items()}
     assert readme_flag_table() == want
+
+
+def test_readme_config_tables_match_the_schema():
+    # One README table per schema: key, type, bound and default, in order.
+    def row(key, spec):
+        kind = (f"list of {spec.type[0].__name__}"
+                if isinstance(spec.type, list) else spec.type.__name__)
+        default = ("required" if spec.default is bench.REQUIRED
+                   else spec.default if isinstance(spec.default, bench.Rule)
+                   else json.dumps(spec.default))
+        return [key, kind, spec.bound.text if spec.bound else "", default]
+
+    for name, schema in [("top-level", bench.CONFIG_SCHEMA)] + [
+            (f"`{ftype}`", schema)
+            for ftype, schema in bench.FAMILY_SCHEMA.items()]:
+        rows = readme_table(f"| {name} key | type | bound | default |")
+        assert [cells[:4] for cells in rows] == [
+            row(key, spec) for key, spec in schema.items()], name
 
 
 def test_readme_solver_table_matches_the_table():

@@ -75,6 +75,22 @@ def test_orthogonal_factor_small_and_seeded():
         problems.orthogonal_factor(4, 7)
 
 
+def test_negative_seeds_raise_invalid_parameter():
+    # numpy's SeedSequence rejects them with a plain ValueError; the one
+    # place a seed enters it says which seed instead.
+    with pytest.raises(InvalidParameter, match=r"seed must be non-negative, "
+                       r"got \[-1, 0\]"):
+        problems.generate_problem_set_p(seed=-1, m=12, n=6)
+    with pytest.raises(InvalidParameter, match=r"got \[-2, 3, 6\]"):
+        problems.orthogonal_factor(6, 3, seed=-2)
+    with pytest.raises(InvalidParameter, match="seed must be non-negative"):
+        problems.assemble_problem(6, 3, (1.0, 0.5, 0.25), np.zeros(3),
+                                  kind=4, seed=-5)
+    # Kinds 1 and 2 are closed forms: their seed is never drawn from.
+    assert np.array_equal(problems.orthogonal_factor(6, 1, seed=-2),
+                          problems.orthogonal_factor(6, 1))
+
+
 def test_assemble_problem_identity_factors():
     p = problems.assemble_problem(2, 2, (1.0, 1.0), (0.0, 0.0),
                                   u=np.eye(2), v=np.eye(2))

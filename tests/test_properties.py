@@ -1,7 +1,9 @@
 """Property tests: the .qls round trip, the Jacobi singular values, the
-direct solvers against exact scalings, and every solver against the
-rational oracle."""
+direct solvers against exact scalings, every solver against the rational
+oracle, and config documents drawn from the config schema."""
 
+import copy
+import json
 import math
 import os
 import string
@@ -12,10 +14,11 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from qlskit import direct, iterative, linalg as la, problems  # noqa: E402
+from qlskit import bench, direct, iterative, linalg as la, problems  # noqa: E402
+from qlskit.errors import ConfigError  # noqa: E402
 from helpers import random_integer_problem, rational_solution  # noqa: E402
 
 U = np.finfo(float).eps / 2
@@ -156,3 +159,122 @@ def test_solvers_meet_the_rational_oracle(p):
         size = (math.sqrt(float(sum(v * v for v in exact)))
                 + np.linalg.norm(p.b) / na + np.linalg.norm(p.c) / na ** 2)
         assert err <= scale * size, solve.__name__
+
+
+# Values within each (bound, type) of the config schema, kept small:
+# only parse_config runs on them.
+EPS_BOUND = bench.CONFIG_SCHEMA["eps"].bound.text
+SOLVER_BOUND = bench.CONFIG_SCHEMA["solvers"].bound.text
+WITHIN = {
+    ("positive", int): st.integers(1, 40),
+    ("positive", float): st.floats(0.0, exclude_min=True, allow_infinity=False),
+    ("non-negative", int): st.integers(0, 2 ** 64),
+    ("in 1..6", int): st.integers(1, 6),
+    (EPS_BOUND, float): st.floats(2.0 ** -1023, 1.0),
+    (SOLVER_BOUND, str): st.sampled_from(bench.SOLVERS),
+    (None, float): FINITE,
+    (None, str): st.text(max_size=8),
+    (None, bool): st.booleans(),
+}
+# A value outside each bound.
+OUTSIDE = {"positive": 0, "non-negative": -1, "in 1..6": 7, EPS_BOUND: 2.0,
+           SOLVER_BOUND: "NOPE"}
+FIELDS = {"maxIterations": "max_iterations"}  # ExperimentConfig's names
+
+
+def within(spec):
+    if isinstance(spec.type, list):
+        return st.lists(within(spec._replace(type=spec.type[0])),
+                        min_size=1, max_size=3)
+    return WITHIN[spec.bound and spec.bound.text, spec.type]
+
+
+@st.composite
+def schema_objects(draw, schema):
+    """Each required key of `schema`, and each optional one or not."""
+    return {key: draw(within(spec)) for key, spec in schema.items()
+            if spec.default is bench.REQUIRED or draw(st.booleans())}
+
+
+@st.composite
+def families(draw):
+    ftype = draw(st.sampled_from(sorted(bench.FAMILY_SCHEMA)))
+    fam = {"type": ftype, **draw(schema_objects(bench.FAMILY_SCHEMA[ftype]))}
+    # The three rules outside the schema, defaults included.
+    shape = bench.family_values(fam, 0, 0)
+    if ftype == "set_p" and shape["n"] < 2:
+        fam["n"] = shape["n"] = 2
+    if "m" in shape and shape["m"] < shape["n"]:
+        fam["m"] = shape["n"]
+    if ftype == "c2":
+        fam["dw"], fam["up"] = sorted((fam["dw"], fam["up"]))
+        assume(fam["dw"] < fam["up"])
+    return fam
+
+
+@st.composite
+def configs(draw):
+    top = {k: v for k, v in bench.CONFIG_SCHEMA.items() if k != "families"}
+    return dict(draw(schema_objects(top)),
+                families=draw(st.lists(families(), min_size=1, max_size=3)))
+
+
+def mutations(doc):
+    """(family index or None, key, new value or None to drop it, the field
+    its error must name) for each one-field change of `doc`: an unknown
+    key, a wrong type, a bool, a value out of bound or not finite, a
+    required key dropped, and a break of each rule outside the schema."""
+    out = []
+    seed = doc.get("seed", bench.CONFIG_SCHEMA["seed"].default)
+    for i, schema, where in [(None, bench.CONFIG_SCHEMA, "config")] + [
+            (i, bench.FAMILY_SCHEMA[f["type"]], f"families[{i}]")
+            for i, f in enumerate(doc["families"])]:
+        out.append((i, "bogus", 1, f"{where}.bogus"))
+        for key, spec in schema.items():
+            bad = [1 if spec.type is str else "x",
+                   1 if spec.type is bool else True]
+            if isinstance(spec.type, list):
+                bad.append([])
+            if spec.bound is not None:
+                outside = OUTSIDE[spec.bound.text]
+                bad.append([outside] if isinstance(spec.type, list)
+                           else outside)
+            if spec.type is float:
+                bad += [math.nan, math.inf, -math.inf]
+            if spec.default is bench.REQUIRED:
+                bad.append(None)
+            out += [(i, key, value, f"{where}.{key}") for value in bad]
+        if i is None:
+            continue
+        out += [(i, "type", 3, f"{where}.type"),
+                (i, "type", None, f"{where}.type")]
+        fam = bench.family_values(doc["families"][i], i, seed)
+        if "m" in fam:
+            out.append((i, "m", fam["n"] - 1, f"{where}.m"))
+        if doc["families"][i]["type"] == "set_p":
+            out.append((i, "n", 1, f"{where}.n"))
+        if "dw" in fam:
+            out.append((i, "dw", fam["up"], f"{where}.dw"))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs())
+def test_configs_round_trip_and_each_mutation_names_its_field(doc):
+    want = bench.ExperimentConfig(doc["families"], **{
+        FIELDS.get(key, key): tuple(v) if key == "solvers" else v
+        for key, v in doc.items() if key != "families"})
+    assert bench.parse_config(json.dumps(doc)) == want
+    assert bench.parse_config(doc) == want
+    for i, key, value, name in mutations(doc):
+        bad = copy.deepcopy(doc)
+        obj = bad if i is None else bad["families"][i]
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+        for source in (bad, json.dumps(bad)):
+            with pytest.raises(ConfigError) as exc:
+                bench.parse_config(source)
+            assert str(exc.value).startswith((name + ":", name + "[")), \
+                (str(exc.value), name)
