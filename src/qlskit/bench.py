@@ -143,6 +143,8 @@ _KIND = Bound("in 1..6", lambda v: 1 <= v <= 6)
 _SOLVER = Bound("one of " + ", ".join(SOLVERS), SOLVER_TABLE.__contains__)
 _EPS = Bound("a power of two in [2^-1023, 1] once rounded",
              problems.eps_weight)
+_FILE_LABEL = Bound("a file name: printable, no path separator, not . or "
+                    ".., no space at either end", problems.is_file_label)
 
 CONFIG_SCHEMA = {
     "families": Key([dict], None, REQUIRED),
@@ -161,7 +163,7 @@ _SYNTHETIC = {
     "kind": Key(int, _KIND, 1),
     "seed": Key(int, _NON_NEGATIVE, Rule("seed * 100 + idx")),
     "cseed": Key([int], _NON_NEGATIVE, Rule("[seed, idx]")),
-    "label": Key(str, None, Rule('f"{type}-{idx:02d}"')),
+    "label": Key(str, _FILE_LABEL, Rule('f"{type}-{idx:02d}"')),
 }
 # The keys of each family type but "type" itself.
 FAMILY_SCHEMA = {

@@ -25,7 +25,8 @@ import sys
 from contextlib import nullcontext
 
 from . import bench, iterative, problems
-from .errors import ConfigError, MissingConfiguration, QlskitError
+from .errors import (ConfigError, InvalidParameter, MissingConfiguration,
+                     QlskitError)
 
 _EXIT_CONFIG = 1
 _EXIT_IO = 2
@@ -64,6 +65,17 @@ def _one_problem(args, **doc):
 def _cmd_gen(args):
     config = _config(args, bench.read_config(args.config))
     probs = bench.build_problems(config)
+    bad = next((p.label for p in probs
+                if not problems.is_file_label(p.label)), None)
+    if bad is not None:
+        # The schema checks the labels a config gives and the generated
+        # ones keep the rule, so this one was read from a file's header.
+        idx, path = next(
+            (idx, fam["path"]) for idx, fam in enumerate(config.families)
+            if fam["type"] == "file"
+            and problems.load_problem(fam["path"], verify=False).label == bad)
+        raise InvalidParameter(f"families[{idx}].path: {path}: header label "
+                               f"{bad!r} cannot name a problem file")
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     for p in probs:

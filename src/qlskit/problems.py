@@ -9,10 +9,12 @@ b chosen so a known integer-entry solution is exact up to roundoff.
 and the analysis share, and ``grouped`` their one-or-group convention.
 """
 
+import binascii
 import functools
 import inspect
 import itertools
 import math
+import os
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -454,13 +456,60 @@ def generate_problem_set_p(seed=DEFAULT_SET_SEED, m=100, n=50):
 # Serialization: exact text round trip via hexadecimal float literals
 # ---------------------------------------------------------------------------
 
-def _write_block(lines, name, arr):
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    if arr.shape[0] == 1 and name != "A":
-        arr = arr.T
-    lines.append(name)
-    lines.append(f"{arr.shape[0]} {arr.shape[1]}")
-    lines.extend(" ".join(map(float.hex, row)) for row in arr.tolist())
+def is_file_label(label):
+    """Whether `label` can name the file ``<label>.qls`` of its problem
+    in a directory and be read back from its header: one non-empty path
+    component, not "." or "..", printable, with no space at either end
+    (the header reader strips it)."""
+    return (label not in ("", ".", "..") and label.isprintable()
+            and label == label.strip() and os.path.basename(label) == label)
+
+
+def _write_block(name, arr):
+    """Block `name` of a problem file: its name, its size line and each
+    row of `arr` (a vector as one column), the entries of a row as
+    ``float.hex`` text joined by spaces.
+
+    One array kernel formats the block, byte for byte as ``float.hex``
+    would: each entry is a fixed-width record of sign, "0x", lead digit,
+    ".", the 13 fraction digits of one hexlify of the big-endian block,
+    "p", the signed decimal exponent and a separator; unused bytes are
+    NUL and go in one pass.  Zero is "0x0.0p+0" and a subnormal has lead
+    digit 0 and exponent -1022.  Only finite entries have such a record,
+    and only those are read back: any other, or an empty block, raises
+    InvalidParameter.
+    """
+    if np.size(arr) == 0:
+        raise InvalidParameter(f"{name} is empty")
+    arr = np.ascontiguousarray(la.as_matrix(np.reshape(arr, (len(arr), -1)), name))
+    rows, cols = arr.shape
+    bits = arr.view(np.uint64).ravel()
+    # Columns: 0 sign, 1-2 "0x", 3 lead digit, 4 ".", 5-17 fraction, 18
+    # "p", 19 exponent sign, 20-23 exponent digits, 24 separator.
+    template = b"\0" b"0x0." + b"0" * 13 + b"p+0000 "
+    rec = np.frombuffer(bytearray(template * bits.size), np.uint8).reshape(-1, 25)
+    rec[:, 0] = (bits >> 63).astype(np.uint8) * ord("-")
+    biased = (bits >> 52).astype(np.int16) & 0x7FF
+    rec[:, 3] += biased != 0
+    hexed = np.frombuffer(binascii.hexlify(arr.astype(">f8")), np.uint8)
+    rec[:, 5:18] = hexed.reshape(-1, 16)[:, 3:]
+    # Sign and four digits of each biased exponent the block spans, digits
+    # before the first nonzero one NUL; a subnormal's exponent is -1022.
+    lo = biased.min()
+    exp = np.maximum(np.arange(lo, biased.max() + 1, dtype=np.int16), 1) - 1023
+    mag = np.abs(exp)
+    field = np.empty((exp.size, 5), np.uint8)
+    field[:, 0] = ord("+") + 2 * (exp < 0)
+    for col, place in enumerate((1000, 100, 10), start=1):
+        field[:, col] = (ord("0") + mag // place % 10) * (mag >= place)
+    field[:, 4] = ord("0") + mag % 10
+    rec[:, 19:24] = np.take(field, biased - lo, axis=0)
+    zero = (bits << 1) == 0  # +-0.0 is "0x0.0p+0"
+    rec[zero, 6:18] = 0
+    rec[zero, 19:24] = np.frombuffer(b"+\0\0\0" b"0", np.uint8)
+    rec[cols - 1::cols, 24] = ord("\n")
+    text = rec.tobytes().translate(None, b"\0").decode("ascii")
+    return f"{name}\n{rows} {cols}\n{text}"
 
 
 def _next_line(it, name):
@@ -498,15 +547,14 @@ def _read_block(it, name):
 
 
 def save_problem(p, path):
-    """Write a problem to a text file that round-trips bitwise."""
-    lines = [f"qls-problem {p.label}".rstrip()]
-    _write_block(lines, "A", p.a)
-    _write_block(lines, "b", p.b)
-    _write_block(lines, "c", p.c)
-    if p.x_exact is not None:
-        _write_block(lines, "x", p.x_exact)
+    """Write a problem to a text file that round-trips bitwise, in one
+    write; a block that load_problem would reject (empty, or with a
+    non-finite entry) raises InvalidParameter before the file is opened."""
+    blocks = [("A", p.a), ("b", p.b), ("c", p.c), ("x", p.x_exact)]
+    text = "".join([f"qls-problem {p.label}".rstrip() + "\n"] + [
+        _write_block(name, arr) for name, arr in blocks if arr is not None])
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def load_problem(path, verify=True):

@@ -390,6 +390,52 @@ def test_duplicate_labels_exit_config(tmp_path, capsys, command):
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
+def _files(root):
+    return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
+
+
+@pytest.mark.parametrize("label", ["../escaped", "two\nlines", "sub/dir", ""])
+def test_gen_rejects_a_config_label_that_is_no_file_name(tmp_path, capsys,
+                                                          label):
+    # A label names the file <label>.qls in --out: one that would leave
+    # --out, break the header line, need a missing directory or make a
+    # hidden file is a configuration error, and nothing is written.
+    cfg = json.loads(open(write_config(tmp_path)).read())
+    cfg["families"][1]["label"] = label
+    path = tmp_path / "bad_label.json"
+    path.write_text(json.dumps(cfg))
+    before = _files(tmp_path)
+    rc = cli.main(["gen", "--config", str(path), "--out",
+                   str(tmp_path / "out" / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: families[1].label: ")
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("label", ["../hdr", ""])
+def test_gen_rejects_a_header_label_that_is_no_file_name(tmp_path, capsys,
+                                                          label):
+    # A label read from a problem file's header is checked before the
+    # first file is written: "../hdr" would overwrite the source file, and
+    # an unlabelled file would be saved as the hidden file ".qls".
+    p = problems.assemble_problem(6, 3, problems.sigma_c1(3, 1.5),
+                                  np.ones(3), label=label)
+    src = tmp_path / "hdr.qls"
+    problems.save_problem(p, str(src))
+    cfg = json.loads(open(write_config(tmp_path)).read())
+    cfg["families"].append({"type": "file", "path": str(src)})
+    path = tmp_path / "header.json"
+    path.write_text(json.dumps(cfg))
+    before, text = _files(tmp_path), src.read_text()
+    rc = cli.main(["gen", "--config", str(path), "--out",
+                   str(tmp_path / "out")])
+    assert rc == 3
+    assert (f"families[2].path: {src}: header label {label!r}"
+            in capsys.readouterr().err)
+    assert _files(tmp_path) == before
+    assert src.read_text() == text
+
+
 def test_solve_trailing_content_exits_numerical(tmp_path, capsys):
     cfg = write_config(tmp_path)
     cli.main(["gen", "--config", cfg, "--out", str(tmp_path)])

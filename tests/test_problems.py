@@ -358,6 +358,23 @@ def test_save_writes_float_hex_text_and_round_trips_bitwise(tmp_path):
     assert q.c.tobytes() == np.array(values).tobytes()
 
 
+@pytest.mark.parametrize("block, value, error", [
+    ("b", [1.0, np.inf], "b contains non-finite"),
+    ("x_exact", [np.nan, 1.0], "x contains non-finite"),
+    ("c", [], "c is empty")])
+def test_save_refuses_a_block_it_could_not_read_back(tmp_path, block, value,
+                                                     error):
+    # A block set after construction that load_problem would reject: no
+    # file is written.
+    p = problems.QlsProblem(a=np.eye(2), b=np.ones(2), c=np.zeros(2),
+                            x_exact=np.ones(2))
+    setattr(p, block, np.array(value))
+    path = tmp_path / "bad.qls"
+    with pytest.raises(InvalidParameter, match=error):
+        problems.save_problem(p, str(path))
+    assert not path.exists()
+
+
 def test_set_p_builds_each_orthogonal_factor_once(monkeypatch):
     # Each problem needs U (order m) and V (order n).  The generator asks
     # orthogonal_factors once per order, naming each problem's (kind,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from qlskit import bench, direct, iterative, linalg as la, problems  # noqa: E402
@@ -63,6 +63,52 @@ def test_save_load_round_trips_bitwise(p):
     else:
         assert same_bits(p.x_exact, q.x_exact)
     assert q.label == p.label
+
+
+# Bit patterns of finite binary64 values: sign, biased exponent up to
+# 2046 and fraction drawn apart, with edges drawn more often: +-0,
+# +-5e-324, +-2^-1022 and the largest normals.
+EDGE_BITS = [int(v) for v in np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, -(2.0 ** -1022),
+     1.7976931348623157e308, -1.7976931348623157e308]).view(np.uint64)]
+FINITE_BITS = st.one_of(st.sampled_from(EDGE_BITS), st.builds(
+    lambda sign, exp, frac: sign << 63 | exp << 52 | frac,
+    st.integers(0, 1), st.integers(0, 2046), st.integers(0, 2 ** 52 - 1)))
+# The edges, and exponents at each change in their number of digits.
+EDGE_EXAMPLE = np.concatenate([np.array(EDGE_BITS, dtype=np.uint64), np.ldexp(
+    -1.5, [-1022, -1000, -999, -100, -99, -10, -9, -1, 0, 1, 9, 10, 99, 100,
+           999, 1000, 1023]).view(np.uint64)])
+
+
+def hex_block(name, arr):
+    """The block as float.hex text: the reference for problems' writer."""
+    rows = arr.reshape(len(arr), -1).tolist()
+    return f"{name}\n{len(rows)} {len(rows[0])}\n" + "".join(
+        " ".join(map(float.hex, row)) + "\n" for row in rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda m: hnp.arrays(
+    np.uint64, st.tuples(st.just(m), st.integers(1, min(m, 8))),
+    elements=FINITE_BITS)))
+@example(EDGE_EXAMPLE.reshape(25, 1))
+@example(EDGE_EXAMPLE.reshape(5, 5))
+def test_written_text_is_float_hex_and_round_trips_bitwise(bits):
+    # A drawn m x n matrix, its first column as b and its first row as c
+    # and x: the file is the float.hex text of each block (each
+    # _write_block), and reads back bit for bit.
+    a = bits.view(float)
+    p = problems.QlsProblem(a, a[:, 0], a[0], x_exact=a[0], label="bits")
+    blocks = {"A": p.a, "b": p.b, "c": p.c, "x": p.x_exact}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.qls")
+        problems.save_problem(p, path)
+        with open(path) as fh:
+            assert fh.read() == "qls-problem bits\n" + "".join(
+                hex_block(name, v) for name, v in blocks.items())
+        q = problems.load_problem(path, verify=False)
+    for u, v in ((p.a, q.a), (p.b, q.b), (p.c, q.c), (p.x_exact, q.x_exact)):
+        assert same_bits(u, v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,6 +211,7 @@ def test_solvers_meet_the_rational_oracle(p):
 # only parse_config runs on them.
 EPS_BOUND = bench.CONFIG_SCHEMA["eps"].bound.text
 SOLVER_BOUND = bench.CONFIG_SCHEMA["solvers"].bound.text
+LABEL_BOUND = bench.FAMILY_SCHEMA["c1"]["label"].bound.text
 WITHIN = {
     ("positive", int): st.integers(1, 40),
     ("positive", float): st.floats(0.0, exclude_min=True, allow_infinity=False),
@@ -172,13 +219,15 @@ WITHIN = {
     ("in 1..6", int): st.integers(1, 6),
     (EPS_BOUND, float): st.floats(2.0 ** -1023, 1.0),
     (SOLVER_BOUND, str): st.sampled_from(bench.SOLVERS),
+    (LABEL_BOUND, str): st.text(min_size=1, max_size=8).filter(
+        problems.is_file_label),
     (None, float): FINITE,
     (None, str): st.text(max_size=8),
     (None, bool): st.booleans(),
 }
 # A value outside each bound.
 OUTSIDE = {"positive": 0, "non-negative": -1, "in 1..6": 7, EPS_BOUND: 2.0,
-           SOLVER_BOUND: "NOPE"}
+           SOLVER_BOUND: "NOPE", LABEL_BOUND: "../up"}
 FIELDS = {"maxIterations": "max_iterations"}  # ExperimentConfig's names
 
 
