@@ -172,15 +172,28 @@ def seeded_rng(*entropy):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _seeded_factors(dim, specs):
-    """Q factors, column signs fixed by diag(R) > 0, of the seeded
-    Gaussian matrices of `specs` ((kind, seed) pairs), as one stack."""
+# Columns that a thin seeded factor factors and forms past the `cols` it
+# keeps.  Reflector k of an unpivoted QR reads only columns <= k, and
+# later reflectors leave Q's leading columns exactly as they are; but a
+# BLAS gemv sums its last few columns (the tail of its column blocking)
+# in another order, so a kept column must sit clear of that tail for the
+# thin factor to be bitwise the square one's leading columns.
+THIN_PAD = 8
+
+
+def _seeded_factors(dim, specs, cols):
+    """Leading `cols` columns of the Q factors, column signs fixed by
+    diag(R) > 0, of the seeded Gaussian matrices of `specs` ((kind, seed)
+    pairs), as one stack.  Each Gaussian is drawn whole, so the stream
+    does not depend on `cols`; only its leading min(dim, cols + THIN_PAD)
+    columns are factored and formed."""
     g = np.empty((len(specs), dim, dim))
     for b, (kind, seed) in enumerate(specs):
         seeded_rng(seed, kind, dim).standard_normal(out=g[b])
-    f, g = la.householder_qr(g), None
-    q = la.apply_q(f, np.eye(dim))
-    q *= np.copysign(1.0, np.diagonal(f.r, axis1=1, axis2=2))[:, None]
+    w = min(dim, cols + THIN_PAD)
+    f, g = la.householder_qr(g[:, :, :w]), None
+    q = la.apply_q(f, np.eye(dim, w))[:, :, :cols]
+    q *= np.copysign(1.0, np.diagonal(f.r, axis1=1, axis2=2))[:, None, :cols]
     return q
 
 
@@ -193,9 +206,10 @@ def _closed_form_factor(dim, kind):
     return (np.cos(ang) + np.sin(ang)) / np.sqrt(dim)
 
 
-def orthogonal_factors(dim, specs):
+def orthogonal_factors(dim, specs, cols=None):
     """Deterministic orthogonal matrices of order `dim`, one per (kind,
-    seed) pair of `specs`, in order.
+    seed) pair of `specs`, in order, each cut to its leading `cols`
+    columns (default: all `dim`).
 
     Kinds 1 and 2 are closed-form trigonometric families (the symmetric
     sine transform and the Hartley cas kernel), built once per call and
@@ -203,20 +217,26 @@ def orthogonal_factors(dim, specs):
     of a seeded Gaussian matrix, with column signs fixed so the result is
     unique; their QRs and Q formations run in stacks of up to
     `linalg.STACK_CHUNK`, each factor bitwise that of a stack of one.  The
-    seed only matters for kinds 3 to 6.
+    seed only matters for kinds 3 to 6.  A thin seeded factor factors and
+    forms only its leading cols + `THIN_PAD` columns (at most `dim`), and
+    its columns are bitwise the square factor's leading ones.
     """
+    cols = dim if cols is None else cols
     if dim < 1:
         raise InvalidParameter("dim must be >= 1")
+    if not 1 <= cols <= dim:
+        raise InvalidParameter(f"cols must be in 1..{dim}, got {cols}")
     for kind, _ in specs:
         if kind not in (1, 2, 3, 4, 5, 6):
             raise InvalidParameter(f"kind must be in 1..6, got {kind}")
-    closed = {kind: _closed_form_factor(dim, kind)
+    closed = {kind: _closed_form_factor(dim, kind)[:, :cols]
               for kind in {kind for kind, _ in specs if kind < 3}}
     out = [closed.get(kind) for kind, _ in specs]
     seeded = [pos for pos, (kind, _) in enumerate(specs) if kind > 2]
     for lo in range(0, len(seeded), la.STACK_CHUNK):
         part = seeded[lo:lo + la.STACK_CHUNK]
-        for pos, q in zip(part, _seeded_factors(dim, [specs[pos] for pos in part])):
+        for pos, q in zip(part, _seeded_factors(
+                dim, [specs[pos] for pos in part], cols)):
             out[pos] = q
     return out
 
@@ -243,9 +263,11 @@ def assemble_problem(m, n, sigma, c, kind=1, seed=0, label="", u=None, v=None):
         Shift vector.
     kind, seed : int
         Orthogonal-factor family and seed; U uses `seed`, V uses seed+1.
+        The generated U is thin: only its leading n columns are built.
     u, v : array_like, optional
-        Explicit orthogonal factors (m x m and n x n).  When given they
-        replace the generated ones and `kind`/`seed` are ignored.
+        Explicit orthogonal factors (m x m or m x n, and n x n).  When
+        given they replace the generated ones and `kind`/`seed` are
+        ignored; only the leading n columns of u are read.
     """
     sigma = la.as_vector(sigma, "sigma")
     c = la.as_vector(c, "c")
@@ -253,12 +275,14 @@ def assemble_problem(m, n, sigma, c, kind=1, seed=0, label="", u=None, v=None):
         raise DimensionMismatch("sigma and c must have length n")
     if np.any(sigma <= 0.0):
         raise InvalidParameter("singular values must be positive")
+    if m < n:
+        raise DimensionMismatch(f"need m >= n, got {m} x {n}")
     if u is None:
-        u = orthogonal_factor(m, kind, seed)
+        u = orthogonal_factors(m, [(kind, seed)], n)[0]
     else:
         u = la.as_matrix(u, "u")
-        if u.shape != (m, m):
-            raise DimensionMismatch("u must be m x m")
+        if u.shape not in ((m, m), (m, n)):
+            raise DimensionMismatch("u must be m x m or m x n")
     if v is None:
         v = orthogonal_factor(n, kind, seed + 1)
     else:
@@ -412,7 +436,7 @@ def generate_problem_set_p(seed=DEFAULT_SET_SEED, m=100, n=50):
     # the loop drops each pair once its problem is built.
     units = [seeded_rng(seed, idx).random(n) for idx in range(40)]
     specs = [(1 + idx % 6, seed * 100 + idx) for idx in range(40)]
-    us = orthogonal_factors(m, specs)
+    us = orthogonal_factors(m, specs, n)
     vs = orthogonal_factors(n, [(kind, s + 1) for kind, s in specs])
     problems = []
     for idx in range(40):
@@ -456,13 +480,19 @@ def generate_problem_set_p(seed=DEFAULT_SET_SEED, m=100, n=50):
 # Serialization: exact text round trip via hexadecimal float literals
 # ---------------------------------------------------------------------------
 
+def is_header_label(label):
+    """Whether a problem file's header reads `label` back: printable (no
+    line or paragraph break splits the header), with no space at either
+    end (the header reader strips it).  "" is the unlabelled header."""
+    return label.isprintable() and label == label.strip()
+
+
 def is_file_label(label):
     """Whether `label` can name the file ``<label>.qls`` of its problem
     in a directory and be read back from its header: one non-empty path
-    component, not "." or "..", printable, with no space at either end
-    (the header reader strips it)."""
-    return (label not in ("", ".", "..") and label.isprintable()
-            and label == label.strip() and os.path.basename(label) == label)
+    component, not "." or "..", and a header label."""
+    return (label not in ("", ".", "..") and is_header_label(label)
+            and os.path.basename(label) == label)
 
 
 def _write_block(name, arr):
@@ -548,8 +578,13 @@ def _read_block(it, name):
 
 def save_problem(p, path):
     """Write a problem to a text file that round-trips bitwise, in one
-    write; a block that load_problem would reject (empty, or with a
-    non-finite entry) raises InvalidParameter before the file is opened."""
+    write; a label that is no header label, or a block that load_problem
+    would reject (empty, or with a non-finite entry), raises
+    InvalidParameter before the file is opened."""
+    if not is_header_label(p.label):
+        raise InvalidParameter(f"label {p.label!r} cannot be read back from "
+                               "a file header: it must be printable, with "
+                               "no space at either end")
     blocks = [("A", p.a), ("b", p.b), ("c", p.c), ("x", p.x_exact)]
     text = "".join([f"qls-problem {p.label}".rstrip() + "\n"] + [
         _write_block(name, arr) for name, arr in blocks if arr is not None])

@@ -6,12 +6,14 @@ its Q or Q^T one column step at a time, each work vector a fresh array.
 run the same operations on a (B, m, n) stack, so each matrix's R,
 reflectors, tau, perm and Q products must be bitwise these loops'.
 ``stacks`` names the cases and ``mismatches`` lists the ones that are
-not.
+not.  ``thin_mismatches`` does the same for the thin seeded factors of
+``qlskit.problems.orthogonal_factors``, which must be bitwise the
+leading columns of the square ones.
 """
 
 import numpy as np
 
-from qlskit import linalg
+from qlskit import linalg, problems
 
 
 def householder_qr(a, pivoting=False):
@@ -126,4 +128,26 @@ def mismatches():
                     if not _same(apply(one, y[b, :, 0]), apply_reflectors(
                             *want[:2], y[b, :, 0], transpose)):
                         bad.append((name, f"{tag} Q vector"))
+    return sorted(set(bad))
+
+
+# (dim, cols) of the thin-factor cases: set_p's and table's U, an odd
+# width, and three where cols + THIN_PAD >= dim, so the thin QR is the
+# square one: an odd order, cols = dim - 1, and set_p's order.
+THIN_SHAPES = ((100, 50), (40, 20), (60, 7), (7, 3), (33, 32), (100, 97))
+
+
+def thin_mismatches():
+    """(dim x cols, kind) pairs where orthogonal_factors(dim, specs,
+    cols) is not bitwise orthogonal_factors(dim, specs)[:, :cols], over
+    three seeds of every kind (12 seeded factors: a full stack and a
+    partial one)."""
+    specs = [(kind, seed) for seed in (0, 401, 1729) for kind in range(1, 7)]
+    bad = []
+    for dim, cols in THIN_SHAPES:
+        square = problems.orthogonal_factors(dim, specs)
+        thin = problems.orthogonal_factors(dim, specs, cols)
+        bad += [(f"{dim} x {cols}", kind)
+                for (kind, _), q, t in zip(specs, square, thin)
+                if not _same(t, q[:, :cols])]
     return sorted(set(bad))

@@ -12,6 +12,7 @@ from qlskit import bench, direct
 from qlskit import linalg as la
 from qlskit import problems
 from qlskit.errors import DimensionMismatch, InvalidParameter, RankDeficient
+import qr_reference
 from helpers import run_under_core
 
 U = np.finfo(float).eps / 2
@@ -126,10 +127,22 @@ def test_assemble_problem_errors():
         problems.assemble_problem(4, 2, (1.0,), (0.0, 0.0))
     with pytest.raises(InvalidParameter):
         problems.assemble_problem(4, 2, (1.0, 0.0), (0.0, 0.0))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="m x m or m x n"):
         problems.assemble_problem(3, 2, (1.0, 1.0), (0.0, 0.0), u=np.eye(2))
+    with pytest.raises(DimensionMismatch, match="need m >= n"):
+        problems.assemble_problem(2, 3, (1.0,) * 3, (0.0,) * 3, kind=3)
     with pytest.raises(DimensionMismatch):
         problems.assemble_problem(3, 2, (1.0, 1.0), (0.0, 0.0), v=np.eye(3))
+
+
+def test_assemble_problem_reads_the_leading_columns_of_u():
+    # An m x n u gives the problem of the m x m u it leads.
+    u = problems.orthogonal_factor(5, 4, seed=9)
+    args = (5, 3, (1.0, 0.5, 0.25), (1.0, -2.0, 0.5))
+    square = problems.assemble_problem(*args, u=u)
+    thin = problems.assemble_problem(*args, u=u[:, :3])
+    for block in ("a", "b", "c", "x_exact"):
+        assert getattr(thin, block).tobytes() == getattr(square, block).tobytes()
 
 
 def test_qls_problem_validation():
@@ -375,17 +388,31 @@ def test_save_refuses_a_block_it_could_not_read_back(tmp_path, block, value,
     assert not path.exists()
 
 
+@pytest.mark.parametrize("label", ["two\nlines", "sep\u2028arator", "pad "])
+def test_save_refuses_a_label_its_header_could_not_read_back(tmp_path, label):
+    # A line break splits the header, U+2028 splits it for str.splitlines,
+    # and the reader strips a trailing space: no file is written.
+    p = problems.QlsProblem(a=np.eye(2), b=np.ones(2), c=np.zeros(2),
+                            label=label)
+    path = tmp_path / "label.qls"
+    with pytest.raises(InvalidParameter, match="label"):
+        problems.save_problem(p, str(path))
+    assert not path.exists()
+
+
 def test_set_p_builds_each_orthogonal_factor_once(monkeypatch):
-    # Each problem needs U (order m) and V (order n).  The generator asks
-    # orthogonal_factors once per order, naming each problem's (kind,
-    # seed) once; each seed-free kind is built once per order and each
-    # seeded one in exactly one stacked QR.  Every problem is made of the
-    # factors built for it: U^T A V is diagonal.
+    # Each problem needs U (order m, its leading n columns) and V (order
+    # n).  The generator asks orthogonal_factors once per order, naming
+    # each problem's (kind, seed) once; each seed-free kind is built once
+    # per order and each seeded one in exactly one stacked QR, of the
+    # leading n + THIN_PAD columns of U's Gaussian (never all m) and of
+    # all of V's.  Every problem is made of the factors built for it:
+    # U^T A V is diagonal.
     real, calls, closed, stacked = problems.orthogonal_factors, [], [], []
 
-    def spy(dim, specs):
-        out = real(dim, specs)
-        calls.append((dim, list(specs), list(out)))
+    def spy(dim, specs, cols=None):
+        out = real(dim, specs, cols)
+        calls.append((dim, list(specs), cols, list(out)))
         return out
 
     def closed_spy(dim, kind):
@@ -400,18 +427,30 @@ def test_set_p_builds_each_orthogonal_factor_once(monkeypatch):
     monkeypatch.setattr(problems, "orthogonal_factors", spy)
     monkeypatch.setattr(problems, "_closed_form_factor", closed_spy)
     monkeypatch.setattr(la, "householder_qr", qr_spy)
-    ps = problems.generate_problem_set_p(seed=3, m=12, n=6)
-    assert [(dim, specs) for dim, specs, _ in calls] == [
-        (12, [(1 + idx % 6, 300 + idx) for idx in range(40)]),
-        (6, [(1 + idx % 6, 301 + idx) for idx in range(40)])]
-    assert sorted(closed) == [(6, 1), (6, 2), (12, 1), (12, 2)]
+    m, n = 20, 6
+    ps = problems.generate_problem_set_p(seed=3, m=m, n=n)
+    assert [call[:3] for call in calls] == [
+        (m, [(1 + idx % 6, 300 + idx) for idx in range(40)], n),
+        (n, [(1 + idx % 6, 301 + idx) for idx in range(40)], None)]
+    assert sorted(closed) == [(n, 1), (n, 2), (m, 1), (m, 2)]
     seeded = sum(kind > 2 for kind, _ in calls[0][1])
-    for dim in (12, 6):
-        assert sum(b for b, m, n in stacked if m == dim) == seeded == 26
-    for p, u, v in zip(ps, calls[0][2], calls[1][2]):
-        d = u[:, :6].T @ p.a @ v
+    thin = min(m, n + problems.THIN_PAD)
+    assert thin < m
+    assert {shape[1:] for shape in stacked} == {(m, thin), (n, n)}
+    for dim in (m, n):
+        assert sum(b for b, rows, _ in stacked if rows == dim) == seeded == 26
+    for p, u, v in zip(ps, calls[0][3], calls[1][3]):
+        assert u.shape == (m, n)
+        d = u.T @ p.a @ v
         off = d - np.diag(np.diag(d))
         assert np.abs(off).max() <= 1e-13 * np.abs(d).max()
+
+
+def test_thin_seeded_factors_are_bitwise_the_square_leading_columns():
+    # orthogonal_factors(dim, specs, cols) under this BLAS kernel; every
+    # pinned kernel runs it in
+    # test_pinned_data_and_stacked_qr_under_each_blas_kernel.
+    assert qr_reference.thin_mismatches() == []
 
 
 def test_load_verifies_solution(tmp_path):
@@ -472,13 +511,16 @@ def test_seeded_spectrum_is_descending():
 # round per kernel.  The build names its Prescott kernel after Katmai,
 # the first core that maps to it.  The generator keeps its own
 # Householder arithmetic so that every benchmark problem stays bitwise;
-# a QR with other rounding (such as geqrf) matches none of the sets.  On
-# another kernel or BLAS build the test is skipped.
+# a QR with other rounding (such as geqrf) matches none of the sets.
+# The set_p seed-401 digests were taken while U was still formed square,
+# so they check the thin U of a second seed.  On another kernel or BLAS
+# build the test is skipped.
 DIGEST_BLAS = "0.3.31"
 DATA_DIGESTS = {
     "SkylakeX": {
         "table": "0ae68269863bd1b0e171911ea154a11b19fc7424808f3b947ce1e28d55d30197",
         "set_p": "18d1c0aa50233c4dfa8622ddf34e05c60b8b4d6dcd8da06196bc1ac4f077d8cd",
+        "set_p401": "6d927e86a35a0a34d3221acbb53936a635664096bf00c51466e420da53778608",
         "kind3": "24475a707783781464b90c5fe085c227ebbfd66efe7427f4005bd04e2bbb3777",
         "kind4": "0ecadac9d2fe00da6d00b8c8a602e5960c93c49a36da06476cf50f8ee1c57f8a",
         "kind5": "a9c8501a7a4983dfdf752752c27059e8a9a2c92a99cc396dbfc26f9f46a31546",
@@ -487,6 +529,7 @@ DATA_DIGESTS = {
     "Haswell": {
         "table": "275e48795979e4a791c334dc1174ad0eae5dd83808a38fca5786c95f9d67ad7b",
         "set_p": "d5f4fe7f99c199b6542162e568e8dd40e658652512fadeb65b15f399b735bbb9",
+        "set_p401": "f02b7dd043de601c405d71712c1a5e5dcd0159b0da0cc3e2290e554e269a4c54",
         "kind3": "fad2438c22de2baf8d04694fb03517cbb98b4411da08aec37df7de1660f009af",
         "kind4": "107d470c0f4436d822b57a1ea041b23ef435160739856ee6147178e29e7d4c6f",
         "kind5": "3560e623fbd11a0941b09a7b0e269698bb1f71e2cc102fbeb952cbb915fb221c",
@@ -495,6 +538,7 @@ DATA_DIGESTS = {
     "Sandybridge": {
         "table": "d2ceac5e639d509b60bd440bd9af3495e487d8c14ecd4174ca1c53189804a6f7",
         "set_p": "cabd6b9ad9c0292fba5939d309ba1f886afeae87585c713d168ea30bb84b24f5",
+        "set_p401": "3cc49ebb38613fa72be3599bb3ba556ed7ad899ae66ec0131cc41f95b25153ca",
         "kind3": "6452ccdb91f662c153d7f2a4b191a51d09ee4027ac529eaee73a186c0c883f2c",
         "kind4": "b0550e7373d387b19e42187e42d0528748a5b1dd31947f23cb5aceae43869247",
         "kind5": "360855d304972a7dd57ff0baf1ea544347746b1c6cd358d2970ccda2a734ba13",
@@ -503,6 +547,7 @@ DATA_DIGESTS = {
     "Nehalem": {
         "table": "777ec7868907cc39b11c1b6bd5a6453bb5fa74b03633eb41939e3050151293e7",
         "set_p": "d79ee7da5359b1d5bc560ed48a149e2e690d7f0903a295ff3e9836a97789aeaf",
+        "set_p401": "4dcc2de0579f2390d817c623a69ae371defe05bfdb5f0c0405cbaaee8fd0a55a",
         "kind3": "a321ef7e4b1a48c49e6c2b6e71816286c277d438a20a62a2ed83e5e30cfdf556",
         "kind4": "000745bb2da6432679629f39a41a262a4d089040370d2f36ab9d0bbbea6d7737",
         "kind5": "9fada839e45384161fedf229d42cac9122330076a3ba844a338adb5a884dd47b",
@@ -511,6 +556,7 @@ DATA_DIGESTS = {
     "Katmai": {
         "table": "e34375ac3f656f9c2633a8375623f67bd5c4b0ae6debb44afec9b51ae5cea4a0",
         "set_p": "1684a28f523f0ec92f8c87c2c5ea847c826a5b5f2e323f6b5a33db542f873e13",
+        "set_p401": "0d18aae108113e3cb9312810bba093db055cf39151a697c396e554e1d3c546d3",
         "kind3": "e30403ac3a42d868cb5de0c5d46f7ba85d5023256a8c9cb80f3fd0a1c23289c1",
         "kind4": "997b4c366541afa0639d4df4342869581e08575c1875d0a4eac3ce3b54c4d45a",
         "kind5": "519851db65167d434cb54c57f0b0ea156d4efad9a4f1b6f7e518cef3bc67fe77",
@@ -550,15 +596,17 @@ def _openblas_core():
 
 
 def test_generated_data_is_bitwise_pinned():
-    # configs/table.json, set_p seed 1729, and orthogonal_factor(dim,
-    # kind, 1729) for dim 7 and 50 under kinds 3 to 6.
+    # configs/table.json, set_p seeds 1729 and 401, and
+    # orthogonal_factor(dim, kind, 1729) for dim 7 and 50 under kinds 3
+    # to 6.
     core = _openblas_core()
     if core not in DATA_DIGESTS:
         pytest.skip(f"no digests for BLAS kernel {core} (pinned: OpenBLAS "
                     f"{DIGEST_BLAS}, {', '.join(DATA_DIGESTS)})")
     table = bench.build_problems(bench.parse_config(str(ROOT / "configs" / "table.json")))
-    got = {"table": _digest(_data(table)),
-           "set_p": _digest(_data(problems.generate_problem_set_p(seed=1729)))}
+    got = {"table": _digest(_data(table))}
+    for seed, key in ((1729, "set_p"), (401, "set_p401")):
+        got[key] = _digest(_data(problems.generate_problem_set_p(seed=seed)))
     for kind in (3, 4, 5, 6):
         got[f"kind{kind}"] = _digest([problems.orthogonal_factor(dim, kind, 1729)
                                       for dim in (7, 50)])
@@ -571,14 +619,15 @@ def test_pinned_data_and_stacked_qr_under_each_blas_kernel(core):
     # core's (Prescott reports itself as Katmai, so it is not run twice);
     # under those and Prescott, whose dot kernels sum a vector 8 bytes
     # off a 16-byte boundary in another order, a stacked householder_qr
-    # and its Q products are bitwise the one-matrix loop.
+    # and its Q products are bitwise the one-matrix loop, and each thin
+    # seeded factor is bitwise the square one's leading columns.
     pinned = ("if core in tp.DATA_DIGESTS:\n"
               "    tp.test_generated_data_is_bitwise_pinned()\n")
     code = ("import qr_reference, test_problems as tp\n"
             "core = tp._openblas_core()\n"
             + (pinned if core in DATA_DIGESTS else "")
             + "print(core)\n"
-            "print(qr_reference.mismatches())\n")
+            "print(qr_reference.mismatches() + qr_reference.thin_mismatches())\n")
     reported, bad = run_under_core(core, code, timeout=300).split("\n")[:2]
     assert bad == "[]"
     if core in DATA_DIGESTS and reported not in DATA_DIGESTS:
