@@ -320,7 +320,8 @@ def build_problems(config):
     """Materialize the config's families into problem instances.
 
     The "file" families are read first, and the singular values of each
-    same-shape group of them come from one stacked `linalg.svd` call.
+    same-shape group of them come from one stacked `linalg.svd` call, one
+    LAPACK call per group; generated families seed their spectrum.
     Construction checks and generated families then follow in config
     order, so the first family that fails raises what it raises alone.
     Only then do two problems sharing a label raise ConfigError naming

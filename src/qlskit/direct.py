@@ -84,14 +84,21 @@ def solve_aug(s, scale=None):
 
     The saddle matrix goes to LAPACK's LU with partial pivoting (gesv,
     through ``np.linalg.solve``, one call per stack); an exactly singular
-    one raises Breakdown.  The default scale sigma_min(A)/sqrt(2), with
-    the problem's own sigma, keeps the saddle matrix as well conditioned
-    as the problem allows; a given `scale` is used for every problem.
-    The leading block of the internal solution is the residual divided
-    by the scale; only the x block is returned.
+    one raises Breakdown.  The default scale is the power of two nearest
+    sigma_min(A)/sqrt(2) (Bjorck's choice) on the log scale, ties up:
+    2^floor(log2 sigma_min), with the problem's own sigma.  It keeps the
+    saddle matrix as well conditioned as the problem allows, and it reads
+    only the exponent of sigma_min, so x does not depend on the last bits
+    of sigma.  A given `scale` is used for every problem.  The leading
+    block of the internal solution is the residual divided by the scale;
+    only the x block is returned.
     """
-    scales = np.ldexp([p.sigma_min() / np.sqrt(2.0) if scale is None
-                       else scale for p in s.probs], -s.ea)
+    if scale is None:
+        smin = np.array([p.sigma_min() for p in s.probs])
+        scales = np.ldexp(np.where(smin > 0.0, 0.5, 0.0),
+                          np.frexp(smin)[1] - s.ea)
+    else:
+        scales = np.ldexp([scale] * len(s.probs), -s.ea)
     k, rhs = s.in_range().augmented(scales)
     try:
         sol = np.linalg.solve(k, rhs[..., None])

@@ -2,13 +2,12 @@
 
 Everything operates on binary64 numpy arrays at desk scale (a few hundred
 rows).  Kernels that buy no accuracy are LAPACK's: the unpivoted QR is
-geqrf (``np.linalg.qr`` in raw mode) and the triangular solve is getrs
-on one triangle.  Hand-written kernels stay where they buy accuracy or
-fix data: the column-pivoted Householder QR (numpy has no geqp3; it
-serves the stacked-system solver, the Jacobi preconditioner and the
-problem generator), `svd`, one-sided Jacobi singular values of a matrix
-or a stack (round-robin, after row-sorted pivoted QRs), accurate for
-small singular values, and the Bunch-Kaufman LDLT with 1x1 and 2x2
+geqrf (``np.linalg.qr`` in raw mode), the triangular solve is getrs on
+one triangle, and `svd` takes the singular values of a matrix or a stack
+from gesdd, around an exact power-of-two scaling.  Hand-written kernels
+stay where they buy accuracy or fix data: the column-pivoted Householder
+QR (numpy has no geqp3; it serves the stacked-system solver and the
+problem generator), and the Bunch-Kaufman LDLT with 1x1 and 2x2
 diagonal blocks, which no solver calls (AUG uses LAPACK's LU).  Every
 QR keeps compact Householder reflectors, so products with Q or its
 transpose never form Q; the Householder QR and those products also
@@ -72,6 +71,17 @@ def scale_exponent(v, axis=None):
 def as_vector(y, name="vector"):
     """Validate and return `y` as a 1-d float64 array with finite entries."""
     return _as_array(y, name, (1,))
+
+
+def safe_norm(x):
+    """2-norm of a vector computed on 2^-e x, e = frexp(max |x|).
+
+    The scaling is exact, so inside the normal range the result is
+    bitwise np.linalg.norm(x); near the ends of the exponent range the
+    squares no longer overflow or underflow.
+    """
+    e = math.frexp(float(np.max(np.abs(x))))[1] if np.size(x) else 0
+    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +169,8 @@ def householder_qr(a, pivoting=False):
     matrix and work vector sits at the alignment of its own call (see
     `aligned_stack`), so each matrix's R, reflectors, tau and perm are
     bitwise those of its own call, and a 2-d input is the B = 1 case.
-    This loop serves the pivoted `qr_factorize`, the Jacobi
-    preconditioner in `svd`, and the problem generator, whose data its
-    exact arithmetic fixes.
+    This loop serves the pivoted `qr_factorize` and the problem
+    generator, whose data its exact arithmetic fixes.
     """
     a = _tall(a)
     single = a.ndim == 2
@@ -373,104 +382,41 @@ def qr_lstsq(f, y):
 
 
 # ---------------------------------------------------------------------------
-# One-sided Jacobi singular values
+# Singular values
 # ---------------------------------------------------------------------------
-
-# Squared (scaled) column norm at or below which a column is not rotated:
-# its inner products no longer resolve the threshold, and it is negligible.
-_JACOBI_FLOOR = np.finfo(float).tiny / U
-
-
-def safe_norm(x):
-    """2-norm of a vector computed on 2^-e x, e = frexp(max |x|).
-
-    The scaling is exact, so inside the normal range the result is
-    bitwise np.linalg.norm(x); near the ends of the exponent range the
-    squares no longer overflow or underflow.
-    """
-    e = math.frexp(float(np.max(np.abs(x))))[1] if np.size(x) else 0
-    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e))
-
 
 def svd(a):
     """Singular values, descending, of one matrix (result (n,)) or of each
-    matrix of a (B, m, n) stack (result (B, n)), by one-sided Jacobi.
+    matrix of a (B, m, n) stack (result (B, n)), from LAPACK.
 
     Each matrix is scaled by 2^-e, e = frexp(max |a|), which is exact and
-    keeps its entries from overflowing or underflowing; its rows are
-    sorted by decreasing max |a_ij| and the column-pivoted
-    `householder_qr` gives R (Drmac-Veselic preconditioning; the row sort
-    keeps row-graded input accurate, Cox and Higham).  The scaling and the
-    sort run on the whole stack in one call, the QR on stacks of
-    `STACK_CHUNK` matrices.  The columns of R^T are rotated pairwise
-    until |a_i . a_j| <= 1e-15 ||a_i|| ||a_j|| for every pair; their
-    norms are the singular values, small ones to high relative accuracy
-    (Demmel-Veselic).  Each Brent-Luk round-robin round
-    rotates n/2 disjoint pairs of every matrix in one numpy step (odd n
-    adds a zero column); a pair needing no rotation gets cos 1, sin 0 and
-    stays bitwise unchanged, so each matrix's values are bitwise its own
-    call's.  A matrix leaves the batch after a sweep that rotates none of
-    its pairs, or raises NoConvergence after 30 per column.  An m < n
-    input goes through its transpose.
+    keeps its entries from overflowing or underflowing, and its rows are
+    sorted by decreasing max |a_ij|, the order Cox and Higham give
+    Householder QR for row-wise stability.  That leaves the singular
+    values as they are, and on rows that mix a large entry with tiny ones
+    it keeps tiny values that LAPACK loses on some row orders (returning
+    0).  One ``np.linalg.svd(compute_uv=False)`` call (gesdd) then
+    takes the whole stack, each matrix's values bitwise its own call's,
+    and they are scaled back by 2^e.  The values carry an error of a small
+    multiple of u ||A||: no more than rounding the entries of an ungraded
+    A = fl(U Sigma V^T) already moves them.  An m < n input goes through
+    its transpose; a LAPACK failure to converge raises NoConvergence.
     """
     s = _as_array(a, "a", (2, 3))
     if s.shape[-2] < s.shape[-1]:
-        s = np.swapaxes(s, -1, -2)
-    stack = s if s.ndim == 3 else s[None]
-    nb, _, n = stack.shape
-    # Rows of w[k] are the columns of R^T, so pairs gather contiguously.
-    h = (n + 1) // 2
-    w, e = np.zeros((nb, 2 * h, n)), np.zeros(nb, dtype=int)
-    live = np.arange(nb if n else 0)
-    if live.size:
-        # Row maxima of |a|, scaled exactly as the rows are: the sort keys.
-        big = np.maximum(stack.max(axis=2), -stack.min(axis=2))
-        e = np.frexp(big.max(axis=1))[1]
-        rows = np.argsort(-np.ldexp(big, -e[:, None]), axis=1, kind="stable")
-        for lo in range(0, nb, STACK_CHUNK):
-            part = slice(lo, lo + STACK_CHUNK)
-            # Sorted and scaled into a stack the QR works on in place.
-            v = aligned_stack(*stack[part].shape)
-            np.ldexp(np.take_along_axis(stack[part], rows[part, :, None], axis=1),
-                     -e[part, None, None], out=v)
-            _householder(v, pivoting=True)
-            w[part, :n] = np.triu(v[:, :n])
-    single, s, stack = s.ndim == 2, None, None  # frees a converted copy of a
-    # Column 0 keeps its seat, the others move one seat per round, and
-    # seat k meets seat 2h-1-k: every pair meets once per sweep.
-    ring = np.arange(1, 2 * h)
-    rounds = [np.concatenate(([0], np.roll(ring, r))) for r in range(2 * h - 1)]
-    sigma, sweeps = np.zeros((nb, n)), 0
-    while live.size:
-        if sweeps == 30 * n:
-            raise NoConvergence("Jacobi SVD sweep budget exhausted")
-        sweeps += 1
-        rotated = np.zeros(live.size, dtype=bool)
-        for seats in rounds:
-            i, j = seats[:h], seats[:h - 1:-1]
-            wi, wj = w[:, i], w[:, j]
-            alpha = np.einsum("bij,bij->bi", wi, wi)
-            beta = np.einsum("bij,bij->bi", wj, wj)
-            gamma = np.einsum("bij,bij->bi", wi, wj)
-            # sqrt(alpha) sqrt(beta): the product alpha beta can underflow.
-            thresh = 1e-15 * np.sqrt(alpha) * np.sqrt(beta)
-            act = ((alpha > _JACOBI_FLOOR) & (beta > _JACOBI_FLOOR)
-                   & (np.abs(gamma) > thresh))
-            if not act.any():
-                continue
-            zeta = (beta - alpha) / (2.0 * np.where(act, gamma, 1.0))
-            t = np.where(act, np.copysign(1.0, zeta)
-                         / (np.abs(zeta) + np.hypot(1.0, zeta)), 0.0)
-            cs = (1.0 / np.hypot(1.0, t))[..., None]
-            sn = cs * t[..., None]
-            w[:, i] = cs * wi - sn * wj
-            w[:, j] = sn * wi + cs * wj
-            rotated |= act.any(axis=1)
-        done = w[~rotated, :n]
-        sigma[live[~rotated]] = np.sqrt(np.einsum("bij,bij->bi", done, done))
-        live, w = live[rotated], w[rotated]
-    sigma = np.ldexp(np.sort(sigma, axis=1)[:, ::-1], e[:, None])
-    return sigma[0] if single else sigma
+        s = s.mT
+    if not s.size:
+        return np.zeros(s.shape[:-2] + s.shape[-1:])
+    big = np.maximum(s.max(axis=-1), -s.min(axis=-1))  # row maxima of |a|
+    e = np.frexp(big.max(axis=-1))[1][..., None]
+    # Keys scaled exactly as the rows are, so 2^k A sorts as A does.
+    rows = np.argsort(-np.ldexp(big, -e), axis=-1, kind="stable")
+    s = np.ldexp(np.take_along_axis(s, rows[..., None], axis=-2), -e[..., None])
+    try:
+        sigma = np.linalg.svd(s, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK SVD did not converge: {exc}") from None
+    return np.ldexp(sigma, e)
 
 
 # ---------------------------------------------------------------------------

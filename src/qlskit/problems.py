@@ -34,7 +34,8 @@ MAX_EPS, MIN_EPS = 1.0, 2.0 ** -1023
 # Default seed for the benchmark problem collection.
 DEFAULT_SET_SEED = 1729
 
-# verify_construction's bound on the residual, in u kappa^2 ||A^T b + c||.
+# verify_construction's bound on the residual, in
+# u (||A||^2 ||x_exact|| + ||A|| ||b|| + ||c||).
 VERIFY_FACTOR = 1e3
 
 
@@ -125,16 +126,26 @@ class QlsProblem:
 
     def seed_spectrum(self, sigma):
         # A spectrum known from construction, or computed for a batch of
-        # problems by one stacked la.svd call: no Jacobi SVD per instance.
+        # problems by one stacked la.svd call: no SVD per instance.
         self._sigma = np.sort(np.asarray(sigma, dtype=float))[::-1]
 
     def verify_construction(self):
-        """Check A^T A x_exact = A^T b + c up to the admissible roundoff."""
+        """Check A^T A x_exact = A^T b + c up to the admissible roundoff.
+
+        The bound is VERIFY_FACTOR u (||A||^2 ||x|| + ||A|| ||b|| + ||c||),
+        the size of the terms the residual is formed from, so it does not
+        vanish with x_exact or with A^T b + c.  A rank-deficient A raises
+        RankDeficient: x_exact is then not the one solution.
+        """
         if self.x_exact is None:
             return
         rhs = self.a.T @ self.b + self.c
         lhs = self.a.T @ (self.a @ self.x_exact)
-        tol = VERIFY_FACTOR * la.U * self.kappa() ** 2 * la.safe_norm(rhs)
+        self.kappa()
+        na = self.sigma_max()
+        tol = VERIFY_FACTOR * la.U * (
+            na * (na * la.safe_norm(self.x_exact) + la.safe_norm(self.b))
+            + la.safe_norm(self.c))
         err = la.safe_norm(lhs - rhs)
         if err > tol:
             raise InvalidParameter(

@@ -133,11 +133,11 @@ def identity_problem(b=(1.0, 0.0), c=(0.0, 0.0)):
 
 
 def svd_stacks():
-    """Named (B, m, n) stacks for the stacked Jacobi SVD.
+    """Named (B, m, n) stacks for the stacked SVD.
 
     "graded": 12 x 6 matrices, in groups of an ungraded one, one with
     columns graded to 1e-15, one with rows graded to 1e-15 and one graded
-    to 1e-8 on both sides (the cases of the relative accuracy tests).
+    to 1e-8 on both sides, whose row sorts differ from matrix to matrix.
     "edge": 3 x 3 matrices that are zero, have zero columns, or have
     columns whose squared norms underflow, and a plain one alone and
     scaled by 2^-560 and 2^660, each needing its own scaling.  "wide":

@@ -45,6 +45,33 @@ def test_gen_writes_problem_files(tmp_path, capsys):
         assert p.x_exact is not None
 
 
+def test_gen_builds_a_one_column_family(tmp_path):
+    # n = 1 makes x_exact zero; the construction check used to reject
+    # these cseeds (exit 3).
+    for j in range(5):
+        cfg = write_config(tmp_path, families=[
+            {"type": "c1", "m": 11, "n": 1, "a": 2.0, "alpha": 1.0,
+             "kind": 1, "seed": 0, "cseed": [42, j], "label": f"n1-{j}"}])
+        assert cli.main(["gen", "--config", cfg,
+                         "--out", str(tmp_path / "out")]) == 0
+
+
+def test_svd_failure_exits_numerical_without_a_traceback(tmp_path, capsys,
+                                                         monkeypatch):
+    cfg = write_config(tmp_path)
+    cli.main(["gen", "--config", cfg, "--out", str(tmp_path)])
+    capsys.readouterr()
+
+    def fail(a, compute_uv=True):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert cli.main(["solve", str(tmp_path / "t0.qls")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: LAPACK SVD did not converge")
+    assert "Traceback" not in err
+
+
 def test_solve_prints_solution_summary(tmp_path, capsys):
     cfg = write_config(tmp_path)
     cli.main(["gen", "--config", cfg, "--out", str(tmp_path)])

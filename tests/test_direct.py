@@ -295,11 +295,37 @@ def test_direct_group_validation():
         assert np.array_equal(solve((p,))[0], solve(p))
 
 
+def test_aug_scale_is_a_power_of_two_read_from_the_exponent_of_sigma_min(
+        monkeypatch):
+    # The default scale is 2^floor(log2 sigma_min), the power of two nearest
+    # sigma_min / sqrt(2): a spectrum seeded off by a relative 1e-7 gives
+    # every set_p 1729 problem bitwise the same x.
+    probs = problems.generate_problem_set_p(seed=1729)
+    scales, real = [], problems.Stack.augmented
+
+    def spy(self, scale):
+        scales.extend(np.ldexp(scale, self.ea))
+        return real(self, scale)
+
+    monkeypatch.setattr(problems.Stack, "augmented", spy)
+    want = direct.solve_aug(probs)
+    for p, s in zip(probs, scales):
+        assert problems.is_power_of_two(s)
+        assert p.sigma_min() / 2.0 < s <= p.sigma_min()
+    moved = []
+    for p in probs:
+        q = problems.QlsProblem(p.a, p.b, p.c)
+        q.seed_spectrum(p.singular_values() * (1.0 + 1e-7))
+        moved.append(q)
+    got = direct.solve_aug(moved)
+    assert all(np.array_equal(x, w) for x, w in zip(got, want))
+
+
 def test_aug_takes_sigma_from_the_problem_on_scaled_data(monkeypatch):
     # set_p 1729 with A and c scaled by 2^k, outside the safe range, and
-    # sigma seeded scaled with them: AUG's scale is the problem's own
-    # sigma_min / sqrt(2) brought in range, so no Jacobi SVD runs and
-    # every x is exactly 2^-k times the unscaled one.
+    # sigma seeded scaled with them: AUG's scale comes from the problem's
+    # own sigma_min, brought in range, so no SVD runs and every x is
+    # exactly 2^-k times the unscaled one.
     probs = problems.generate_problem_set_p(seed=1729)
     want = direct.solve_aug(probs)
     calls = []

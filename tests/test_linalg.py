@@ -290,43 +290,6 @@ def test_svd_random_matches_lapack():
         assert np.allclose(la.svd(a.T), want, atol=1e-12 * max(s[0], 1.0))
 
 
-def _svd_error_in_u(a, sigma=None):
-    """Largest relative error of `sigma` (default la.svd(a)), the singular
-    values of `a`, against 50-digit mpmath, in u."""
-    mpmath = pytest.importorskip("mpmath")
-    n = a.shape[1]
-    sigma = la.svd(a) if sigma is None else sigma
-    with mpmath.workdps(50):
-        ref = mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False)
-        ref = sorted((ref[i] for i in range(n)), reverse=True)
-        err = [abs((mpmath.mpf(float(x)) - y) / y) for x, y in zip(sigma, ref)]
-    return max(float(e) for e in err) / U
-
-
-def test_svd_graded_columns_relative_accuracy():
-    # A = B D with column scales 1 ... 1e-15: one-sided Jacobi keeps every
-    # singular value to a few u relative, where LAPACK's bidiagonal SVD
-    # need not.  Reference: 50-digit mpmath.
-    rng = np.random.default_rng(71)
-    for _ in range(4):
-        b = rng.standard_normal((12, 6))
-        assert _svd_error_in_u(b * rng.permutation(10.0 ** -np.arange(0, 16, 3))) <= 10
-
-
-def test_svd_graded_rows_and_both_sides_relative_accuracy():
-    # Row grading 1 ... 1e-15 in shuffled order, and two-sided grading
-    # 1 ... 1e-8 on each side: the rows sorted by decreasing max |a_ij|
-    # ahead of the pivoted QR keep every singular value within 100 u.
-    rng = np.random.default_rng(72)
-    for _ in range(4):
-        b = rng.standard_normal((12, 6))
-        rows = rng.permutation(10.0 ** -np.linspace(0, 15, 12))[:, None]
-        assert _svd_error_in_u(rows * b) <= 100
-        left = rng.permutation(10.0 ** -np.linspace(0, 8, 12))[:, None]
-        right = rng.permutation(10.0 ** -np.linspace(0, 8, 6))
-        assert _svd_error_in_u(left * b * right) <= 100
-
-
 def test_svd_extreme_scales_are_exact_multiples():
     # A power-of-two scaling inside svd: 2^k A gives exactly 2^k sigma,
     # down to entries near 1e-170 and up to 1e200, without warnings.
@@ -341,13 +304,12 @@ def test_svd_extreme_scales_are_exact_multiples():
 
 
 def test_svd_tiny_columns_converge():
-    # Column pairs whose squared norms underflow: the pairwise test takes
-    # sqrt(alpha) sqrt(beta), and columns whose squared norm is below the
-    # normal range are not rotated, so the sweeps end.
+    # Columns whose squared norms underflow.  |det A| = t^2 (1 - t): LAPACK
+    # on A as given returns a zero third value, on its rows sorted by
+    # decreasing max |a_ij| (as svd sorts them) the product is right.
     t = 1.03390001e-109
     s = la.svd(np.array([[0.0, t, t], [t, t, 1.0], [t, t, t]]))
     assert s[0] == pytest.approx(1.0, rel=1e-15)
-    # |det A| = t^2 (1 - t); LAPACK returns a zero third value here
     assert s[0] * s[1] * s[2] == pytest.approx(t * t, rel=1e-14)
     t = 1.30448619e-153
     a = np.array([[128.0, t, t], [t, 0.0, t], [t, t, t]])
@@ -386,15 +348,6 @@ def test_svd_stack_is_bitwise_its_per_matrix_calls():
         assert np.array_equal(la.svd(stack[1]), la.svd(stack[1:2])[0])
 
 
-def test_svd_stack_keeps_relative_accuracy_of_each_matrix():
-    # Column-graded, row-graded and two-sided graded matrices between
-    # ungraded ones in one stack keep the bounds of the two relative
-    # accuracy tests above.
-    stack = svd_stacks()["graded"]
-    for a, sigma, bound in zip(stack, la.svd(stack), [10, 10, 100, 100] * 2):
-        assert _svd_error_in_u(a, sigma) <= bound
-
-
 def test_svd_stack_edge_cases():
     # Zero matrix, zero columns, the underflowing columns of
     # test_svd_tiny_columns_converge and one matrix at three scales 2^k
@@ -421,6 +374,17 @@ def test_svd_stack_edge_cases():
     assert la.svd(np.zeros((2, 3, 0))).shape == (2, 0)
 
 
+def test_svd_lapack_failure_raises_no_convergence(monkeypatch):
+    def fail(a, compute_uv=True):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        la.svd(np.eye(3))
+    with pytest.raises(NoConvergence):
+        la.svd(np.ones((2, 4, 3)))
+
+
 def test_svd_rejects_ragged_and_4d_input():
     with pytest.raises(DimensionMismatch):
         la.svd([np.ones((3, 2)), np.ones((4, 2))])
@@ -434,10 +398,9 @@ def test_svd_rejects_ragged_and_4d_input():
 
 @pytest.mark.parametrize("core", CORES)
 def test_svd_stack_bitwise_under_each_blas_kernel(core):
-    # The stacked rounds use no BLAS, and the stacked preconditioning QR
-    # keeps each matrix and work vector at the alignment of its own call,
-    # so under every OpenBLAS core the stack stays bitwise its per-matrix
-    # calls.
+    # One LAPACK call loops over the stack, copying each matrix into the
+    # work buffer its own call would use, so under every OpenBLAS core the
+    # stack stays bitwise its per-matrix calls.
     out = run_under_core(
         core, "import helpers\nprint(helpers.svd_stack_mismatches())\n")
     assert out.strip() == "[]"

@@ -164,6 +164,29 @@ def test_verify_construction_rejects_wrong_solution():
         p.verify_construction()
 
 
+def test_verify_construction_at_a_zero_solution():
+    # n = 1 gives x_exact = (0,), so A^T b + c is zero in exact arithmetic
+    # and only its roundoff is left; the bound must not vanish with it.
+    p = problems.assemble_problem(11, 1, (1.0,), (-1.0,))
+    assert np.array_equal(p.x_exact, [0.0])
+    p.verify_construction()
+    q = problems.QlsProblem(np.eye(2), np.array([1.0, 0.0]),
+                            np.array([-1.0, 0.0]), x_exact=np.zeros(2))
+    q.verify_construction()
+
+
+def test_verify_construction_rejects_a_solution_off_by_1e_8():
+    table = bench.build_problems(
+        bench.parse_config(str(ROOT / "configs" / "table.json")))
+    set_p = problems.generate_problem_set_p(seed=1729)
+    for p in (set_p[0], set_p[19], set_p[39], table[0], table[-1]):
+        p.verify_construction()
+        bad = problems.QlsProblem(p.a, p.b, p.c, x_exact=p.x_exact * (1 + 1e-8))
+        bad.seed_spectrum(p.singular_values())
+        with pytest.raises(InvalidParameter, match="violates"):
+            bad.verify_construction()
+
+
 def test_build_eps_system_layout():
     p = problems.QlsProblem(a=np.eye(2), b=np.array([1.0, 2.0]),
                             c=np.array([1.0, 2.0]))
@@ -239,12 +262,13 @@ def test_build_augmented_hand_case():
 
 
 def test_build_augmented_default_scale_and_invariance():
-    # AUG's default scale is sigma_min / sqrt(2); the x block solves the
-    # problem at that scale and at one alike.
+    # AUG's default scale is the power of two nearest sigma_min / sqrt(2),
+    # 2^floor(log2 sigma_min); the x block solves the problem at that scale
+    # and at one alike.
     rng = np.random.default_rng(25)
     p = problems.assemble_problem(6, 3, (1.0, 0.7, 0.5), rng.standard_normal(3),
                                   kind=4, seed=9)
-    scale = p.sigma_min() / np.sqrt(2.0)
+    scale = 2.0 ** np.floor(np.log2(p.sigma_min()))
     assert np.array_equal(direct.solve_aug(p), direct.solve_aug(p, scale=scale))
     k, rhs = problems.Stack([p, p]).augmented(np.array([scale, 1.0]))
     assert np.array_equal(k[0, :p.m, :p.m], scale * np.eye(p.m))
@@ -471,8 +495,8 @@ def test_load_verifies_solution(tmp_path):
 
 @pytest.mark.parametrize("scale", [1e-170, 1e200])
 def test_kappa_from_file_at_extreme_scales(tmp_path, scale):
-    # Read back from a file the spectrum comes from the Jacobi kernel;
-    # its power-of-two scaling keeps entries near 1e-170 from
+    # Read back from a file the spectrum comes from linalg.svd; its
+    # power-of-two scaling keeps entries near 1e-170 from
     # underflowing (sigma = 0) and near 1e200 from overflowing (inf).
     a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
     p = problems.QlsProblem(scale * a, np.ones(3), np.zeros(2), label="x")
