@@ -256,22 +256,17 @@ def family_values(fam, idx, seed):
 
 
 def read_config(source):
-    """The config object of a dict, JSON text or a str/PathLike path."""
-    # A config document is a JSON object, so a string is JSON text when
-    # its first non-blank character is "{" and a path otherwise.
+    """The config object of a dict or of a str/PathLike path to JSON."""
     if isinstance(source, dict):
         return source
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
-    elif isinstance(source, (str, os.PathLike)):
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"config: cannot read {source}: {exc}")
-    else:
-        raise ConfigError(f"config: expected a dict, JSON text or a path, "
+    if not isinstance(source, (str, os.PathLike)):
+        raise ConfigError(f"config: expected a dict or a path, "
                           f"got {type(source).__name__}")
+    try:
+        with open(source) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {source}: {exc}")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -285,8 +280,8 @@ def read_config(source):
 
 
 def parse_config(source):
-    """Check a config document (dict, JSON text, or str/PathLike path)
-    against the schema; return its ExperimentConfig.
+    """Check a config document (a dict, or a str/PathLike path to a JSON
+    file) against the schema; return its ExperimentConfig.
 
     Raises ConfigError naming the offending key, e.g.
     "families[2].up: must be positive, got 0", and for any other kind of
@@ -319,29 +314,16 @@ def parse_config(source):
 def build_problems(config):
     """Materialize the config's families into problem instances.
 
-    The "file" families are read first, and the singular values of each
-    same-shape group of them come from one stacked `linalg.svd` call, one
-    LAPACK call per group; generated families seed their spectrum.
-    Construction checks and generated families then follow in config
-    order, so the first family that fails raises what it raises alone.
-    Only then do two problems sharing a label raise ConfigError naming
-    both families: records and problem files are keyed by the label.
+    Families are built in config order, so the first family that fails
+    raises what it raises alone.  A "file" family is read and, when it
+    is a ``verify`` family, checked; its singular values are computed
+    the first time something asks for them.  Generated families seed
+    their spectrum.  Only then do two problems sharing a label raise
+    ConfigError naming both families: records and problem files are
+    keyed by the label.
     """
-    loaded = {}
-    for idx, fam in enumerate(config.families):
-        if fam["type"] == "file":
-            try:
-                loaded[idx] = problems.load_problem(fam["path"], verify=False)
-            except (OSError, ValueError):
-                break  # read again below, in config order, and raised
-    groups = {}
-    for p in loaded.values():
-        groups.setdefault(p.a.shape, []).append(p)
-    for group in groups.values():
-        for p, sigma in zip(group, linalg.svd([p.a for p in group])):
-            p.seed_spectrum(sigma)
     built = [(idx, p) for idx, fam in enumerate(config.families)
-             for p in _family_problems(config, idx, fam, loaded.get(idx))]
+             for p in _family_problems(config, idx, fam)]
     first = {}
     for idx, p in built:
         if first.setdefault(p.label, idx) != idx:
@@ -351,14 +333,11 @@ def build_problems(config):
     return [p for _, p in built]
 
 
-def _family_problems(config, idx, fam, loaded):
-    """The problems of family `idx`; `loaded` is its file's problem or None."""
+def _family_problems(config, idx, fam):
+    """The problems of family `idx`."""
     ftype, v = fam["type"], family_values(fam, idx, config.seed)
     if ftype == "file":
-        p = loaded or problems.load_problem(v["path"], verify=False)
-        if v["verify"]:
-            p.verify_construction()
-        return [p]
+        return [problems.load_problem(v["path"], verify=v["verify"])]
     if ftype == "set_p":
         return problems.generate_problem_set_p(seed=v["seed"], m=v["m"],
                                                n=v["n"])

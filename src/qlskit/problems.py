@@ -125,8 +125,7 @@ class QlsProblem:
         return self.sigma_max() / smin
 
     def seed_spectrum(self, sigma):
-        # A spectrum known from construction, or computed for a batch of
-        # problems by one stacked la.svd call: no SVD per instance.
+        # A spectrum known from construction: no SVD for the instance.
         self._sigma = np.sort(np.asarray(sigma, dtype=float))[::-1]
 
     def verify_construction(self):

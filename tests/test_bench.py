@@ -45,26 +45,23 @@ def small_config(**kw):
 def test_parse_config_accepts_dict_text_path(tmp_path):
     d = small_config()
     from_dict = bench.parse_config(d)
-    from_text = bench.parse_config(json.dumps(d))
     path = tmp_path / "c.json"
     path.write_text(json.dumps(d))
     from_path = bench.parse_config(str(path))
-    for cfg in (from_dict, from_text, from_path):
+    for cfg in (from_dict, from_path):
         assert cfg.seed == 5
         assert len(cfg.families) == 1
         assert cfg.solvers == bench.SOLVERS
 
 
 def test_parse_config_reads_path_with_brace(tmp_path):
-    # A path is a path even when it contains "{"; only text whose first
-    # non-blank character is "{" is JSON.
+    # A path is a path even when it contains "{".
     d = small_config()
     path = tmp_path / "cfg{1}" / "t.json"
     path.parent.mkdir()
     path.write_text(json.dumps(d))
     for source in (str(path), path):
         assert bench.parse_config(source).seed == 5
-    assert bench.parse_config("  \n" + json.dumps(d)).seed == 5
 
 
 def test_parse_config_rejects_file_descriptors():
@@ -216,24 +213,37 @@ DEFICIENT = dict(a=np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 0.0]]),
                  label="deficient")
 
 
-def test_build_problems_one_svd_per_file_shape(tmp_path, monkeypatch):
-    # Five files of two shapes around a generated family: one stacked
-    # svd per shape, and each file problem's singular values and kappa
-    # are bitwise those load_problem gives it alone.
+def test_build_problems_one_svd_per_verified_file_in_order(tmp_path,
+                                                           monkeypatch):
+    # Five verified files of two shapes around a generated family, then
+    # an unverified file: each verified file's construction check makes
+    # one 2-d svd of its own matrix, in config order, and the unverified
+    # one makes none.  Each file problem's singular values and kappa are
+    # bitwise those load_problem gives it alone.
     paths = []
-    for k in range(5):
+    for k in range(6):
         m, n = (8, 4) if k % 2 else (10, 5)
         p = problems.assemble_problem(m, n, problems.sigma_c1(n, 1.5 + k),
                                       np.full(n, 1e-3), kind=1 + k, seed=k,
                                       label=f"f{k}")
         paths.append(_save(tmp_path, f"f{k}", p))
     fams = [{"type": "file", "path": path} for path in paths]
+    fams[5]["verify"] = False
     fams.insert(2, small_config()["families"][0])
-    shapes = _svd_spy(monkeypatch)
+    real, seen = linalg.svd, []
+
+    def spy(a):
+        seen.append(a)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "svd", spy)
     ps = bench.build_problems(bench.parse_config({"families": fams}))
-    assert sorted(shapes) == [(2, 8, 4), (3, 10, 5)]
-    assert [p.label for p in ps] == ["f0", "f1", "c1-02", "f2", "f3", "f4"]
-    for p, path in zip([p for p in ps if p.label[0] == "f"], paths):
+    assert [p.label for p in ps] == ["f0", "f1", "c1-02", "f2", "f3", "f4",
+                                     "f5"]
+    files = [p for p in ps if p.label[0] == "f"]
+    assert [np.ndim(a) for a in seen] == [2] * 5
+    assert all(a is p.a for a, p in zip(seen, files[:5], strict=True))
+    for p, path in zip(files, paths, strict=True):
         alone = problems.load_problem(path)
         assert np.array_equal(p.singular_values(), alone.singular_values())
         assert p.kappa() == alone.kappa()

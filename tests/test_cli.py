@@ -388,6 +388,16 @@ def test_seed_reaches_the_shipped_set_p_family(tmp_path, capsys):
             first.problem_id.endswith(suffix)
 
 
+def test_bench_reads_a_relative_config_path_that_starts_with_a_brace(
+        tmp_path, monkeypatch):
+    # A config source that is a string is a path, whatever its first
+    # character: "{t}.json" names a file and is not read as JSON text.
+    monkeypatch.chdir(tmp_path)
+    os.rename(write_config(tmp_path), "{t}.json")
+    assert cli.main(["bench", "--config", "{t}.json", "--out", "r.csv"]) == 0
+    assert len(bench.load_records("r.csv")) == 4
+
+
 def test_missing_config_exit_config(tmp_path, capsys):
     rc = cli.main(["bench", "--config", str(tmp_path / "nope.json")])
     assert rc == 1

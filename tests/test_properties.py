@@ -313,17 +313,25 @@ def test_configs_round_trip_and_each_mutation_names_its_field(doc):
     want = bench.ExperimentConfig(doc["families"], **{
         FIELDS.get(key, key): tuple(v) if key == "solvers" else v
         for key, v in doc.items() if key != "families"})
-    assert bench.parse_config(json.dumps(doc)) == want
-    assert bench.parse_config(doc) == want
-    for i, key, value, name in mutations(doc):
-        bad = copy.deepcopy(doc)
-        obj = bad if i is None else bad["families"][i]
-        if value is None:
-            del obj[key]
-        else:
-            obj[key] = value
-        for source in (bad, json.dumps(bad)):
-            with pytest.raises(ConfigError) as exc:
-                bench.parse_config(source)
-            assert str(exc.value).startswith((name + ":", name + "[")), \
-                (str(exc.value), name)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+
+        def written(obj):
+            with open(path, "w") as fh:
+                json.dump(obj, fh)
+            return path
+
+        assert bench.parse_config(written(doc)) == want
+        assert bench.parse_config(doc) == want
+        for i, key, value, name in mutations(doc):
+            bad = copy.deepcopy(doc)
+            obj = bad if i is None else bad["families"][i]
+            if value is None:
+                del obj[key]
+            else:
+                obj[key] = value
+            for source in (bad, written(bad)):
+                with pytest.raises(ConfigError) as exc:
+                    bench.parse_config(source)
+                assert str(exc.value).startswith((name + ":", name + "[")), \
+                    (str(exc.value), name)
