@@ -51,7 +51,6 @@ from .iterative import (
     IterationControl,
     SolveOutcome,
     cg_base,
-    cgls,
     cgls_eps,
     cgls_i,
     minres_augmented,
@@ -100,8 +99,8 @@ __all__ = [
     "DEFAULT_EPS", "QlsProblem", "assemble_problem",
     "generate_problem_set_p", "load_problem", "orthogonal_factor",
     "save_problem", "sigma_c1", "sigma_c2",
-    "IterationControl", "SolveOutcome", "cg_base", "cgls", "cgls_eps",
-    "cgls_i", "minres_augmented", "solve_batch",
+    "IterationControl", "SolveOutcome", "cg_base", "cgls_eps", "cgls_i",
+    "minres_augmented", "solve_batch",
     "solve_aug", "solve_qr", "solve_qr_eps", "solve_sm",
     "ConditioningReport", "PerturbationTriple", "cg_inadequacy_indicator",
     "conditioning_report", "construct_perturbation",

@@ -322,6 +322,11 @@ def build_problems(config):
     ConfigError naming both families: records and problem files are
     keyed by the label.
     """
+    return [p for _, p in _built(config)]
+
+
+def _built(config):
+    """``build_problems`` as (family index, problem) pairs."""
     built = [(idx, p) for idx, fam in enumerate(config.families)
              for p in _family_problems(config, idx, fam)]
     first = {}
@@ -330,7 +335,7 @@ def build_problems(config):
             raise ConfigError(
                 f"families[{first[p.label]}] and families[{idx}]: both "
                 f"give a problem labelled {p.label!r}")
-    return [p for _, p in built]
+    return built
 
 
 def _family_problems(config, idx, fam):

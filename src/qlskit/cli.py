@@ -64,21 +64,17 @@ def _one_problem(args, **doc):
 
 def _cmd_gen(args):
     config = _config(args, bench.read_config(args.config))
-    probs = bench.build_problems(config)
-    bad = next((p.label for p in probs
-                if not problems.is_file_label(p.label)), None)
-    if bad is not None:
-        # The schema checks the labels a config gives and the generated
-        # ones keep the rule, so this one was read from a file's header.
-        idx, path = next(
-            (idx, fam["path"]) for idx, fam in enumerate(config.families)
-            if fam["type"] == "file"
-            and problems.load_problem(fam["path"], verify=False).label == bad)
-        raise InvalidParameter(f"families[{idx}].path: {path}: header label "
-                               f"{bad!r} cannot name a problem file")
+    built = bench._built(config)
+    for idx, p in built:
+        if not problems.is_file_label(p.label):
+            # The schema checks the labels a config gives and the generated
+            # ones keep the rule, so this one was read from a file's header.
+            raise InvalidParameter(
+                f"families[{idx}].path: {config.families[idx]['path']}: "
+                f"header label {p.label!r} cannot name a problem file")
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    for p in probs:
+    for _, p in built:
         path = os.path.join(out_dir, f"{p.label}.qls")
         problems.save_problem(p, path)
         print(path)

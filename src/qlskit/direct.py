@@ -79,26 +79,21 @@ def solve_sm(s, eps=DEFAULT_EPS):
 
 
 @grouped()
-def solve_aug(s, scale=None):
+def solve_aug(s):
     """LU solve of [[s I, A], [A^T, 0]] (r/s, x) = (b, -c/s).
 
     The saddle matrix goes to LAPACK's LU with partial pivoting (gesv,
     through ``np.linalg.solve``, one call per stack); an exactly singular
-    one raises Breakdown.  The default scale is the power of two nearest
+    one raises Breakdown.  The scale s is the power of two nearest
     sigma_min(A)/sqrt(2) (Bjorck's choice) on the log scale, ties up:
     2^floor(log2 sigma_min), with the problem's own sigma.  It keeps the
     saddle matrix as well conditioned as the problem allows, and it reads
     only the exponent of sigma_min, so x does not depend on the last bits
-    of sigma.  A given `scale` is used for every problem.  The leading
-    block of the internal solution is the residual divided by the scale;
-    only the x block is returned.
+    of sigma.  The leading block of the internal solution is the residual
+    divided by the scale; only the x block is returned.
     """
-    if scale is None:
-        smin = np.array([p.sigma_min() for p in s.probs])
-        scales = np.ldexp(np.where(smin > 0.0, 0.5, 0.0),
-                          np.frexp(smin)[1] - s.ea)
-    else:
-        scales = np.ldexp([scale] * len(s.probs), -s.ea)
+    smin = np.array([p.sigma_min() for p in s.probs])
+    scales = np.ldexp(np.where(smin > 0.0, 0.5, 0.0), np.frexp(smin)[1] - s.ea)
     k, rhs = s.in_range().augmented(scales)
     try:
         sol = np.linalg.solve(k, rhs[..., None])

@@ -1,5 +1,5 @@
-"""Krylov solvers for A^T A x = A^T b + c: ``cg_base``, ``cgls``,
-``cgls_i``, ``cgls_eps`` and ``minres_augmented``.
+"""Krylov solvers for A^T A x = A^T b + c: ``cg_base``, ``cgls_i``,
+``cgls_eps`` and ``minres_augmented``.  Every run starts at x = 0.
 
 ``solve_batch`` runs one of them on problems of one shape at once: A is
 stacked as (B, m, n), vectors as (B, k, 1), inner products taken as
@@ -31,12 +31,11 @@ smallest recurred norm, and histories stop there.
 
 import contextlib
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import linalg as la
-from .errors import DimensionMismatch, InvalidParameter, QlskitError
+from .errors import InvalidParameter, QlskitError
 from .problems import DEFAULT_EPS, Stack, eps_weight
 
 DEFAULT_TOL = 100.0 * la.U
@@ -57,11 +56,11 @@ STATUSES = ("converged", "stalled", "diverged", "max_iterations", "breakdown")
 
 @dataclass
 class IterationControl:
-    """Stopping parameters; None fields take solver defaults."""
+    """Stopping parameters ``tol``, ``max_iterations`` and ``patience``;
+    None fields take solver defaults."""
 
     tol: float = None
     max_iterations: int = None
-    x0: np.ndarray = None
     patience: int = None
 
     def resolve(self, n):
@@ -74,13 +73,7 @@ class IterationControl:
             raise InvalidParameter("max_iterations must be >= 1")
         if patience < 1:
             raise InvalidParameter("patience must be >= 1")
-        if self.x0 is None:
-            x0 = np.zeros(n)
-        else:
-            x0 = la.as_vector(self.x0, "x0").copy()
-            if x0.shape[0] != n:
-                raise DimensionMismatch("x0 length does not match column count")
-        return tol, maxit, x0, patience
+        return tol, maxit, patience
 
 
 @dataclass
@@ -88,7 +81,7 @@ class SolveOutcome:
     """Result of an iterative solve: ``x`` is the iterate of smallest
     recurred residual norm and ``iterations`` its index; the histories hold
     one entry per iteration up to it (entry k-1 after k).  ``status`` is
-    one of STATUSES, ``residual_gap`` CGLSI's gap at x (0 at x0) and
+    one of STATUSES, ``residual_gap`` CGLSI's gap at x (0 at x = 0) and
     ``iterations_run`` the number of steps the run took, the one that
     broke down included."""
 
@@ -139,7 +132,7 @@ def _drive(steps, count, tol, maxit, patience, history):
     out = [s.copy() for s in saved]
     best_k, codes, runs = (np.zeros(count, int) for _ in range(3))
     logs = [[tuple(v.ravel()[i] for v in series)] for i in range(count)]
-    # A zero initial residual (zero right-hand side or exact x0) is solved.
+    # A zero initial residual (a zero right-hand side) is solved.
     codes[norm == 0.0] = 1
     keep = None if np.count_nonzero(norm) == count else np.flatnonzero(norm)
     # No run stalls before step `deadline`: the earliest last + patience.
@@ -297,18 +290,17 @@ def _minres_steps(a, b, c, x):
 
 
 def _start(method, s, control, history, eps):
-    """The step generator, limits and exponents of stack `s`.
+    """The step generator, limits and exponents of stack `s`, from x = 0.
 
-    "cgls" ignores c; "cgls_eps" runs on the stack's eps system.  The
-    data is brought in range by its stack's exponents, and CG's formed
-    right-hand side by its own 2^-er."""
-    tol, maxit, x0, patience = (control or IterationControl()).resolve(
-        s.a.shape[2])
+    "cgls_eps" runs on the stack's eps system.  The data is brought in
+    range by its stack's exponents, and CG's formed right-hand side by
+    its own 2^-er."""
+    limits = (control or IterationControl()).resolve(s.a.shape[2])
     if method == "cgls_eps":
         s = s.eps_system(eps_weight(eps)[0])
     q = s.in_range()
     a, b = q.a, q.b[..., None]
-    c = None if method in ("cgls", "cgls_eps") else q.c[..., None]
+    c = None if method == "cgls_eps" else q.c[..., None]
     ea, es = s.ea[:, None, None], s.es[:, None, None]
     ex, en = es - ea, ea + es  # x = 2^ex x', recurred norm = 2^en norm'
     if method == "cg":
@@ -317,22 +309,23 @@ def _start(method, s, control, history, eps):
         rhs, ex, en = np.ldexp(rhs, -er), ex + er, en + er
     elif method == "minres":
         en = es
-    x = np.ldexp(x0[:, None], -ex, out=la.aligned_stack(len(a), x0.size, 1))
+    x = la.aligned_stack(len(a), a.shape[2], 1)
+    x.fill(0.0)
     steps = (_cg_steps(a, rhs, x) if method == "cg" else
              _minres_steps(a, b, c, x) if method == "minres" else
              _cgls_steps(a, b, x, c, history and method == "cgls_i"))
-    return steps, (tol, maxit, patience), ex, en.ravel(), es.ravel()
+    return steps, limits, ex, en.ravel(), es.ravel()
 
 
 def solve_batch(method, probs, control=None, eps=DEFAULT_EPS, history=False):
     """Run one Krylov method on problems of one shape together.
 
-    `method` is "cg" (``cg_base``), "cgls" (on A and b alone), "cgls_i",
-    "cgls_eps" or "minres" (``minres_augmented``).  Returns a SolveOutcome
-    per problem, bitwise equal to a call on that problem alone;
-    histories are kept only with `history`.
+    `method` is "cg" (``cg_base``), "cgls_i", "cgls_eps" or "minres"
+    (``minres_augmented``).  Each run starts at x = 0.  Returns a
+    SolveOutcome per problem, bitwise equal to a call on that problem
+    alone; histories are kept only with `history`.
     """
-    if method not in ("cg", "cgls", "cgls_i", "cgls_eps", "minres"):
+    if method not in ("cg", "cgls_i", "cgls_eps", "minres"):
         raise InvalidParameter(f"unknown Krylov method {method!r}")
     steps, limits, ex, en, es = _start(method, Stack(probs), control,
                                        history, eps)
@@ -346,7 +339,7 @@ def solve_batch(method, probs, control=None, eps=DEFAULT_EPS, history=False):
             residual_norm_history=hists and np.ldexp(hists[i][0], en[i]))
         if method == "cgls_i":
             # The gap, relative to sigma_max(A) ||x_exact|| (or ||x||), is 0
-            # at x0, where a scale that underflows then divides nothing.
+            # at x = 0, where a scale that underflows then divides nothing.
             xref = p.x_exact if p.x_exact is not None else o.x
             scale = p.sigma_max() * max(la.safe_norm(xref), np.finfo(float).tiny)
             d = np.ldexp(kept[1][i, :, 0], es[i])
@@ -397,15 +390,6 @@ def cg_base(p, control=None):
     """CG on the normal equations with A^T b + c formed once, the baseline:
     that rounding error is amplified by kappa(A)^2 and never repaired."""
     return _one("cg", p, control)
-
-
-def cgls(a, b, control=None):
-    """CGLS for min ||a x - b||, re-forming r = a^T d each iteration."""
-    a, b = la.as_matrix(a, "a"), la.as_vector(b, "b")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatch("b length does not match row count")
-    return solve_batch("cgls", [SimpleNamespace(a=a, b=b, c=np.zeros(
-        a.shape[1]))], control, history=True)[0]
 
 
 def cgls_eps(p, eps=DEFAULT_EPS, control=None):

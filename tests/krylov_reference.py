@@ -138,9 +138,9 @@ def eps_system(p, eps):
 
 
 def solve(method, p, control, eps):
-    """The reference outcome of `method` (a solve_batch name) on p."""
-    tol, maxit, x0, patience = control.resolve(p.n)
-    limits = (tol, maxit, patience)
+    """The reference outcome of `method` (a solve_batch name) on p, from
+    x = 0."""
+    limits, x0 = control.resolve(p.n), np.zeros(p.n)
     if method == "cg":
         return drive(cg_steps(p.a, (p.a.T @ p.b) + p.c, x0), *limits)
     if method == "minres":
@@ -168,8 +168,8 @@ def mixed_problems(m=16, n=8):
     they stall and MINRES reaches the cap on "mid".  "ls" (columns 1e100
     apart) breaks CGLS down, "shift" (a c-driven rhs on columns 1e170
     apart) breaks CG, CGLSI and MINRES down, "zero" has a zero
-    right-hand side and "exact" is solved by x0 = 1.  (As stated for
-    16 x 8; other shapes may stop for fewer reasons.)
+    right-hand side and "exact" a consistent one (b = A 1, c = 0).  (As
+    stated for 16 x 8; other shapes may stop for fewer reasons.)
     """
     rng = np.random.default_rng(np.random.SeedSequence([42, 9]))
     out = [
@@ -201,9 +201,9 @@ def long_control():
                                       patience=3000)
 
 
-def short_control(n=8):
+def short_control():
     return iterative.IterationControl(tol=1e-30, max_iterations=60,
-                                      patience=8, x0=np.ones(n))
+                                      patience=8)
 
 
 def unscaled(method, p, eps):

@@ -149,7 +149,7 @@ def test_config_control_passes_through():
     cfg = bench.parse_config(small_config(tol=1e-30, maxIterations=77,
                                           patience=9))
     ctrl = cfg.control()
-    tol, maxit, _, patience = ctrl.resolve(4)
+    tol, maxit, patience = ctrl.resolve(4)
     assert tol == 1e-30 and maxit == 77 and patience == 9
 
 

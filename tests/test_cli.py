@@ -451,10 +451,11 @@ def test_gen_rejects_a_config_label_that_is_no_file_name(tmp_path, capsys,
 
 @pytest.mark.parametrize("label", ["../hdr", ""])
 def test_gen_rejects_a_header_label_that_is_no_file_name(tmp_path, capsys,
-                                                          label):
+                                                          monkeypatch, label):
     # A label read from a problem file's header is checked before the
     # first file is written: "../hdr" would overwrite the source file, and
-    # an unlabelled file would be saved as the hidden file ".qls".
+    # an unlabelled file would be saved as the hidden file ".qls".  The
+    # family is named without reading its file a second time.
     p = problems.assemble_problem(6, 3, problems.sigma_c1(3, 1.5),
                                   np.ones(3), label=label)
     src = tmp_path / "hdr.qls"
@@ -464,11 +465,15 @@ def test_gen_rejects_a_header_label_that_is_no_file_name(tmp_path, capsys,
     path = tmp_path / "header.json"
     path.write_text(json.dumps(cfg))
     before, text = _files(tmp_path), src.read_text()
+    real, reads = problems.load_problem, []
+    monkeypatch.setattr(problems, "load_problem",
+                        lambda *a, **k: reads.append(a) or real(*a, **k))
     rc = cli.main(["gen", "--config", str(path), "--out",
                    str(tmp_path / "out")])
     assert rc == 3
     assert (f"families[2].path: {src}: header label {label!r}"
             in capsys.readouterr().err)
+    assert len(reads) == sum(f["type"] == "file" for f in cfg["families"])
     assert _files(tmp_path) == before
     assert src.read_text() == text
 
@@ -672,6 +677,17 @@ def readme_flag_table():
         command = cells[0] or command  # a blank cell continues the last
         flags.setdefault(command, []).append(cells[1])
     return flags
+
+
+def test_readme_library_use_snippet_runs(capsys):
+    # The python block under "## Library use" runs as printed: a public
+    # name it uses cannot go without the README following.
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = text[text.index("## Library use"):]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    rel, eta, est = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= rel < 1e-8 and np.isfinite(eta) and np.isfinite(est)
 
 
 def test_readme_flag_table_matches_the_parser():

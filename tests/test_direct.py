@@ -109,7 +109,7 @@ def test_solve_sm_agrees_with_qr_small_eps():
 def test_solve_aug_hand_case_and_consistent():
     p = problems.QlsProblem(a=np.array([[1.0]]), b=np.array([2.0]),
                             c=np.array([1.0]))
-    assert np.allclose(direct.solve_aug(p, scale=1.0), [3.0], atol=1e-13)
+    assert np.allclose(direct.solve_aug(p), [3.0], atol=1e-13)
     rng = np.random.default_rng(46)
     a = rng.standard_normal((6, 3))
     xstar = rng.standard_normal(3)
@@ -234,11 +234,10 @@ def test_singular_saddle_matrix_is_breakdown():
     others = [problems.QlsProblem(a=A0, b=np.array([1.0, 2.0, 3.0]),
                                   c=np.array([1.0, -1.0])),
               problems.QlsProblem(a=A0 / 8, b=np.ones(3), c=np.zeros(2))]
-    for scale in (1.0, None):
-        with pytest.raises(Breakdown):
-            direct.solve_aug(singular, scale=scale)
-        with pytest.raises(Breakdown):
-            direct.solve_aug([others[0], singular, others[1]], scale=scale)
+    with pytest.raises(Breakdown):
+        direct.solve_aug(singular)
+    with pytest.raises(Breakdown):
+        direct.solve_aug([others[0], singular, others[1]])
     outcomes = bench.solve("AUG", [others[0], singular, others[1]],
                            problems.DEFAULT_EPS, iterative.IterationControl())
     assert isinstance(outcomes[1], Breakdown)

@@ -22,11 +22,9 @@ def test_control_resolve_validation():
         iterative.IterationControl(max_iterations=0).resolve(3)
     with pytest.raises(InvalidParameter):
         iterative.IterationControl(patience=0).resolve(3)
-    with pytest.raises(DimensionMismatch):
-        iterative.IterationControl(x0=np.ones(2)).resolve(3)
-    tol, maxit, x0, patience = iterative.IterationControl().resolve(5)
+    tol, maxit, patience = iterative.IterationControl().resolve(5)
     assert tol == iterative.DEFAULT_TOL and maxit == 50
-    assert patience == iterative.STALL_PATIENCE and np.all(x0 == 0.0)
+    assert patience == iterative.STALL_PATIENCE
 
 
 def test_cg_identity_one_iteration():
@@ -42,10 +40,12 @@ def test_cg_pure_c_right_hand_side():
     assert np.allclose(o.x, [3.0, 4.0]) and o.iterations == 1
 
 
-def test_cg_exact_start_stops_immediately():
-    p = identity_problem(b=(1.0, 2.0))
-    o = iterative.cg_base(p, control=iterative.IterationControl(x0=[1.0, 2.0]))
+def test_cg_zero_right_hand_side_stops_immediately():
+    # A^T b + c = 0: the zero initial residual is solved by x = 0.
+    p = identity_problem(b=(0.0, 0.0))
+    o = iterative.cg_base(p)
     assert o.iterations == 0 and o.status == "converged"
+    assert np.array_equal(o.x, [0.0, 0.0])
     assert len(o.residual_norm_history) == 0
 
 
@@ -60,10 +60,15 @@ def test_cg_fails_on_tiny_sigma_cluster():
     assert rel > 1e-2
 
 
+def _ls(a, b):
+    """min ||a x - b||: the problem with c = 0, which CGLSI runs as CGLS."""
+    return problems.QlsProblem(a=a, b=b, c=np.zeros(np.shape(a)[1]))
+
+
 def test_cgls_identity_and_mean():
-    o = iterative.cgls(np.eye(3), np.array([1.0, 2.0, 3.0]))
+    o = iterative.cgls_i(_ls(np.eye(3), np.array([1.0, 2.0, 3.0])))
     assert np.allclose(o.x, [1.0, 2.0, 3.0]) and o.iterations == 1
-    o = iterative.cgls(np.array([[1.0], [1.0]]), np.array([1.0, 3.0]))
+    o = iterative.cgls_i(_ls(np.array([[1.0], [1.0]]), np.array([1.0, 3.0])))
     assert np.allclose(o.x, [2.0])
 
 
@@ -72,10 +77,11 @@ def test_cgls_recurred_residual_tracks_truth():
     rng = np.random.default_rng(31)
     a = rng.standard_normal((6, 3))
     b = a @ rng.standard_normal(3)
-    full = iterative.cgls(a, b, control=iterative.IterationControl(tol=1e-30))
+    full = iterative.cgls_i(_ls(a, b),
+                            control=iterative.IterationControl(tol=1e-30))
     na = np.linalg.norm(a)
     for k in range(1, full.iterations + 1):
-        o = iterative.cgls(a, b, control=iterative.IterationControl(
+        o = iterative.cgls_i(_ls(a, b), control=iterative.IterationControl(
             tol=1e-30, max_iterations=k))
         true_norm = np.linalg.norm(a.T @ (b - a @ o.x))
         rec = o.residual_norm_history[-1]
@@ -90,9 +96,9 @@ def test_cgls_eps_zero_c_reduces_to_cgls():
     for _ in range(5):
         a = rng.standard_normal((7, 4))
         b = rng.standard_normal(7)
-        p = problems.QlsProblem(a=a, b=b, c=np.zeros(4))
+        p = _ls(a, b)
         oe = iterative.cgls_eps(p, 2.0 ** -47)
-        oc = iterative.cgls(a, b)
+        oc = iterative.cgls_i(p)
         assert np.linalg.norm(oe.x - oc.x) <= 1e-10 * np.linalg.norm(oc.x)
 
 
@@ -276,12 +282,12 @@ def test_breakdown_on_vanishing_curvature():
     a = np.zeros((3, 2))
     a[0, 0], a[1, 1] = 1.0, 1e-100
     p = problems.QlsProblem(a=a, b=np.array([0.0, 1.0, 0.0]), c=np.zeros(2))
-    assert iterative.cgls(p.a, p.b).status == "breakdown"
+    assert iterative.cgls_i(p).status == "breakdown"
     assert iterative.cgls_eps(p, 2.0 ** -47).status == "breakdown"
     a[1, 1] = 1e-170
     q = problems.QlsProblem(a=a, b=np.zeros(3), c=np.array([0.0, 1.0]))
     assert iterative.cg_base(q).status == "breakdown"
-    # sigma_max * ||x0|| underflows to zero; no gap entry is kept, so
+    # sigma_max * ||x|| underflows to zero; no gap entry is kept, so
     # none is divided by it.
     r = problems.QlsProblem(a=np.diag([1e-20, 1e-120, 0.0])[:, :2],
                             b=np.array([0.0, 1.0, 0.0]), c=np.zeros(2))
@@ -307,7 +313,7 @@ def test_krylov_extreme_scale_data(a0, b, scale):
     p = problems.QlsProblem(a=scale * a0, b=b, c=np.zeros(a0.shape[1]))
     want = np.linalg.lstsq(a0, b, rcond=None)[0] / scale
     for o in (iterative.cg_base(p), iterative.cgls_i(p),
-              iterative.cgls_eps(p, 2.0 ** -47), iterative.cgls(p.a, p.b),
+              iterative.cgls_eps(p, 2.0 ** -47),
               iterative.minres_augmented(p)):
         assert o.status == "converged" and o.iterations > 0
         assert np.abs(o.x - want).max() <= 1e-10 * np.abs(want).max()
@@ -318,27 +324,26 @@ def test_krylov_extreme_scale_data(a0, b, scale):
 def test_out_of_range_scaling_is_exact(ka, kb):
     # With max |A| and max |(b, c)| in [1/2, 1), data scaled by 2^ka and
     # 2^kb beyond the safe range is scaled back exactly, so each solver
-    # repeats the unscaled run and returns 2^(kb - ka) x bitwise.
+    # repeats the unscaled run and returns 2^(kb - ka) x bitwise.  Its
+    # history comes back in the units of A^T b (MINRES: of b).
     base = problems.QlsProblem(a=A0 / 8, b=np.array([0.75, 0.5, -0.5]),
                                c=np.array([0.5, -0.25]))
     big = problems.QlsProblem(a=np.ldexp(base.a, ka), b=np.ldexp(base.b, kb),
                               c=np.ldexp(base.c, ka + kb))
-    for solve in (iterative.cg_base, iterative.cgls_i,
-                  iterative.minres_augmented):
+    for solve, e in ((iterative.cg_base, ka + kb), (iterative.cgls_i, ka + kb),
+                     (iterative.minres_augmented, kb)):
         o, ob = solve(base), solve(big)
         assert np.array_equal(ob.x, np.ldexp(o.x, kb - ka))
         assert (ob.iterations, ob.status) == (o.iterations, o.status)
         assert ob.residual_gap == o.residual_gap
-    o, ob = iterative.cgls(base.a, base.b), iterative.cgls(big.a, big.b)
-    assert np.array_equal(ob.x, np.ldexp(o.x, kb - ka))
-    assert np.array_equal(ob.residual_norm_history,
-                          np.ldexp(o.residual_norm_history, ka + kb))
+        assert np.array_equal(ob.residual_norm_history,
+                              np.ldexp(o.residual_norm_history, e))
 
 
 @pytest.mark.parametrize("control", [kr.long_control, kr.short_control])
 def test_batch_matches_single_calls_and_reference_bitwise(control):
     # One batch holds converged, stalled, diverged, max_iterations and
-    # breakdown runs, a zero right-hand side and an exact x0.  Each
+    # breakdown runs, a zero and a consistent right-hand side.  Each
     # outcome (x, iterations, status, histories, CGLSI's final gap) is
     # bitwise that of a B = 1 call and of the single-problem reference
     # loop, and the batch keeps no history unless asked.
@@ -391,8 +396,9 @@ def test_batch_rejects_mixed_shapes_and_unknown_methods():
         iterative.solve_batch("cg", [probs[0], identity_problem()])
     with pytest.raises(DimensionMismatch):
         iterative.solve_batch("cg", [])
-    with pytest.raises(InvalidParameter):
-        iterative.solve_batch("lsqr", probs)
+    for method in ("lsqr", "cgls"):
+        with pytest.raises(InvalidParameter):
+            iterative.solve_batch(method, probs)
 
 
 @pytest.mark.parametrize("core", CORES)
@@ -407,14 +413,9 @@ def test_batch_bitwise_under_each_blas_kernel(core):
     out = run_under_core(
         core, "import krylov_reference as kr\n"
         "print([kr.mismatches(kr.mixed_problems(m, n),\n"
-        "                     kr.short_control(n))[0]\n"
+        "                     kr.short_control())[0]\n"
         "       for m, n in ((16, 8), (15, 7), (17, 8))])\n")
     assert out.strip() == "[[], [], []]"
-
-
-def test_cgls_shape_error():
-    with pytest.raises(DimensionMismatch):
-        iterative.cgls(np.eye(3), np.ones(2))
 
 
 def test_iterative_agreement_well_conditioned():

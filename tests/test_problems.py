@@ -262,15 +262,16 @@ def test_build_augmented_hand_case():
 
 
 def test_build_augmented_default_scale_and_invariance():
-    # AUG's default scale is the power of two nearest sigma_min / sqrt(2),
+    # AUG's scale is the power of two nearest sigma_min / sqrt(2),
     # 2^floor(log2 sigma_min); the x block solves the problem at that scale
     # and at one alike.
     rng = np.random.default_rng(25)
     p = problems.assemble_problem(6, 3, (1.0, 0.7, 0.5), rng.standard_normal(3),
                                   kind=4, seed=9)
     scale = 2.0 ** np.floor(np.log2(p.sigma_min()))
-    assert np.array_equal(direct.solve_aug(p), direct.solve_aug(p, scale=scale))
     k, rhs = problems.Stack([p, p]).augmented(np.array([scale, 1.0]))
+    x_aug = np.linalg.solve(k[:1], rhs[:1, :, None])[0, p.m:, 0]
+    assert np.array_equal(direct.solve_aug(p), x_aug)
     assert np.array_equal(k[0, :p.m, :p.m], scale * np.eye(p.m))
     assert np.array_equal(rhs[0, p.m:], -p.c / scale)
     x_default, x_one = (la.ldlt_solve(la.ldlt_factorize(ki), ri)[p.m:]
